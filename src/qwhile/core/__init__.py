@@ -3,7 +3,6 @@ from .gates import CNOT, H, I2, S, SDG, SWAP, T, TDG, X, Y, Z, GateLibrary, STAN
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
-    apply_to_vector,
     as_matrix,
     basis_ket,
     check_dim,
@@ -41,7 +40,7 @@ __all__ = [
     "CNOT", "H", "I2", "S", "SDG", "SWAP", "T", "TDG", "X", "Y", "Z",
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
-    "apply_to_vector", "as_matrix", "basis_ket", "check_dim",
+    "as_matrix", "basis_ket", "check_dim",
     "conjugate_density", "dagger", "embed", "is_unitary", "kron",
     "num_qubits", "partial_trace", "require_unitary", "unitary_residual",
     "apply_superoperator", "apply_unitary", "inner_product",

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NotUnitary, QwhileError
+from ..errors import QwhileError
 from .linalg import require_unitary
 
 _S2 = np.sqrt(2.0)
@@ -46,11 +46,7 @@ class GateLibrary:
         return cls({"H": H, "X": X, "Z": Z, "I": I2, "CNOT": CNOT, "T": T, "S": S})
 
     def register(self, name: str, matrix: np.ndarray) -> None:
-        try:
-            m = require_unitary(matrix, what=f"gate {name!r}")
-        except NotUnitary:
-            raise
-        self._gates[name] = m
+        self._gates[name] = require_unitary(matrix, what=f"gate {name!r}")
 
     def __contains__(self, name: str) -> bool:
         return name in self._gates

@@ -100,12 +100,6 @@ def _apply_on_axes(tensor: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) 
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def apply_to_vector(vec: np.ndarray, op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a k-qubit operator at the given qubit positions of an n-qubit vector."""
-    t = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    return _apply_on_axes(t, op, tuple(positions)).reshape(-1)
-
-
 def conjugate_density(mat: np.ndarray, op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
     """Compute E rho E† where E acts on the given qubit positions (E need not be unitary)."""
     dim = 1 << n

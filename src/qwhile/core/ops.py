@@ -125,17 +125,3 @@ def validate(obj) -> ValidationReport:
     if residual > linalg.ATOL_UNITARY:
         return ValidationReport("Matrix", (Violation("NotUnitary", residual),))
     return ValidationReport("Matrix")
-
-
-def require_complete(m: MeasurementSet) -> MeasurementSet:
-    report = m.validate()
-    if not report.ok:
-        raise IncompleteMeasurement(str(report))
-    return m
-
-
-def require_unitary_dim(u: np.ndarray, dim: int, what: str = "gate") -> np.ndarray:
-    u = linalg.require_unitary(u, what=what)
-    if u.shape[0] != dim:
-        raise DimMismatch(f"{what} has dim {u.shape[0]}, expected {dim}")
-    return u

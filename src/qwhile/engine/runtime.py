@@ -382,40 +382,100 @@ class DistributionResult:
         return sum(w for w, _ in self.terminals)
 
     def merged(self, atol: float = 1e-10) -> "DistributionResult":
-        """Coalesce terminals whose states agree entrywise within atol."""
-        out: list[tuple[float, np.ndarray]] = []
+        """Coalesce terminals with equal states.
+
+        Each terminal's weight is added to the first kept terminal, in
+        terminal order, whose state has the same shape and passes
+        ``np.allclose(state, kept, atol=atol)``, i.e. entrywise
+        ``|state - kept| <= atol + 1e-5 * |kept|``; a terminal with no such
+        match is kept. Kept terminals are then sorted by decreasing weight
+        (stable, so ties keep terminal order).
+        """
+        index = _StateIndex(atol)
+        weights: list[float] = []
         for w, state in self.terminals:
-            m = state._mat
-            for i, (wi, mi) in enumerate(out):
-                if m.shape == mi.shape and np.allclose(m, mi, atol=atol):
-                    out[i] = (wi + w, mi)
-                    break
+            i = index.find(state._mat)
+            if i is None:
+                index.add(state._mat)
+                weights.append(w)
             else:
-                out.append((w, m))
-        out.sort(key=lambda t: -t[0])
+                weights[i] += w
+        order = sorted(range(len(weights)), key=lambda i: -weights[i])
         return DistributionResult(
-            [(w, DensityOperator(m, validate=False)) for w, m in out], self.residual)
+            [(weights[i], DensityOperator(index.states[i], validate=False)) for i in order],
+            self.residual)
+
+
+class _StateIndex:
+    """Kept states in insertion order, searched by the merge rule
+    ``np.allclose(m, kept, atol=atol)``.
+
+    Passing that rule on the diagonal is necessary for passing it on the
+    whole matrix, so a lookup first compares the new diagonal with every
+    kept diagonal of the same shape in one ``np.isclose`` call, then runs
+    the full test only on the rows that pass, lowest index first. Only
+    diagonals are stacked (one array per shape, grown by doubling); the
+    states themselves are never copied.
+    """
+
+    def __init__(self, atol: float):
+        self.atol = atol
+        self.states: list[np.ndarray] = []
+        self._diags: dict[tuple[int, ...], np.ndarray] = {}  # shape -> rows of diagonals
+        self._ids: dict[tuple[int, ...], list[int]] = {}     # shape -> state index per row
+
+    def add(self, m: np.ndarray) -> None:
+        diag = np.diagonal(m)
+        ids = self._ids.setdefault(m.shape, [])
+        rows = self._diags.get(m.shape)
+        if rows is None or len(ids) == len(rows):
+            grown = np.empty((max(8, 2 * len(ids)), len(diag)), dtype=complex)
+            if rows is not None:
+                grown[:len(ids)] = rows
+            self._diags[m.shape] = rows = grown
+        rows[len(ids)] = diag
+        ids.append(len(self.states))
+        self.states.append(m)
+
+    def find(self, m: np.ndarray, accept=None) -> int | None:
+        """Index of the first kept state that m matches and that
+        ``accept(index)`` (when given) allows, or None."""
+        ids = self._ids.get(m.shape)
+        if not ids:
+            return None
+        rows = self._diags[m.shape][:len(ids)]
+        near = np.isclose(np.diagonal(m), rows, atol=self.atol).all(axis=1)
+        for row in np.flatnonzero(near):
+            i = ids[row]
+            if (accept is None or accept(i)) and np.allclose(m, self.states[i], atol=self.atol):
+                return i
+        return None
 
 
 def match_distributions(a: DistributionResult, b: DistributionResult,
                         atol: float = 1e-9) -> bool:
-    """True iff both results have the same terminal (weight, state) sets
-    and residuals, matching states entrywise within atol."""
+    """True iff the residuals agree within atol and the merged terminals
+    of a and b pair up one to one.
+
+    Both sides are merged with this atol first. Each terminal of a, in
+    order, pairs with the first unpaired terminal of b whose weight is
+    within atol and whose state passes ``np.allclose(state_a, state_b,
+    atol=atol)``, i.e. entrywise ``|a - b| <= atol + 1e-5 * |b|``.
+    """
     if abs(a.residual - b.residual) > atol:
         return False
     am, bm = a.merged(atol), b.merged(atol)
     if len(am.terminals) != len(bm.terminals):
         return False
+    index = _StateIndex(atol)
+    for _, s in bm.terminals:
+        index.add(s._mat)
     used: set[int] = set()
     for w, s in am.terminals:
-        for j, (w2, s2) in enumerate(bm.terminals):
-            if j in used:
-                continue
-            if abs(w - w2) <= atol and np.allclose(s._mat, s2._mat, atol=atol):
-                used.add(j)
-                break
-        else:
+        j = index.find(s._mat, lambda j: j not in used and abs(w - bm.terminals[j][0]) <= atol)
+        if j is None:
             return False
+        used.add(j)
     return True
 
 

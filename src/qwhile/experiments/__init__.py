@@ -24,7 +24,6 @@ from .grover import (
 )
 from .qloop import (
     QloopResult,
-    QloopSpec,
     qloop_analytic,
     qloop_channel,
     qloop_channel_output,
@@ -50,7 +49,7 @@ __all__ = [
     "GroverResult", "GroverSpec", "degradation_probe", "diffusion_matrix",
     "grover_run", "grover_source", "iteration_count", "oracle_matrix",
     "success_probability",
-    "QloopResult", "QloopSpec", "qloop_analytic", "qloop_channel",
+    "QloopResult", "qloop_analytic", "qloop_channel",
     "qloop_channel_output", "qloop_program", "qloop_run", "qloop_source",
     "program_source", "program_names",
 ]

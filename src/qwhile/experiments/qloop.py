@@ -13,14 +13,14 @@ exactly, and the ancilla is never touched again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from ..core.linalg import partial_trace
-from ..core.types import DensityOperator, Ket, MeasurementSet, SuperOperator
-from ..core import gates, ops
+from ..core.types import DensityOperator, Ket, SuperOperator
+from ..core import ops
 from ..engine import DistributionResult, PreparedProgram, ShotStats, prepare, run_distribution, run_shots
 from ..lang import parse
 
@@ -31,17 +31,6 @@ def qloop_channel() -> SuperOperator:
     e0 = np.array([[1, 0], [0, 1 / _SQ2]], dtype=complex)
     e1 = np.array([[0, 1 / _SQ2], [0, 0]], dtype=complex)
     return SuperOperator([e0, e1], name="qloop")
-
-
-@dataclass(frozen=True)
-class QloopSpec:
-    shots: int = 100_000
-    seed: int = 0
-    initial: DensityOperator = field(
-        default_factory=lambda: Ket([1, 1]).to_density())
-    channel: SuperOperator = field(default_factory=qloop_channel)
-    measurement: MeasurementSet = field(default_factory=MeasurementSet.computational)
-    hadamard: np.ndarray = field(default_factory=lambda: gates.H.copy())
 
 
 def qloop_source() -> str:

@@ -20,9 +20,10 @@ Grammar (comments run `//` to end of line; statements end with `;`):
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
 only: a declaration inside an `if` branch or a `while` body is a
-ParseError. `pretty_print` lists all declarations first, so the
-canonical form of an interleaved program is the program with its
-declarations moved to the front.
+ParseError. A declaration may not bind a keyword (`KEYWORDS`).
+`pretty_print` lists all declarations first, so the canonical form of
+an interleaved program is the program with its declarations moved to
+the front.
 
 Declared measurement names bound to `computational` adapt their outcome
 count to the register width at each use site; `plusminus` is the fixed
@@ -57,6 +58,9 @@ from .syntax import (
 )
 
 BUILTIN_MEASUREMENTS = ("computational", "plusminus")
+
+# Words the grammar reads as keywords; a declaration may not bind them.
+KEYWORDS = frozenset({"skip", "if", "fi", "while", "do", "od", "gate", "measure", "qubit"})
 
 _TOKEN_RE = re.compile(
     r"""
@@ -174,6 +178,8 @@ class _Parser:
                 and self.tokens[self.pos + 1].kind == ":")
 
     def _declare(self, tok: Token, kind: str) -> None:
+        if tok.text in KEYWORDS:
+            raise self.error(f"keyword {tok.text!r} cannot be declared as a name", tok)
         if tok.text in self.names:
             raise self.error(f"name {tok.text!r} already declared", tok)
         if tok.text in self.library:
@@ -181,7 +187,9 @@ class _Parser:
         self.names[tok.text] = kind
 
     def parse_decl(self) -> None:
-        if self.at_keyword("gate"):
+        # `gate : qubit;` is a register declaration, rejected by _declare
+        register = self.tokens[self.pos + 1].kind == ":"
+        if self.at_keyword("gate") and not register:
             self.advance()
             name = self.expect("name", "gate name")
             self.expect("=")
@@ -195,7 +203,7 @@ class _Parser:
                 decl = GateDecl(name.text, self.parse_matrix())
             self._declare(name, "gate")
             self.gates.append(decl)
-        elif self.at_keyword("measure"):
+        elif self.at_keyword("measure") and not register:
             self.advance()
             name = self.expect("name", "measurement name")
             self.expect("=")

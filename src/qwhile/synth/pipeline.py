@@ -15,15 +15,15 @@ from ..core.linalg import num_qubits, require_unitary
 from ..errors import QwhileError
 from .qsd import qsd_decompose
 from .sequences import GateOp, GateSequence, GateSet, strip_phase
-from .sk import SKNet, default_net, solovay_kitaev
+from .sk import SKNet, _canonical_key, default_net, solovay_kitaev
 from .two_level import two_level_decompose, two_level_to_circuit
 
 METHODS = ("qr", "qsd")
 
 # Factor expansions re-emit the same few 2x2 matrices (square roots,
 # basis-change blocks) hundreds of times; approximate each distinct
-# matrix once per (net, epsilon, depth).
-_SK_CACHE: dict[tuple, tuple[tuple[str, ...], float]] = {}
+# matrix once per (net, epsilon, depth), remembering at most this many
+# per net in net.approximations.
 _SK_CACHE_MAX = 4096
 
 
@@ -32,14 +32,14 @@ def _approximate_single_qubit(op: GateOp, basic: GateSet, epsilon: float,
     name = basic.match_single_qubit(op.matrix)
     if name is not None:
         return [GateOp(name, op.qubits, basic[name])], 0.0
-    from .sk import _canonical_key
-    key = (id(net), epsilon, depth, _canonical_key(strip_phase(op.matrix)))
-    hit = _SK_CACHE.get(key)
+    cache = net.approximations
+    key = (epsilon, depth, _canonical_key(strip_phase(op.matrix)))
+    hit = cache.get(key)
     if hit is None:
         approx = solovay_kitaev(op.matrix, epsilon, net, depth)
         hit = (tuple(o.name for o in approx.ops), approx.eps_total)
-        if len(_SK_CACHE) < _SK_CACHE_MAX:
-            _SK_CACHE[key] = hit
+        if len(cache) < _SK_CACHE_MAX:
+            cache[key] = hit
     names, err = hit
     # alphabet matrices are shared read-only across ops
     ops = [GateOp(nm, op.qubits, net.alphabet[nm]) for nm in names]

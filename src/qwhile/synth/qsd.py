@@ -65,19 +65,6 @@ def multiplexed_rotation_ops(axis: str, thetas: np.ndarray,
     return ops
 
 
-def _multiplexed_matrix(axis: str, thetas: np.ndarray) -> np.ndarray:
-    rot = {"ry": ry, "rz": rz}[axis]
-    blocks = [rot(float(t)) for t in thetas]
-    m = len(blocks)
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    for j, b in enumerate(blocks):
-        out[j, j] = b[0, 0]
-        out[j, j + m] = b[0, 1]
-        out[j + m, j] = b[1, 0]
-        out[j + m, j + m] = b[1, 1]
-    return out
-
-
 # --- 4x4 canonical circuit ----------------------------------------------------
 
 

@@ -14,8 +14,8 @@ first, so the matrix is M_b @ M_a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,10 +54,27 @@ class SKNet:
     words: list[tuple[str, ...]]
     matrices: np.ndarray        # (N, 2, 2), SU(2) representatives
     eps0: float                 # empirical covering radius
+    # Letter names and achieved distance per (epsilon, depth, canonical
+    # target), filled by the synthesis pipeline; lives as long as the net.
+    approximations: dict[tuple, tuple[tuple[str, ...], float]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def inverse_letters(self) -> dict[str, str]:
+        """name -> inverse-letter name; the alphabet must be closed under inverses."""
+        table: dict[str, str] = {}
+        for name, m in self.alphabet.items():
+            for cand, cm in self.alphabet.items():
+                if phase_dist(cm, m.conj().T) <= 1e-10:
+                    table[name] = cand
+                    break
+            else:
+                raise QwhileError(f"alphabet has no inverse for letter {name!r}")
+        return table
 
     def nearest(self, u: np.ndarray) -> int:
         """Index of the stored word closest to u (phase-invariant)."""
@@ -172,28 +189,8 @@ def group_commutator_factors(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return v, w
 
 
-_inverse_maps: dict[int, dict[str, str]] = {}
-
-
-def _inverse_map(alphabet: dict[str, np.ndarray]) -> dict[str, str]:
-    """name -> inverse-letter name; the alphabet must be closed under inverses."""
-    cached = _inverse_maps.get(id(alphabet))
-    if cached is not None:
-        return cached
-    table: dict[str, str] = {}
-    for name, m in alphabet.items():
-        for cand, cm in alphabet.items():
-            if phase_dist(cm, m.conj().T) <= 1e-10:
-                table[name] = cand
-                break
-        else:
-            raise QwhileError(f"alphabet has no inverse for letter {name!r}")
-    _inverse_maps[id(alphabet)] = table
-    return table
-
-
-def _invert_word(word: tuple[str, ...], alphabet: dict[str, np.ndarray]) -> tuple[str, ...]:
-    inv = _inverse_map(alphabet)
+def _invert_word(word: tuple[str, ...], net: SKNet) -> tuple[str, ...]:
+    inv = net.inverse_letters
     return tuple(inv[name] for name in reversed(word))
 
 
@@ -213,8 +210,7 @@ def _sk_recurse(u: np.ndarray, depth: int, net: SKNet) -> tuple[tuple[str, ...],
     v, w = group_commutator_factors(delta)
     vw, vm = _sk_recurse(strip_phase(v), depth - 1, net)
     ww, wm = _sk_recurse(strip_phase(w), depth - 1, net)
-    word = (word1 + _invert_word(ww, net.alphabet) + _invert_word(vw, net.alphabet)
-            + ww + vw)
+    word = word1 + _invert_word(ww, net) + _invert_word(vw, net) + ww + vw
     approx = vm @ wm @ vm.conj().T @ wm.conj().T @ u1
     return word, approx
 

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from qwhile.core.types import DensityOperator, Ket
 from qwhile.engine import (
+    DistributionResult,
     SamplerState,
     initial_configuration,
+    match_distributions,
     prepare,
     run_distribution,
     run_shot,
@@ -16,7 +18,8 @@ from qwhile.engine import (
     step,
 )
 from qwhile.errors import MalformedDistribution, StepLimitExceeded
-from qwhile.experiments import program_source
+from qwhile.experiments import program_names, program_source
+from qwhile.fqasm import compile_program, vm_distribution
 from qwhile.lang import parse
 
 from genprog import random_program
@@ -231,3 +234,166 @@ class TestDistribution:
         p0 = counts[0] / shots
         expect0 = max(w for w, _ in dist.terminals)
         assert abs(p0 - expect0) <= 3 * np.sqrt(expect0 * (1 - expect0) / shots) + 1e-12
+
+
+# --- merging and matching terminals ---------------------------------------------
+
+
+def reference_merged(dist: DistributionResult, atol: float = 1e-10) -> DistributionResult:
+    """The quadratic merge the indexed one must reproduce exactly."""
+    out = []
+    for w, state in dist.terminals:
+        m = state.matrix
+        for i, (wi, mi) in enumerate(out):
+            if m.shape == mi.shape and np.allclose(m, mi, atol=atol):
+                out[i] = (wi + w, mi)
+                break
+        else:
+            out.append((w, m))
+    out.sort(key=lambda t: -t[0])
+    return DistributionResult(
+        [(w, DensityOperator(m, validate=False)) for w, m in out], dist.residual)
+
+
+def reference_match(a: DistributionResult, b: DistributionResult, atol: float = 1e-9) -> bool:
+    """The quadratic pairing the indexed one must reproduce exactly."""
+    if abs(a.residual - b.residual) > atol:
+        return False
+    am, bm = reference_merged(a, atol), reference_merged(b, atol)
+    if len(am.terminals) != len(bm.terminals):
+        return False
+    used = set()
+    for w, s in am.terminals:
+        for j, (w2, s2) in enumerate(bm.terminals):
+            if j in used:
+                continue
+            if abs(w - w2) <= atol and np.allclose(s.matrix, s2.matrix, atol=atol):
+                used.add(j)
+                break
+        else:
+            return False
+    return True
+
+
+def unmerged(run, program) -> DistributionResult:
+    """`run(program)` with its final merge skipped: the terminals in the
+    order the breadth-first search reached them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DistributionResult, "merged", lambda self, atol=1e-10: self)
+        return run(program)
+
+
+def assert_identical(got: DistributionResult, want: DistributionResult) -> None:
+    assert got.residual == want.residual
+    assert [w for w, _ in got.terminals] == [w for w, _ in want.terminals]
+    for (_, s), (_, t) in zip(got.terminals, want.terminals):
+        assert np.array_equal(s.matrix, t.matrix)
+
+
+def weighted(*pairs) -> DistributionResult:
+    return DistributionResult(
+        [(w, DensityOperator(np.asarray(m, dtype=complex), validate=False)) for w, m in pairs],
+        0.0)
+
+
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+
+
+class TestMergeAndMatch:
+    @pytest.mark.parametrize("name", program_names())
+    def test_bundled_programs(self, name):
+        program = parse(program_source(name))
+        compiled = compile_program(program)
+        runs = [unmerged(run_distribution, program), unmerged(vm_distribution, compiled)]
+        for raw in runs:
+            for atol in (1e-10, 1e-9):
+                assert_identical(raw.merged(atol), reference_merged(raw, atol))
+        assert match_distributions(*runs) is reference_match(*runs) is True
+
+    def test_generated_programs(self, rng):
+        results = []
+        for _ in range(40):
+            program = random_program(rng, max_depth=3, max_block=3)
+            raw = unmerged(run_distribution, program)
+            assert_identical(raw.merged(), reference_merged(raw))
+            results.append((program.n_qubits, raw))
+        merges = sum(len(r.merged().terminals) < len(r.terminals) for _, r in results)
+        assert merges > 0  # the inputs do exercise merging
+        for n, a in results:
+            assert match_distributions(a, a) is reference_match(a, a) is True
+            # the reference cannot compare states of different shapes
+            for m, b in results:
+                if m == n:
+                    assert match_distributions(a, b) is reference_match(a, b)
+
+    def test_tolerance_boundaries(self, rng):
+        # Perturb one entry of a base state by multiples of atol (entries
+        # near 0) or of rtol*|b| (entries near 1), both sides of the bound.
+        atol, rtol = 1e-10, 1e-5
+        base = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        states = [base]
+        for _ in range(60):
+            m = base.copy()
+            i, j = (0, 0) if rng.random() < 0.4 else tuple(rng.integers(0, 4, size=2))
+            scale = rtol * abs(base[i, j]) + atol
+            m[i, j] += rng.choice([0.5, 0.99, 1.01, 2.0, 3.0]) * scale * rng.choice([1, -1, 1j])
+            states.append(m)
+        for _ in range(3):
+            raw = weighted(*[(float(w), m) for w, m in
+                             zip(rng.random(len(states)), rng.permutation(states))])
+            got = raw.merged(atol)
+            assert_identical(got, reference_merged(raw, atol))
+            assert 1 < len(got.terminals) < len(states)
+            other = weighted(*[(w, s.matrix) for w, s in reversed(raw.terminals)])
+            assert match_distributions(raw, other, atol) is reference_match(raw, other, atol)
+
+    def test_index_grows_past_initial_capacity(self):
+        states = [np.diag([1.0 - k / 100, k / 100]) for k in range(50)]
+        raw = weighted(*[(0.01, m) for m in states + states[::-1]])
+        got = raw.merged()
+        assert_identical(got, reference_merged(raw))
+        assert len(got.terminals) == 50
+
+    def test_non_transitive_chain(self):
+        atol = 1e-10
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b, c = a.copy(), a.copy()
+        b[1, 1] = 0.8 * atol
+        c[1, 1] = 1.6 * atol
+        raw = weighted((0.25, a), (0.25, b), (0.5, c))
+        got = raw.merged(atol)
+        assert_identical(got, reference_merged(raw, atol))
+        assert [w for w, _ in got.terminals] == [0.5, 0.5]
+        assert np.array_equal(got.terminals[0][1].matrix, a)  # a and b
+        assert np.array_equal(got.terminals[1][1].matrix, c)
+
+    def test_mixed_shapes(self):
+        one = np.diag([1.0, 0.0])
+        two = np.diag([1.0, 0.0, 0.0, 0.0])
+        raw = weighted((0.1, one), (0.2, two), (0.3, one), (0.15, PLUS), (0.25, two))
+        got = raw.merged()
+        assert_identical(got, reference_merged(raw))
+        assert [(w, s.dim) for w, s in got.terminals] == [(0.45, 4), (0.4, 2), (0.15, 2)]
+
+    def test_other_shape_never_pairs(self):
+        one = weighted((1.0, np.diag([1.0, 0.0])))
+        two = weighted((1.0, np.diag([1.0, 0.0, 0.0, 0.0])))
+        assert not match_distributions(one, two)
+        assert not match_distributions(two, one)
+
+    def test_shared_diagonal_is_not_a_match(self):
+        # |+><+| and |-><-| have the same diagonal but differ off it
+        raw = weighted((0.5, PLUS), (0.5, MINUS))
+        assert len(raw.merged().terminals) == 2
+        assert not match_distributions(weighted((1.0, PLUS)), weighted((1.0, MINUS)))
+        assert match_distributions(raw, weighted((0.5, MINUS), (0.5, PLUS)))
+
+    def test_weight_outside_atol_does_not_match(self):
+        atol = 1e-9
+        a = weighted((0.6, PLUS), (0.4, MINUS))
+        near = weighted((0.6 + 0.5 * atol, PLUS), (0.4 - 0.5 * atol, MINUS))
+        far = weighted((0.6 + 3 * atol, PLUS), (0.4 - 3 * atol, MINUS))
+        assert match_distributions(a, near, atol) and reference_match(a, near, atol)
+        assert not match_distributions(a, far, atol)
+        assert not reference_match(a, far, atol)

@@ -8,6 +8,7 @@ from qwhile.lang import (
     Case, Init, Seq, Skip, SourceProgram, Unitary, While,
     parse, pretty_print, validate_program,
 )
+from qwhile.lang.parser import KEYWORDS
 from qwhile.lang.syntax import GateDecl, MeasDecl, format_complex
 
 from genprog import random_program
@@ -166,6 +167,32 @@ class TestInterleavedDeclarations:
             parse(src)
         assert not isinstance(err.value, UndeclaredName)
         assert (err.value.line, err.value.column) == (line, col)
+
+
+class TestReservedKeywords:
+    """A declaration may not bind a keyword; the error points at the name."""
+
+    @pytest.mark.parametrize("word", sorted(KEYWORDS))
+    @pytest.mark.parametrize("template, line, col", [
+        ("{w} : qubit;\n", 1, 1),
+        ("q : qubit;\nH[q];\n  {w} : qubit[2];\n", 3, 3),
+        ("q : qubit;\ngate {w} = X;\n", 2, 6),
+        ("q : qubit;\nmeasure {w} = computational;\n", 2, 9),
+        ("q : qubit;\nmeasure {w} = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};\n", 2, 9),
+    ])
+    def test_keyword_declaration_rejected(self, word, template, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(template.format(w=word))
+        assert "keyword" in err.value.message
+        assert (err.value.line, err.value.column) == (line, col)
+
+    def test_keywords_are_the_grammar_words(self):
+        assert KEYWORDS == {"skip", "if", "fi", "while", "do", "od", "gate", "measure", "qubit"}
+
+    def test_names_containing_keywords_allowed(self):
+        p = parse("skipper : qubit; gate gates = X; measure odd = computational;\n"
+                  "skipper := |0>; gates[skipper]; if odd[skipper] = 0 -> skip; fi;")
+        assert p.registers == (("skipper", 1),)
 
 
 class TestValidate:
