@@ -10,7 +10,6 @@ import numpy as np
 from ..errors import (
     DimMismatch,
     IncompleteMeasurement,
-    NotUnitary,
     ZeroProbabilityOutcome,
 )
 from . import linalg

@@ -10,23 +10,44 @@ atom is exactly one transition):
               rho -> P0 rho P0 + K rho K†  with P0 = |0><0|, K = |0><1|.
 * U[...]      conjugates by the embedded unitary.
 * if/while    measures; sampled mode draws one outcome, distribution
-              mode forks one successor per outcome with weight p_i
-              (branches below 1e-12 are dropped). The loop guard
-              continues on outcome 1 and exits on 0.
+              mode forks one successor per outcome with weight p_i.
+              The loop guard continues on outcome 1 and exits on 0.
 
 Branch weights are carried separately from states; states stay
 normalized (trace 1) and the weighted state weight*rho recovers the
 partial-density-operator formulation.
+
+This AST interpreter and the f-QASM VM (`qwhile.fqasm.vm`) differ only
+in how they dispatch one transition. Both build their operators in one
+`KernelTable` and run through the same two drivers: `run_sampled` for
+seeded shots and `explore` for distribution mode. A step is one
+transition: one statement here (`skip` included), one instruction in
+the VM (labels and jumps included).
+
+Truncation rules, the same for both executors:
+
+* A sampled run raises StepLimitExceeded when it has taken step_limit
+  steps without terminating.
+* Distribution mode explores branches breadth-first and drops a branch
+  when its step count reaches step_limit (its weight is added to
+  `residual` and to `step_limited`), or when it is about to measure
+  while its weight is below mass_threshold (its weight is added to
+  `residual`). A branch that does not measure again runs on until it
+  terminates or reaches the step limit.
+* A measurement outcome of probability at most PROB_FLOOR (1e-12) is
+  never sampled and forks no branch; its weight is counted nowhere.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import count
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import conjugate_density, embed, partial_trace, trace_inner
+from ..core.linalg import conjugate_density, embed, partial_trace, require_unitary, trace_inner
 from ..core.types import DensityOperator
 from ..errors import QwhileError, StepLimitExceeded
 from ..lang.checker import instantiate_measurement, require_valid, resolve_gate
@@ -62,11 +83,9 @@ class _Embedded:
 
 
 class _MeasSite:
-    __slots__ = ("site_id", "kind", "ops", "poms", "full_poms", "positions", "n")
+    __slots__ = ("ops", "poms", "full_poms", "positions", "n")
 
-    def __init__(self, site_id: int, kind: str, operators, positions, n):
-        self.site_id = site_id
-        self.kind = kind  # 'case' | 'while'
+    def __init__(self, operators, positions, n):
         self.positions = positions
         self.n = n
         self.ops = [_Embedded(m, positions, n) for m in operators]
@@ -88,24 +107,37 @@ class _MeasSite:
             raise QwhileError(f"measurement probabilities sum to {total}")
         return p / total
 
-    def collapse(self, rho: np.ndarray, outcome: int, p: float) -> np.ndarray:
+    def collapse(self, rho: np.ndarray, outcome: int) -> np.ndarray:
         post = self.ops[outcome].sandwich(rho)
         return post / post.trace().real
 
 
-@dataclass
-class PreparedProgram:
-    """A validated program lowered to embedded operators."""
+class KernelTable:
+    """The register layout and every operator a program applies, embedded
+    once per distinct operation and shared by both executors.
 
-    program: SourceProgram
-    n: int
-    positions: dict[str, tuple[int, ...]]
-    unitaries: dict[int, _Embedded] = field(default_factory=dict)      # id(stmt) ->
-    init_kraus: dict[int, list] = field(default_factory=dict)          # per-qubit (P0, K)
-    sites: dict[int, _MeasSite] = field(default_factory=dict)
-    case_bodies: dict[int, dict[int, tuple[Stmt, ...]]] = field(default_factory=dict)
-    while_bodies: dict[int, tuple[Stmt, ...]] = field(default_factory=dict)
-    site_meta: list[tuple[int, str, str]] = field(default_factory=list)  # (id, kind, label)
+    Keys are operation values, so every site that applies the same
+    operation shares one operator: `unitaries[(gate, regs)]`,
+    `inits[reg]` (one (P0, K) Kraus pair per qubit, least significant
+    first) and `sites[(meas, regs)]`. Registers are laid out in
+    declaration order. `program` is a SourceProgram or an FqasmProgram;
+    its `gate_decl` and `meas_decl` resolve names, and every gate is
+    checked to be unitary.
+    """
+
+    def __init__(self, registers: tuple[tuple[str, int], ...], program,
+                 library: GateLibrary = STANDARD_LIBRARY):
+        self.program = program
+        self.library = library
+        self.positions: dict[str, tuple[int, ...]] = {}
+        at = 0
+        for name, width in registers:
+            self.positions[name] = tuple(range(at, at + width))
+            at += width
+        self.n = at
+        self.unitaries: dict[tuple[str, tuple[str, ...]], _Embedded] = {}
+        self.inits: dict[str, list[tuple[_Embedded, _Embedded]]] = {}
+        self.sites: dict[tuple[str, tuple[str, ...]], _MeasSite] = {}
 
     @property
     def dim(self) -> int:
@@ -116,59 +148,171 @@ class PreparedProgram:
         rho[0, 0] = 1.0
         return rho
 
+    def _span(self, regs: tuple[str, ...]) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for r in regs:
+            out += self.positions[r]
+        return out
+
+    def add_init(self, reg: str) -> None:
+        if reg not in self.inits:
+            self.inits[reg] = [(_Embedded(_P0, (q,), self.n), _Embedded(_K01, (q,), self.n))
+                               for q in reversed(self.positions[reg])]
+
+    def add_unitary(self, gate: str, regs: tuple[str, ...]) -> None:
+        if (gate, regs) not in self.unitaries:
+            matrix = require_unitary(resolve_gate(self.program, gate, self.library),
+                                     what=f"gate {gate!r}")
+            self.unitaries[gate, regs] = _Embedded(matrix, self._span(regs), self.n)
+
+    def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
+        if (meas, regs) not in self.sites:
+            pos = self._span(regs)
+            mset = instantiate_measurement(self.program.meas_decl(meas), 1 << len(pos))
+            self.sites[meas, regs] = _MeasSite(mset.operators, pos, self.n)
+
+    def init(self, reg: str, rho: np.ndarray) -> np.ndarray:
+        for p0, k in self.inits[reg]:
+            rho = p0.sandwich(rho) + k.sandwich(rho)
+        return rho
+
+
+# --- the two drivers ---------------------------------------------------------
+
+class Fork(NamedTuple):
+    """An executor's configuration about to measure. The drivers choose
+    the outcomes; `resume(outcome, post_state, weight)` builds the
+    executor's successor for each."""
+
+    site: int                  # site id logged with the outcome
+    kernel: _MeasSite
+    rho: np.ndarray
+    loop: bool                 # outcome 1 enters a loop body
+    resume: Callable[[int, np.ndarray, float], Any]
+
+    def branches(self, weight: float, rng: SamplerState | None) -> list[tuple[int, Any]]:
+        """(outcome, successor) pairs: one sampled outcome keeping the
+        weight with rng, else every outcome above PROB_FLOOR with the
+        weight times its probability."""
+        p = self.kernel.probabilities(self.rho)
+        if rng is not None:
+            picked = [(sample_outcome(p, rng), weight)]
+        else:
+            picked = [(i, weight * float(p[i])) for i in range(len(p)) if p[i] > PROB_FLOOR]
+        return [(i, self.resume(i, self.kernel.collapse(self.rho, i), w)) for i, w in picked]
+
+
+def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
+    """The configurations one transition leads to from c. `advance(c)`
+    returns the successor, or a Fork when c is about to measure."""
+    nxt = advance(c)
+    if isinstance(nxt, Fork):
+        return [succ for _, succ in nxt.branches(c.weight, rng)]
+    return [nxt]
+
+
+def run_sampled(c, advance: Callable, seed: int, step_limit: int,
+                loop_sites: list[int] | tuple[int, ...] = ()) -> RunRecord:
+    """Run configuration c to termination with measurements sampled from
+    `seed`. Configurations expose `terminated`, `weight` and `state`;
+    `advance` is the executor's transition (see `successors`)."""
+    rng = SamplerState(seed)
+    outcomes: list[tuple[int, int]] = []
+    loop_counts = {sid: 0 for sid in loop_sites}
+    steps = 0
+    while not c.terminated:
+        if steps >= step_limit:
+            raise StepLimitExceeded(f"no termination after {step_limit} steps")
+        nxt = advance(c)
+        steps += 1
+        if isinstance(nxt, Fork):
+            [(outcome, c)] = nxt.branches(c.weight, rng)
+            outcomes.append((nxt.site, outcome))
+            if nxt.loop and outcome == 1:
+                loop_counts[nxt.site] += 1
+        else:
+            c = nxt
+    return RunRecord(outcomes, c.state, steps, loop_counts)
+
+
+def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
+            step_limit: int) -> DistributionResult:
+    """Every branch from c0, breadth-first, truncated by the rules in the
+    module docstring. Configurations expose `terminated`,
+    `at_measurement`, `weight` and `state`; `step_fn(c)` lists c's
+    successors with their weights."""
+    queue: deque[tuple[Any, int]] = deque([(c0, 0)])
+    terminals: list[tuple[float, DensityOperator]] = []
+    residual = step_limited = 0.0
+    while queue:
+        c, steps = queue.popleft()
+        if c.terminated:
+            terminals.append((c.weight, c.state))
+            continue
+        if steps >= step_limit:
+            residual += c.weight
+            step_limited += c.weight
+            continue
+        if c.at_measurement and c.weight < mass_threshold:
+            residual += c.weight
+            continue
+        for succ in step_fn(c):
+            queue.append((succ, steps + 1))
+    return DistributionResult(terminals, residual, step_limited).merged()
+
+
+# --- the AST interpreter -----------------------------------------------------
+
+class _Site(NamedTuple):
+    id: int                                  # pre-order, from 1
+    loop: bool
+    next: dict[int, tuple[Stmt, ...]]        # outcome -> statements it runs first
+
+
+@dataclass
+class PreparedProgram:
+    """A validated program and its kernel table."""
+
+    program: SourceProgram
+    kernels: KernelTable
+    sites: dict[int, _Site] = field(default_factory=dict)                # id(stmt) ->
+    site_meta: list[tuple[int, str, str]] = field(default_factory=list)  # (id, kind, label)
+
     def loop_sites(self) -> list[int]:
         return [sid for sid, kind, _ in self.site_meta if kind == "while"]
 
 
 def prepare(program: SourceProgram, library: GateLibrary = STANDARD_LIBRARY) -> PreparedProgram:
     require_valid(program, library)
-    positions: dict[str, tuple[int, ...]] = {}
-    at = 0
-    for name, width in program.registers:
-        positions[name] = tuple(range(at, at + width))
-        at += width
-    plan = PreparedProgram(program, n=at, positions=positions)
-
-    counter = iter(range(1, 1 << 30))
-
-    def site_positions(regs: tuple[str, ...]) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for r in regs:
-            out += positions[r]
-        return out
+    plan = PreparedProgram(program, KernelTable(program.registers, program, library))
+    kernels = plan.kernels
+    ids = count(1)
 
     def walk(s: Stmt) -> None:
         if isinstance(s, Skip):
             return
         if isinstance(s, Init):
-            # One (P0, K) Kraus pair per qubit, listed least significant first.
-            pairs = []
-            for q in reversed(positions[s.target]):
-                pairs.append((_Embedded(_P0, (q,), plan.n), _Embedded(_K01, (q,), plan.n)))
-            plan.init_kraus[id(s)] = pairs
+            kernels.add_init(s.target)
             return
         if isinstance(s, Unitary):
-            plan.unitaries[id(s)] = _Embedded(
-                resolve_gate(program, s.gate, library), site_positions(s.regs), plan.n)
+            kernels.add_unitary(s.gate, s.regs)
             return
         if isinstance(s, Seq):
             for sub in s.stmts:
                 walk(sub)
             return
         if isinstance(s, (Case, While)):
-            pos = site_positions(s.regs)
-            decl = program.meas_decl(s.meas)
-            mset = instantiate_measurement(decl, 1 << len(pos))
+            kernels.add_site(s.meas, s.regs)
             kind = "case" if isinstance(s, Case) else "while"
-            sid = next(counter)
-            plan.sites[id(s)] = _MeasSite(sid, kind, mset.operators, pos, plan.n)
+            sid = next(ids)
             plan.site_meta.append((sid, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
             if isinstance(s, Case):
-                plan.case_bodies[id(s)] = {k: flatten(body) for k, body in s.branches}
+                plan.sites[id(s)] = _Site(sid, False, {k: flatten(body) for k, body in s.branches})
                 for _, body in s.branches:
                     walk(body)
             else:
-                plan.while_bodies[id(s)] = flatten(s.body)
+                # loop rule L1 runs the body then re-checks the guard; L0 exits
+                plan.sites[id(s)] = _Site(sid, True, {1: flatten(s.body) + (s,)})
                 walk(s.body)
             return
         raise QwhileError(f"cannot lower statement {type(s).__name__}")
@@ -199,27 +343,24 @@ class Configuration:
     def terminated(self) -> bool:
         return not self.remaining
 
+    @property
+    def at_measurement(self) -> bool:
+        return isinstance(self.remaining[0], (Case, While))
+
 
 def initial_configuration(program: SourceProgram | PreparedProgram,
                           state: DensityOperator | None = None,
                           library: GateLibrary = STANDARD_LIBRARY) -> Configuration:
     plan = program if isinstance(program, PreparedProgram) else prepare(program, library)
-    rho = plan.initial_state() if state is None else state.matrix
-    if rho.shape != (plan.dim, plan.dim):
-        raise QwhileError(f"state dim {rho.shape[0]} != program dim {plan.dim}")
+    dim = plan.kernels.dim
+    rho = plan.kernels.initial_state() if state is None else state.matrix
+    if rho.shape != (dim, dim):
+        raise QwhileError(f"state dim {rho.shape[0]} != program dim {dim}")
     return Configuration(flatten(plan.program.body), DensityOperator(rho, validate=False),
                          1.0, plan)
 
 
-@dataclass(frozen=True)
-class _Event:
-    site_id: int
-    outcome: int
-    loop_entry: bool
-
-
-def _step_full(c: Configuration, rng: SamplerState | None
-               ) -> list[tuple[Configuration, _Event | None]]:
+def _advance(c: Configuration) -> Configuration | Fork:
     if c.terminated:
         raise QwhileError("cannot step a terminated configuration")
     plan = c.plan
@@ -227,47 +368,27 @@ def _step_full(c: Configuration, rng: SamplerState | None
         raise QwhileError("configuration was not built by initial_configuration")
     s, rest = c.remaining[0], c.remaining[1:]
     rho = c.state._mat  # engine-internal fast path; states stay normalized
+    kernels = plan.kernels
 
     def conf(remaining, mat, weight=c.weight) -> Configuration:
         return Configuration(remaining, DensityOperator(mat, validate=False), weight, plan)
 
     if isinstance(s, Skip):
-        return [(conf(rest, rho), None)]
-
+        return conf(rest, rho)
     if isinstance(s, Init):
-        out = rho
-        for p0, k in plan.init_kraus[id(s)]:
-            out = p0.sandwich(out) + k.sandwich(out)
-        return [(conf(rest, out), None)]
-
+        return conf(rest, kernels.init(s.target, rho))
     if isinstance(s, Unitary):
-        return [(conf(rest, plan.unitaries[id(s)].sandwich(rho)), None)]
-
+        return conf(rest, kernels.unitaries[s.gate, s.regs].sandwich(rho))
     site = plan.sites[id(s)]
-    p = site.probabilities(rho)
-
-    def successor(outcome: int, weight: float) -> tuple[Configuration, _Event]:
-        post = site.collapse(rho, outcome, p[outcome])
-        if isinstance(s, Case):
-            branch = plan.case_bodies[id(s)].get(outcome)
-            tail = (branch + rest) if branch is not None else rest
-            return conf(tail, post, weight), _Event(site.site_id, outcome, False)
-        if outcome == 1:  # loop rule L1: run body then re-check the guard
-            tail = plan.while_bodies[id(s)] + (s,) + rest
-            return conf(tail, post, weight), _Event(site.site_id, 1, True)
-        return conf(rest, post, weight), _Event(site.site_id, 0, False)  # rule L0
-
-    if rng is not None:
-        outcome = sample_outcome(p, rng)
-        return [successor(outcome, c.weight)]
-    return [successor(i, c.weight * float(p[i]))
-            for i in range(len(p)) if p[i] > PROB_FLOOR]
+    return Fork(site.id, kernels.sites[s.meas, s.regs], rho, site.loop,
+                lambda outcome, post, weight: conf(site.next.get(outcome, ()) + rest,
+                                                   post, weight))
 
 
 def step(c: Configuration, rng: SamplerState | None = None) -> list[Configuration]:
     """One transition. With rng: a single sampled successor. Without rng:
     one successor per measurement outcome, weights multiplied by p_i."""
-    return [cfg for cfg, _ in _step_full(c, rng)]
+    return successors(_advance, c, rng)
 
 
 # --- one-shot runs -----------------------------------------------------------
@@ -290,21 +411,7 @@ def run_shot(program: SourceProgram | PreparedProgram, seed: int,
              state: DensityOperator | None = None) -> RunRecord:
     """Run once with sampled measurements; deterministic for a given seed."""
     c = initial_configuration(program, state)
-    rng = SamplerState(seed)
-    plan = c.plan
-    outcomes: list[tuple[int, int]] = []
-    loop_counts: dict[int, int] = {sid: 0 for sid in plan.loop_sites()}
-    steps = 0
-    while not c.terminated:
-        if steps >= step_limit:
-            raise StepLimitExceeded(f"no termination after {step_limit} steps")
-        [(c, event)] = _step_full(c, rng)
-        steps += 1
-        if event is not None:
-            outcomes.append((event.site_id, event.outcome))
-            if event.loop_entry:
-                loop_counts[event.site_id] += 1
-    return RunRecord(outcomes, c.state, steps, loop_counts)
+    return run_sampled(c, _advance, seed, step_limit, c.plan.loop_sites())
 
 
 @dataclass
@@ -356,7 +463,7 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
     site_outcomes: dict[int, Counter] = {sid: Counter() for sid, _, _ in plan.site_meta}
     loop_histogram: dict[int, Counter] = {sid: Counter() for sid in plan.loop_sites()}
     base = SamplerState(seed)
-    mean = np.zeros((plan.dim, plan.dim), dtype=complex)
+    mean = np.zeros((plan.kernels.dim, plan.kernels.dim), dtype=complex)
     for k in range(n):
         record = run_shot(plan, base.child(k).seed, step_limit)
         for sid, outcome in record.outcomes:
@@ -373,10 +480,12 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
 
 @dataclass
 class DistributionResult:
-    """Weighted terminal states plus unexplored (truncated) mass."""
+    """Weighted terminal states plus unexplored (truncated) mass;
+    `step_limited` is the part of `residual` cut by the step limit."""
 
     terminals: list[tuple[float, DensityOperator]]
     residual: float
+    step_limited: float = 0.0
 
     def total_weight(self) -> float:
         return sum(w for w, _ in self.terminals)
@@ -403,7 +512,7 @@ class DistributionResult:
         order = sorted(range(len(weights)), key=lambda i: -weights[i])
         return DistributionResult(
             [(weights[i], DensityOperator(index.states[i], validate=False)) for i in order],
-            self.residual)
+            self.residual, self.step_limited)
 
 
 class _StateIndex:
@@ -483,26 +592,6 @@ def run_distribution(program: SourceProgram | PreparedProgram,
                      mass_threshold: float = DEFAULT_MASS_THRESHOLD,
                      step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
                      state: DensityOperator | None = None) -> DistributionResult:
-    """Explore every measurement branch breadth-first.
-
-    A branch is abandoned (its mass reported as residual) when it is
-    about to measure again while holding weight below mass_threshold, or
-    when it exceeds step_limit steps; non-measuring tails always run to
-    termination.
-    """
-    c0 = initial_configuration(program, state)
-    queue: deque[tuple[Configuration, int]] = deque([(c0, 0)])
-    terminals: list[tuple[float, DensityOperator]] = []
-    residual = 0.0
-    while queue:
-        c, steps = queue.popleft()
-        if c.terminated:
-            terminals.append((c.weight, c.state))
-            continue
-        at_measurement = isinstance(c.remaining[0], (Case, While))
-        if steps >= step_limit or (at_measurement and c.weight < mass_threshold):
-            residual += c.weight
-            continue
-        for succ in step(c, None):
-            queue.append((succ, steps + 1))
-    return DistributionResult(terminals, residual).merged()
+    """Explore every measurement branch breadth-first, truncated by the
+    rules in the module docstring."""
+    return explore(initial_configuration(program, state), step, mass_threshold, step_limit)

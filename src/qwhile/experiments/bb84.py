@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import ops
-from ..core.types import DensityOperator, Ket, MeasurementSet, SuperOperator
+from ..core.types import Ket, MeasurementSet, SuperOperator
 from ..engine.sampler import SamplerState, sample_outcome, splitmix64
 from ..errors import QwhileError
 

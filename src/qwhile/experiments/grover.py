@@ -16,11 +16,11 @@ round trajectory records this degradation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.linalg import check_dim, num_qubits
+from ..core.linalg import check_dim
 from ..engine.sampler import SamplerState, sample_outcome
 from ..errors import InvalidTarget
 from ..lang.syntax import format_matrix

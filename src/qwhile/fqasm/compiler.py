@@ -16,7 +16,7 @@ from ..core.gates import GateLibrary, STANDARD_LIBRARY
 from ..errors import QwhileError
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
-from .ir import Apply, Cmp, FqasmProgram, InitQ, Instruction, Je, Jmp, Label, MeasMov, Mov
+from .ir import Apply, Cmp, FqasmProgram, InitQ, Instruction, Je, Jmp, Label, MeasMov
 
 
 class _Emitter:

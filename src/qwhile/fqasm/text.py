@@ -12,13 +12,14 @@ round-trips to a structurally identical program:
     CREG r1;
     GATE G [[0.0, 1.0], [1.0, 0.0]];
     MEASURE M computational;
+
+Matrix literals use the `.qw` grammar (`lang.parser.TokenParser`). Every
+syntax error is an FqasmSyntaxError with its line and column.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import FqasmSyntaxError
-from ..lang.parser import BUILTIN_MEASUREMENTS, Token, tokenize
+from ..errors import FqasmSyntaxError, ParseError
+from ..lang.parser import BUILTIN_MEASUREMENTS, Token, TokenParser, tokenize
 from ..lang.syntax import GateDecl, MeasDecl, format_matrix
 from .ir import (
     Apply,
@@ -87,80 +88,21 @@ def serialize(prog: FqasmProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _FqasmParser:
+class _FqasmParser(TokenParser):
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.qregs: list[tuple[str, int]] = []
         self.cregs: list[str] = []
         self.gates: list[GateDecl] = []
         self.measurements: list[MeasDecl] = []
         self.instructions: list[Instruction] = []
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def fail(self, msg: str, tok: Token | None = None):
-        tok = tok or self.cur
-        raise FqasmSyntaxError(msg, tok.line, tok.col)
-
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
-        return self.advance()
-
     def expect_int(self) -> int:
         tok = self.expect("num")
         try:
             return int(tok.text)
         except ValueError:
-            self.fail("expected an integer", tok)
-
-    # matrix parsing reuses the .qw literal grammar via shared tokens
-    def parse_matrix(self) -> np.ndarray:
-        rows = []
-        self.expect("[")
-        while True:
-            rows.append(self.parse_row())
-            if self.cur.kind == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
-        if any(len(r) != len(rows[0]) for r in rows):
-            self.fail("matrix rows have unequal lengths")
-        return np.array(rows, dtype=complex)
-
-    def parse_row(self) -> list[complex]:
-        self.expect("[")
-        entries = [self.parse_complex()]
-        while self.cur.kind == ",":
-            self.advance()
-            entries.append(self.parse_complex())
-        self.expect("]")
-        return entries
-
-    def _signed_part(self) -> complex:
-        sign = 1.0
-        while self.cur.kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -sign
-        tok = self.expect("num")
-        if tok.text.endswith("i"):
-            return sign * complex(0.0, float(tok.text[:-1]))
-        return complex(sign * float(tok.text))
-
-    def parse_complex(self) -> complex:
-        z = self._signed_part()
-        if self.cur.kind in ("+", "-"):
-            z += self._signed_part()
-        return z
+            raise self.error("expected an integer", tok) from None
 
     def _name_list(self) -> tuple[str, ...]:
         names = [self.expect("name").text]
@@ -184,7 +126,7 @@ class _FqasmParser:
     def parse_line(self) -> None:
         tok = self.cur
         if tok.kind != "name":
-            self.fail(f"expected a command, found {tok.text!r}")
+            raise self.error(f"expected a command, found {tok.text!r}")
         word = tok.text
 
         if word in ("QREG", "CREG", "GATE", "MEASURE"):
@@ -284,26 +226,18 @@ class _FqasmParser:
             if self.cur.kind == "name":
                 builtin = self.advance().text
                 if builtin not in BUILTIN_MEASUREMENTS:
-                    self.fail(f"unknown built-in measurement {builtin!r}")
+                    raise self.error(f"unknown built-in measurement {builtin!r}")
                 self.measurements.append(MeasDecl(name, builtin=builtin))
             else:
-                self.expect("{")
-                ops = [self.parse_matrix()]
-                while self.cur.kind == ",":
-                    self.advance()
-                    ops.append(self.parse_matrix())
-                self.expect("}")
-                self.measurements.append(MeasDecl(name, operators=tuple(ops)))
+                self.measurements.append(MeasDecl(name, operators=self.parse_operators()))
         self.expect(";")
 
 
 def parse_fqasm(text: str) -> FqasmProgram:
     """Parse `.fqasm` text; serialize(parse_fqasm(t)) is a fixpoint."""
-    from ..errors import ParseError
     try:
-        tokens = tokenize(text)
-    except ParseError as exc:  # re-brand lexer errors, keeping the position
+        prog = _FqasmParser(tokenize(text)).parse()
+    except ParseError as exc:  # re-brand lexer and parser errors, keeping the position
         raise FqasmSyntaxError(exc.message, exc.line, exc.column) from exc
-    prog = _FqasmParser(tokens).parse()
     check_wellformed(prog)
     return prog

@@ -6,30 +6,35 @@ CMP sets fr1, JE jumps iff fr1 == 1, JMP jumps, and the machine halts
 past the last instruction. Classical registers start empty; MOV empties
 its source; reading an empty register (or JE before any CMP) is an
 error.
+
+Operators come from the engine's kernel table and runs go through the
+engine's drivers (`qwhile.engine.runtime`, whose docstring states the
+truncation rules); this module only dispatches instructions. A step is
+one instruction, and a measurement's site id is its instruction index.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
 from ..core.types import DensityOperator
-from ..errors import QwhileError, StepLimitExceeded, UninitializedRegisterRead
+from ..errors import QwhileError, UninitializedRegisterRead
 from ..engine.runtime import (
     DEFAULT_DISTRIBUTION_STEP_LIMIT,
     DEFAULT_MASS_THRESHOLD,
     DEFAULT_STEP_LIMIT,
     DistributionResult,
+    Fork,
+    KernelTable,
     RunRecord,
-    _Embedded,
-    _K01,
-    _MeasSite,
-    _P0,
+    explore,
+    run_sampled,
+    successors,
 )
-from ..engine.sampler import PROB_FLOOR, SamplerState, sample_outcome
-from ..lang.checker import instantiate_measurement
 from .ir import (
     Apply,
     Cmp,
@@ -47,58 +52,21 @@ from .ir import (
 @dataclass
 class PreparedVm:
     prog: FqasmProgram
-    n: int
-    positions: dict[str, tuple[int, ...]]
     labels: dict[str, int]
-    unitaries: dict[int, _Embedded] = field(default_factory=dict)   # instr index ->
-    init_kraus: dict[int, list] = field(default_factory=dict)
-    sites: dict[int, _MeasSite] = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    def initial_state(self) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+    kernels: KernelTable
 
 
 def prepare_vm(prog: FqasmProgram, library: GateLibrary = STANDARD_LIBRARY) -> PreparedVm:
     check_wellformed(prog)
-    positions: dict[str, tuple[int, ...]] = {}
-    at = 0
-    for name, width in prog.qregs:
-        positions[name] = tuple(range(at, at + width))
-        at += width
-    plan = PreparedVm(prog, at, positions, prog.labels())
-
-    def gate_matrix(name: str) -> np.ndarray:
-        decl = prog.gate_decl(name)
-        if decl is not None:
-            return decl.matrix
-        if name in library:
-            return library[name]
-        raise QwhileError(f"gate {name!r} is neither declared nor in the library")
-
-    for idx, ins in enumerate(prog.instructions):
+    kernels = KernelTable(prog.qregs, prog, library)
+    for ins in prog.instructions:
         if isinstance(ins, InitQ):
-            pairs = []
-            for q in reversed(positions[ins.qreg]):
-                pairs.append((_Embedded(_P0, (q,), plan.n), _Embedded(_K01, (q,), plan.n)))
-            plan.init_kraus[idx] = pairs
+            kernels.add_init(ins.qreg)
         elif isinstance(ins, Apply):
-            pos: tuple[int, ...] = ()
-            for r in ins.qregs:
-                pos += positions[r]
-            plan.unitaries[idx] = _Embedded(gate_matrix(ins.gate), pos, plan.n)
+            kernels.add_unitary(ins.gate, ins.qregs)
         elif isinstance(ins, MeasMov):
-            pos = ()
-            for r in ins.qregs:
-                pos += positions[r]
-            mset = instantiate_measurement(prog.meas_decl(ins.meas), 1 << len(pos))
-            plan.sites[idx] = _MeasSite(idx, "meas", mset.operators, pos, plan.n)
-    return plan
+            kernels.add_site(ins.meas, ins.qregs)
+    return PreparedVm(prog, prog.labels(), kernels)
 
 
 @dataclass(frozen=True)
@@ -127,37 +95,62 @@ class _Regs:
         return _Regs(self.values, flag)
 
 
-def _advance(plan: PreparedVm, pc: int, regs: _Regs, rho: np.ndarray):
-    """Execute the non-measurement instruction at pc.
+class _Config(NamedTuple):
+    """The machine between two instructions, as the engine's drivers see it."""
 
-    Returns (new_pc, regs, rho) or the _MeasSite when pc sits on a
-    MEAS_MOV (the caller decides how to branch).
-    """
+    pc: int
+    regs: _Regs
+    rho: np.ndarray
+    weight: float
+    plan: PreparedVm
+
+    @classmethod
+    def start(cls, plan: PreparedVm) -> "_Config":
+        return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_state(), 1.0, plan)
+
+    @property
+    def terminated(self) -> bool:
+        return self.pc >= len(self.plan.prog.instructions)
+
+    @property
+    def at_measurement(self) -> bool:
+        return isinstance(self.plan.prog.instructions[self.pc], MeasMov)
+
+    @property
+    def state(self) -> DensityOperator:
+        return DensityOperator(self.rho, validate=False)
+
+
+def _advance(c: _Config) -> _Config | Fork:
+    """Execute the instruction at c.pc; a MEAS_MOV returns a Fork whose
+    successors store the outcome in the instruction's register."""
+    pc, regs, rho, weight, plan = c
     ins = plan.prog.instructions[pc]
     if isinstance(ins, Label):
-        return pc + 1, regs, rho
+        return _Config(pc + 1, regs, rho, weight, plan)
     if isinstance(ins, InitQ):
-        out = rho
-        for p0, k in plan.init_kraus[pc]:
-            out = p0.sandwich(out) + k.sandwich(out)
-        return pc + 1, regs, out
+        return _Config(pc + 1, regs, plan.kernels.init(ins.qreg, rho), weight, plan)
     if isinstance(ins, Apply):
-        return pc + 1, regs, plan.unitaries[pc].sandwich(rho)
+        rho = plan.kernels.unitaries[ins.gate, ins.qregs].sandwich(rho)
+        return _Config(pc + 1, regs, rho, weight, plan)
     if isinstance(ins, Mov):
         val = regs.read(ins.src)
-        return pc + 1, regs.write({ins.dst: val, ins.src: None}), rho
+        return _Config(pc + 1, regs.write({ins.dst: val, ins.src: None}), rho, weight, plan)
     if isinstance(ins, Cmp):
         lhs = regs.read(ins.creg)
         rhs = ins.operand if isinstance(ins.operand, int) else regs.read(ins.operand)
-        return pc + 1, regs.with_flag(1 if lhs == rhs else 0), rho
+        return _Config(pc + 1, regs.with_flag(1 if lhs == rhs else 0), rho, weight, plan)
     if isinstance(ins, Jmp):
-        return plan.labels[ins.label], regs, rho
+        return _Config(plan.labels[ins.label], regs, rho, weight, plan)
     if isinstance(ins, Je):
         if regs.flag is None:
             raise UninitializedRegisterRead("JE before any CMP (fr1 is empty)")
-        return (plan.labels[ins.label] if regs.flag == 1 else pc + 1), regs, rho
+        return _Config(plan.labels[ins.label] if regs.flag == 1 else pc + 1,
+                       regs, rho, weight, plan)
     if isinstance(ins, MeasMov):
-        return plan.sites[pc]
+        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], rho, False,
+                    lambda outcome, post, w: _Config(pc + 1, regs.write({ins.creg: outcome}),
+                                                     post, w, plan))
     raise QwhileError(f"cannot execute {type(ins).__name__}")
 
 
@@ -166,63 +159,14 @@ def vm_run(prog: FqasmProgram | PreparedVm, seed: int,
            library: GateLibrary = STANDARD_LIBRARY) -> RunRecord:
     """One sampled pass; outcome log entries are (instruction index, outcome)."""
     plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog, library)
-    rng = SamplerState(seed)
-    regs = _Regs.empty(plan.prog.cregs)
-    rho = plan.initial_state()
-    pc = 0
-    steps = 0
-    outcomes: list[tuple[int, int]] = []
-    end = len(plan.prog.instructions)
-    while pc < end:
-        if steps >= step_limit:
-            raise StepLimitExceeded(f"no halt after {step_limit} instructions")
-        result = _advance(plan, pc, regs, rho)
-        steps += 1
-        if isinstance(result, _MeasSite):
-            site = result
-            p = site.probabilities(rho)
-            outcome = sample_outcome(p, rng)
-            rho = site.collapse(rho, outcome, p[outcome])
-            ins = plan.prog.instructions[pc]
-            regs = regs.write({ins.creg: outcome})
-            outcomes.append((pc, outcome))
-            pc += 1
-        else:
-            pc, regs, rho = result
-    return RunRecord(outcomes, DensityOperator(rho, validate=False), steps, {})
+    return run_sampled(_Config.start(plan), _advance, seed, step_limit)
 
 
 def vm_distribution(prog: FqasmProgram | PreparedVm,
                     mass_threshold: float = DEFAULT_MASS_THRESHOLD,
                     step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
                     library: GateLibrary = STANDARD_LIBRARY) -> DistributionResult:
-    """Exhaustive branch exploration; mirrors engine run_distribution."""
+    """Exhaustive branch exploration."""
     plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog, library)
-    end = len(plan.prog.instructions)
-    queue = deque([(0, _Regs.empty(plan.prog.cregs), plan.initial_state(), 1.0, 0)])
-    terminals: list[tuple[float, DensityOperator]] = []
-    residual = 0.0
-    while queue:
-        pc, regs, rho, weight, steps = queue.popleft()
-        if pc >= end:
-            terminals.append((weight, DensityOperator(rho, validate=False)))
-            continue
-        at_measurement = isinstance(plan.prog.instructions[pc], MeasMov)
-        if steps >= step_limit or (at_measurement and weight < mass_threshold):
-            residual += weight
-            continue
-        result = _advance(plan, pc, regs, rho)
-        if isinstance(result, _MeasSite):
-            site = result
-            p = site.probabilities(rho)
-            ins = plan.prog.instructions[pc]
-            for i in range(len(p)):
-                if p[i] <= PROB_FLOOR:
-                    continue
-                post = site.collapse(rho, i, p[i])
-                queue.append((pc + 1, regs.write({ins.creg: i}), post,
-                              weight * float(p[i]), steps + 1))
-        else:
-            new_pc, new_regs, new_rho = result
-            queue.append((new_pc, new_regs, new_rho, weight, steps + 1))
-    return DistributionResult(terminals, residual).merged()
+    return explore(_Config.start(plan), partial(successors, _advance),
+                   mass_threshold, step_limit)

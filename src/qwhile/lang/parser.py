@@ -48,7 +48,6 @@ from .syntax import (
     GateDecl,
     Init,
     MeasDecl,
-    Seq,
     Skip,
     SourceProgram,
     Stmt,
@@ -107,17 +106,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], library: GateLibrary):
+class TokenParser:
+    """Token plumbing and the matrix-literal grammar, shared by the `.qw`
+    parser and the `.fqasm` parser. Errors are ParseErrors at a token."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.library = library
-        self.registers: list[tuple[str, int]] = []
-        self.gates: list[GateDecl] = []
-        self.measurements: list[MeasDecl] = []
-        self.names: dict[str, str] = {}  # name -> 'register' | 'gate' | 'measure'
-
-    # --- token plumbing ---
 
     @property
     def cur(self) -> Token:
@@ -135,6 +130,72 @@ class _Parser:
                              self.cur.line, self.cur.col)
         return self.advance()
 
+    def error(self, msg: str, tok: Token | None = None) -> ParseError:
+        tok = tok or self.cur
+        return ParseError(msg, tok.line, tok.col)
+
+    # --- matrix literals ---
+
+    def parse_matrix(self) -> np.ndarray:
+        tok = self.expect("[", "matrix")
+        rows = [self.parse_row()]
+        while self.cur.kind == ",":
+            self.advance()
+            rows.append(self.parse_row())
+        self.expect("]")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise self.error("matrix rows have unequal lengths", tok)
+        return np.array(rows, dtype=complex)
+
+    def parse_row(self) -> list[complex]:
+        self.expect("[", "matrix row")
+        entries = [self.parse_complex()]
+        while self.cur.kind == ",":
+            self.advance()
+            entries.append(self.parse_complex())
+        self.expect("]")
+        return entries
+
+    def _signed_part(self) -> complex:
+        sign = 1.0
+        while self.cur.kind in ("+", "-"):
+            if self.advance().kind == "-":
+                sign = -sign
+        tok = self.expect("num", "number")
+        if tok.text.endswith("i"):
+            return sign * complex(0.0, float(tok.text[:-1]))
+        return complex(sign * float(tok.text))
+
+    def parse_complex(self) -> complex:
+        z = self._signed_part()
+        if self.cur.kind in ("+", "-"):
+            z += self._signed_part()
+        return z
+
+    def parse_operators(self) -> tuple[np.ndarray, ...]:
+        """`'{' matrix {',' matrix} '}'`: operators that share one square dim."""
+        tok = self.expect("{")
+        ops = [self.parse_matrix()]
+        while self.cur.kind == ",":
+            self.advance()
+            ops.append(self.parse_matrix())
+        self.expect("}")
+        d = ops[0].shape[0]
+        if any(op.shape != (d, d) for op in ops):
+            raise self.error("measurement operators must share one square dim", tok)
+        return tuple(ops)
+
+
+class _Parser(TokenParser):
+    def __init__(self, tokens: list[Token], library: GateLibrary):
+        super().__init__(tokens)
+        self.library = library
+        self.registers: list[tuple[str, int]] = []
+        self.gates: list[GateDecl] = []
+        self.measurements: list[MeasDecl] = []
+        self.names: dict[str, str] = {}  # name -> 'register' | 'gate' | 'measure'
+
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "name" and self.cur.text == word
 
@@ -143,10 +204,6 @@ class _Parser:
             raise ParseError(f"expected {word!r}, found {self.cur.text or 'end of input'!r}",
                              self.cur.line, self.cur.col)
         self.advance()
-
-    def error(self, msg: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.cur
-        return ParseError(msg, tok.line, tok.col)
 
     # --- declarations ---
 
@@ -216,17 +273,7 @@ class _Parser:
                         ref.line, ref.col)
                 decl = MeasDecl(name.text, builtin=ref.text)
             else:
-                self.expect("{")
-                ops = [self.parse_matrix()]
-                while self.cur.kind == ",":
-                    self.advance()
-                    ops.append(self.parse_matrix())
-                self.expect("}")
-                d = ops[0].shape[0]
-                for op in ops:
-                    if op.shape != (d, d):
-                        raise self.error("measurement operators must share one square dim")
-                decl = MeasDecl(name.text, operators=tuple(ops))
+                decl = MeasDecl(name.text, operators=self.parse_operators())
             self._declare(name, "measure")
             self.measurements.append(decl)
         else:
@@ -248,45 +295,6 @@ class _Parser:
             check_dim(1 << (sum(w for _, w in self.registers) + width))
             self.registers.append((name.text, width))
         self.expect(";")
-
-    # --- matrices and numbers ---
-
-    def parse_matrix(self) -> np.ndarray:
-        tok = self.expect("[", "matrix")
-        rows = [self.parse_row()]
-        while self.cur.kind == ",":
-            self.advance()
-            rows.append(self.parse_row())
-        self.expect("]")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise self.error("matrix rows have unequal lengths", tok)
-        return np.array(rows, dtype=complex)
-
-    def parse_row(self) -> list[complex]:
-        self.expect("[", "matrix row")
-        entries = [self.parse_complex()]
-        while self.cur.kind == ",":
-            self.advance()
-            entries.append(self.parse_complex())
-        self.expect("]")
-        return entries
-
-    def _signed_part(self) -> complex:
-        sign = 1.0
-        while self.cur.kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -sign
-        tok = self.expect("num", "number")
-        if tok.text.endswith("i"):
-            return sign * complex(0.0, float(tok.text[:-1]))
-        return complex(sign * float(tok.text))
-
-    def parse_complex(self) -> complex:
-        z = self._signed_part()
-        if self.cur.kind in ("+", "-"):
-            z += self._signed_part()
-        return z
 
     # --- statements ---
 

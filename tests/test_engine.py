@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qwhile.cli
 from qwhile.core.types import DensityOperator, Ket
 from qwhile.engine import (
     DistributionResult,
@@ -172,6 +173,15 @@ class TestRunShots:
         stats = run_shots(plan, 3000, seed=11)
         site = plan.loop_sites()[0]
         assert sum(stats.loop_histogram[site].values()) == 3000
+
+    def test_qloop_experiment_output_pinned(self, capsys):
+        # `experiment qloop --shots 1000 --seed 3`, byte for byte: seeded
+        # shots are part of the reproducibility contract
+        assert qwhile.cli.main(["experiment", "qloop", "--shots", "1000", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "circles": {\n    "1": 113,\n    "2": 57,\n    "3": 29,\n    "4": 15,\n'
+            '    "5": 7,\n    "6": 3,\n    "7": 3,\n    "9": 2\n  },\n  "seed": 3,\n'
+            '  "shots": 1000,\n  "shots_entering": 229,\n  "total_entries": 466\n}\n')
 
     def test_csv_rows_shape(self):
         p = prepare(parse("q : qubit; measure M = computational; q := |0>; H[q]; "

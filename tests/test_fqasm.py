@@ -1,11 +1,19 @@
-"""The compiler cross-check: f-QASM text round trips and `compile --check`."""
+"""The compiler cross-check: f-QASM text round trips, `compile --check`,
+the f-QASM parser and VM, and agreement of the two executors."""
+import json
+import math
+
+import numpy as np
 import pytest
 
 import qwhile.cli
-from qwhile.engine import DistributionResult
+from qwhile.engine import DistributionResult, run_distribution, run_shot
+from qwhile.errors import FqasmSyntaxError, NotUnitary, ParseError, StepLimitExceeded
 from qwhile.experiments import program_names, program_source
-from qwhile.fqasm import compile_program, parse_fqasm, serialize
+from qwhile.fqasm import compile_program, parse_fqasm, serialize, vm_distribution, vm_run
 from qwhile.lang import parse
+
+from genprog import random_program
 
 AGREEMENT = "check: program and compiled f-QASM agree in distribution mode"
 
@@ -43,3 +51,136 @@ def test_compile_check_reports_disagreement(bundled, tmp_path, capsys, monkeypat
     assert AGREEMENT not in captured.out
     assert "cross-engine check failed" in captured.err
     assert not out.exists()
+
+
+# --- one grammar for matrix literals ------------------------------------------
+
+
+@pytest.mark.parametrize("literal, col, message", [
+    ("[[1.0, 0.0], [0.0]]", 8, "matrix rows have unequal lengths"),
+    ("[[1.0, 0.0], [0.0, 1.0]", 31, "expected ']', found ';'"),
+    ("[[1.0, 0.0], [0.0, 1.0 2.0]]", 31, "expected ']', found '2.0'"),
+    ("[[1.0, 0.0], [0.0, +]]", 28, "expected number, found ']'"),
+    ("[1.0]", 9, "expected matrix row, found '1.0'"),
+])
+def test_matrix_literal_errors_carry_position(literal, col, message):
+    with pytest.raises(FqasmSyntaxError) as exc:
+        parse_fqasm(f"QREG q1 1;\nGATE G {literal};\n")
+    assert (exc.value.line, exc.value.column, exc.value.message) == (2, col, message)
+    # the .qw parser reads the same literal with the same grammar
+    with pytest.raises(ParseError) as qw:
+        parse(f"q : qubit;\ngate G = {literal};\n")
+    assert (qw.value.line, qw.value.column - 2, qw.value.message) == (2, col, message)
+
+
+def test_matrix_literal_values():
+    prog = parse_fqasm("QREG q1 1;\nGATE G [[0.5-0.5i, -2i], [1e-3+2i, --1]];\n")
+    np.testing.assert_array_equal(prog.gates[0].matrix,
+                                  [[0.5 - 0.5j, -2j], [1e-3 + 2j, 1.0]])
+
+
+def test_measure_operators_of_unequal_shape_rejected():
+    ops = "{[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]]}"
+    with pytest.raises(FqasmSyntaxError) as exc:
+        parse_fqasm(f"QREG q1 1;\nMEASURE M {ops};\n")
+    assert (exc.value.line, exc.value.column) == (2, 11)
+    assert exc.value.message == "measurement operators must share one square dim"
+    with pytest.raises(ParseError) as qw:
+        parse(f"q : qubit;\nmeasure M = {ops};\n")
+    assert (qw.value.line, qw.value.column, qw.value.message) == (2, 13, exc.value.message)
+
+
+# --- the shared kernel table ----------------------------------------------------
+
+
+def test_non_unitary_gate_rejected():
+    prog = parse_fqasm("QREG q1 1;\nGATE G [[1.0, 1.0], [0.0, 1.0]];\n\n"
+                       "hGate(q1,0);\nG(q1,1);\n")
+    with pytest.raises(NotUnitary, match="gate 'G'"):
+        vm_distribution(prog)
+    with pytest.raises(NotUnitary, match="gate 'G'"):
+        vm_run(prog, seed=0)
+
+
+# --- the step limit in compile --check ------------------------------------------
+
+# 0.01 rad rotation with the exact digits of math.cos / math.sin
+SLOW_LOOP = (
+    "q : qubit;\n"
+    f"gate R = [[{math.cos(0.01)!r}, {-math.sin(0.01)!r}], "
+    f"[{math.sin(0.01)!r}, {math.cos(0.01)!r}]];\n"
+    "measure M = computational;\n"
+    "q := |0>;\nX[q];\n"
+    "while M[q] = 1 do R[q]; od;\n"
+)
+
+
+def test_step_limit_makes_compile_check_inconclusive(tmp_path, capsys):
+    # The loop continues with probability cos^2(0.01) per round, so both
+    # executors stop on the step limit: the interpreter after about 5000
+    # rounds of 2 statements, the VM after about 1666 of 6 instructions.
+    # The interpreter's 10,000 steps are the init, X and 4999 guard
+    # checks, the first of which is certain.
+    program = parse(SLOW_LOOP)
+    lhs = run_distribution(program)
+    rhs = vm_distribution(compile_program(program))
+    assert lhs.step_limited == pytest.approx(math.cos(0.01) ** (2 * 4998), rel=1e-9)
+    assert lhs.residual == lhs.step_limited
+    assert rhs.step_limited > lhs.step_limited
+    assert lhs.merged().step_limited == lhs.step_limited
+    path = tmp_path / "slow.qw"
+    path.write_text(SLOW_LOOP)
+    assert qwhile.cli.main(["compile", str(path), "--check", "--out",
+                            str(tmp_path / "slow.fqasm")]) == 1
+    err = capsys.readouterr().err
+    assert "inconclusive: step limit reached" in err
+    assert "cross-engine check failed" not in err
+    assert f"program {lhs.step_limited:.6g}" in err
+    assert f"compiled {rhs.step_limited:.6g}" in err
+
+
+def test_truncation_by_mass_is_not_step_limited():
+    dist = run_distribution(parse(program_source("qloop")))
+    assert 0 < dist.residual < 1e-6
+    assert dist.step_limited == 0.0
+
+
+def test_distribution_json_has_no_step_limited_field(tmp_path, capsys):
+    path = tmp_path / "slow.qw"
+    path.write_text(SLOW_LOOP)
+    assert qwhile.cli.main(["run", str(path), "--mode", "distribution",
+                            "--format", "json", "--step-limit", "100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["file", "mode", "residual", "terminals"]
+
+
+# --- the two executors agree shot for shot ----------------------------------------
+
+
+def _shot_programs():
+    rng = np.random.default_rng(5)
+    programs = [(name, parse(program_source(name))) for name in program_names()]
+    programs += [(f"genprog{k}", random_program(rng, max_depth=3, max_block=3))
+                 for k in range(40)]
+    return programs
+
+
+def test_executors_agree_shot_for_shot():
+    # The longest run that halts takes 81 VM steps; a program that does
+    # not halt (genprog #22 on seeds 1 and 2) hits any limit on both sides.
+    limit = 10_000
+    limited = []
+    for name, program in _shot_programs():
+        compiled = compile_program(program)
+        for seed in range(5):
+            try:
+                a = run_shot(program, seed, step_limit=limit)
+            except StepLimitExceeded:
+                with pytest.raises(StepLimitExceeded):
+                    vm_run(compiled, seed, step_limit=limit)
+                limited.append((name, seed))
+                continue
+            b = vm_run(compiled, seed, step_limit=limit)
+            assert a.outcome_sequence() == b.outcome_sequence(), (name, seed)
+            assert np.array_equal(a.final_state.matrix, b.final_state.matrix), (name, seed)
+    assert limited == [("genprog22", 1), ("genprog22", 2)]
