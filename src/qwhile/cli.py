@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParseError, QwhileError
 from .lang import parse, validate_program
 from .engine import match_distributions, prepare, run_distribution, run_shots
+from .engine.runtime import DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT
 from .fqasm import compile_program, parse_fqasm, serialize, vm_distribution
 from .synth import phase_dist, reconstruct, synthesize
 from . import experiments
@@ -63,9 +64,13 @@ def _state_summary(mat: np.ndarray, limit: int = 16) -> list:
 def cmd_run(args) -> int:
     program = _load_program(args.file)
     plan = prepare(program)
+    step_limit = args.step_limit
+    if step_limit is None:
+        step_limit = (DEFAULT_DISTRIBUTION_STEP_LIMIT if args.mode == "distribution"
+                      else DEFAULT_STEP_LIMIT)
     if args.mode == "distribution":
         dist = run_distribution(plan, mass_threshold=args.mass_threshold,
-                                step_limit=args.step_limit)
+                                step_limit=step_limit)
         payload = {
             "file": args.file,
             "mode": "distribution",
@@ -82,7 +87,7 @@ def cmd_run(args) -> int:
             _write_or_print("\n".join(lines) + "\n", args.out)
         return 0
 
-    stats = run_shots(plan, args.shots, args.seed, step_limit=args.step_limit)
+    stats = run_shots(plan, args.shots, args.seed, step_limit=step_limit)
     if args.format == "json":
         payload = stats.to_json_dict()
         payload["file"] = args.file
@@ -239,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mode", choices=("sampled", "distribution"), default="sampled")
     run.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    run.add_argument("--step-limit", type=int, default=10**6)
+    run.add_argument("--step-limit", type=int, default=None,
+                     help=f"default {DEFAULT_STEP_LIMIT} sampled, "
+                          f"{DEFAULT_DISTRIBUTION_STEP_LIMIT} in distribution mode")
     run.add_argument("--mass-threshold", type=float, default=1e-6)
     run.add_argument("--out")
     run.set_defaults(func=cmd_run)

@@ -119,14 +119,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(self._mat.trace().real)
 
-    @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityOperator":
-        return ket.to_density()
-
-    @classmethod
-    def from_ensemble(cls, ensemble: "Ensemble") -> "DensityOperator":
-        return ensemble.materialize()
-
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
 
@@ -276,10 +268,6 @@ class SuperOperator:
 
     def completeness_sum(self) -> np.ndarray:
         return sum(dagger(e) @ e for e in self._kraus)
-
-    def is_trace_preserving(self) -> bool:
-        acc = self.completeness_sum()
-        return float(np.linalg.norm(acc - np.eye(self.dim), ord=2)) <= ATOL_PHYSICAL
 
     def validate(self) -> ValidationReport:
         # sum E†E <= I  <=>  all eigenvalues of I - sum E†E are >= -tol.

@@ -8,7 +8,7 @@ atom is exactly one transition):
 * skip        pops.
 * q := |0>    applies, per qubit (least significant first),
               rho -> P0 rho P0 + K rho K†  with P0 = |0><0|, K = |0><1|.
-* U[...]      conjugates by the embedded unitary.
+* U[...]      applies rho -> U rho U†.
 * if/while    measures; sampled mode draws one outcome, distribution
               mode forks one successor per outcome with weight p_i.
               The loop guard continues on outcome 1 and exits on 0.
@@ -36,6 +36,27 @@ Truncation rules, the same for both executors:
   terminates or reaches the step limit.
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
+
+Kernels. `KernelTable` classifies each operator once, when it is added,
+by its exact zero pattern and never by the size of the space, and
+applies it through the cheapest exact kernel for that structure; no
+operator is ever embedded as a dense 2^n matrix:
+
+* diagonal    (Z, S, T, phase oracles): rho * (d ⊗ d̄), d the full-space
+              diagonal.
+* monomial    (X, CNOT, permutation oracles): one gather of rho's rows and
+              columns through a precomputed permutation of the basis,
+              times phases unless all are 1.
+* general     (H, dense gates): reshape and matmul on the target axes
+              (tensordot when the targets are not adjacent).
+* reset       (q := |0>): the diagonal blocks of the register's qubits
+              summed into the |0...0> block, in the order above.
+* diagonal site (every Kraus operator diagonal, `computational`
+              included): probabilities from diag(rho); collapse by one
+              block slice for an operator with one nonzero entry, else the
+              diagonal kernel.
+* general site: probabilities from the reduced state of the measured
+              qubits, collapse through each operator's kernel.
 """
 from __future__ import annotations
 
@@ -47,9 +68,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import conjugate_density, embed, partial_trace, require_unitary, trace_inner
+from ..core.linalg import as_matrix, conjugate_density, partial_trace, require_unitary, trace_inner
 from ..core.types import DensityOperator
-from ..errors import QwhileError, StepLimitExceeded
+from ..errors import DimMismatch, QwhileError, StepLimitExceeded
 from ..lang.checker import instantiate_measurement, require_valid, resolve_gate
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, SamplerState, sample_outcome
@@ -57,72 +78,256 @@ from .sampler import PROB_FLOOR, SamplerState, sample_outcome
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_MASS_THRESHOLD = 1e-6
 DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000
-_FULL_MATRIX_DIM = 128  # embed dense operators up to this dimension
 
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_K01 = np.array([[0, 1], [0, 0]], dtype=complex)
+# --- kernels -----------------------------------------------------------------
+#
+# Basis index x of the n-qubit space holds qubit q at bit n-1-q (qubit 0 is
+# the most significant), and an operator on qubits `positions` reads
+# positions[0] as the most significant bit of its local index.
+
+def _bit_maps(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(local, spread): local[x] is the local index that basis state x has
+    on `positions`; spread[l] is local index l's bits placed at their
+    positions in an n-qubit index (zero elsewhere)."""
+    k = len(positions)
+    x, lidx = np.arange(1 << n), np.arange(1 << k)
+    local = np.zeros(1 << n, dtype=np.intp)
+    spread = np.zeros(1 << k, dtype=np.intp)
+    for j, p in enumerate(positions):
+        local |= ((x >> (n - 1 - p)) & 1) << (k - 1 - j)
+        spread |= ((lidx >> (k - 1 - j)) & 1) << (n - 1 - p)
+    return local, spread
 
 
-class _Embedded:
-    """A k-qubit operator fixed at positions of the n-qubit space."""
+class _Diagonal:
+    """E diagonal: E rho E† = rho * (d ⊗ d̄) with d the full-space diagonal."""
 
-    __slots__ = ("op", "positions", "n", "full")
+    __slots__ = ("d", "dc")
 
-    def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
-        self.op = np.asarray(op, dtype=complex)
-        self.positions = positions
-        self.n = n
-        self.full = embed(self.op, positions, n) if (1 << n) <= _FULL_MATRIX_DIM else None
+    def __init__(self, diagonal: np.ndarray, positions: tuple[int, ...], n: int):
+        self.d = diagonal[_bit_maps(positions, n)[0]]
+        self.dc = self.d.conj()
 
     def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        """E rho E†."""
-        if self.full is not None:
-            return self.full @ rho @ self.full.conj().T
-        return conjugate_density(rho, self.op, self.positions, self.n)
+        out = rho * self.d[:, None]
+        out *= self.dc
+        return out
 
 
-class _MeasSite:
-    __slots__ = ("ops", "poms", "full_poms", "positions", "n")
+class _Monomial:
+    """E with one nonzero per row and column, E[a, s(a)] = e_a:
+    (E rho E†)[a, b] = e_a rho[s(a), s(b)] conj(e_b), one gather through
+    the basis permutation s (2^n entries)."""
 
-    def __init__(self, operators, positions, n):
-        self.positions = positions
+    __slots__ = ("src", "rows", "phases")
+
+    def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
+        local, spread = _bit_maps(positions, n)
+        cols = np.argmax(op != 0, axis=1)
+        self.src = (np.arange(1 << n) & ~spread[-1]) | spread[cols[local]]
+        self.rows = self.src[:, None]
+        phases = op[np.arange(len(op)), cols][local]
+        self.phases = None if (phases == 1).all() else phases
+
+    def sandwich(self, rho: np.ndarray) -> np.ndarray:
+        out = rho[self.rows, self.src]
+        if self.phases is not None:
+            out *= self.phases[:, None]
+            out *= self.phases.conj()
+        return out
+
+
+def _contraction(op: np.ndarray, a: int, b: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> op applied to the middle axis of x viewed as (a, len(op), b).
+
+    The layout is fixed here: one matrix product when b is 1, a batched
+    matmul while the batches are few or wide, else one tensordot (a
+    batched matmul over thousands of narrow batches is several times
+    slower)."""
+    k = len(op)
+    if b == 1:
+        op_t = op.T.copy()
+        return lambda x: x.reshape(a, k) @ op_t
+    if a <= 128 or b >= 64:
+        return lambda x: np.matmul(op, x.reshape(a, k, b))
+    return lambda x: np.tensordot(op, x.reshape(a, k, b), axes=(1, 1)).transpose(1, 0, 2)
+
+
+class _General:
+    """Any other E: E on the row axes, then Ē on the column axes, by
+    reshape and matmul when the targets are adjacent (in any order), by
+    tensordot over their axes otherwise."""
+
+    __slots__ = ("op", "positions", "n", "rows", "cols")
+
+    def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
+        self.op, self.positions, self.n = op, positions, n
+        self.rows = self.cols = None
+        k, lo = len(positions), min(positions)
+        if max(positions) - lo == k - 1:
+            order = list(np.argsort(positions))
+            op = op.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
+            op = op.reshape(1 << k, 1 << k)
+            below = 1 << (n - lo - k)
+            self.rows = _contraction(op, 1 << lo, below << n)
+            self.cols = _contraction(op.conj(), 1 << (n + lo), below)
+
+    def sandwich(self, rho: np.ndarray) -> np.ndarray:
+        if self.rows is None:
+            return conjugate_density(rho, self.op, self.positions, self.n)
+        return self.cols(self.rows(rho)).reshape(rho.shape)
+
+
+def sandwich_kernel(op, positions: tuple[int, ...], n: int) -> _Diagonal | _Monomial | _General:
+    """The kernel applying rho -> E rho E†, where E acts as `op` on the
+    qubits `positions` of an n-qubit space, chosen by op's exact zero
+    pattern (never by size)."""
+    op = _fitted(op, positions, n)
+    if _is_diagonal(op):
+        return _Diagonal(np.diagonal(op), positions, n)
+    nonzero = op != 0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return _Monomial(op, positions, n)
+    return _General(op, positions, n)
+
+
+def _fitted(op, positions: tuple[int, ...], n: int) -> np.ndarray:
+    op = as_matrix(op)
+    k = len(positions)
+    if op.shape != (1 << k, 1 << k):
+        raise DimMismatch(f"operator shape {op.shape} does not fit {k} qubit(s)")
+    if len(set(positions)) != k or any(not 0 <= p < n for p in positions):
+        raise DimMismatch(f"bad qubit positions {positions} for n={n}")
+    return op
+
+
+def _is_diagonal(op: np.ndarray) -> bool:
+    return not op[~np.eye(len(op), dtype=bool)].any()
+
+
+class _Reset:
+    """q := |0> on a register: for each of its qubits, least significant
+    first, the |1><1| block is added to the |0><0| block and the rest of
+    that qubit's blocks dropped; the sum lands in the all-zero block."""
+
+    __slots__ = ("n", "steps", "block")
+
+    def __init__(self, positions: tuple[int, ...], n: int):
         self.n = n
-        self.ops = [_Embedded(m, positions, n) for m in operators]
-        # M†M in the local (k-qubit) space; for larger spaces probabilities
-        # come from the reduced state instead of full-space products.
-        self.poms = [m.conj().T @ m for m in operators]
-        self.full_poms = ([embed(a, positions, n) for a in self.poms]
-                          if (1 << n) <= _FULL_MATRIX_DIM else None)
+        self.steps: list[tuple[tuple, tuple]] = []  # (|0><0| block, |1><1| block)
+        left = list(range(n))
+        for q in reversed(positions):
+            i, m = left.index(q), len(left)
+            zero, one = [slice(None)] * (2 * m), [slice(None)] * (2 * m)
+            zero[i] = zero[m + i] = 0
+            one[i] = one[m + i] = 1
+            self.steps.append((tuple(zero), tuple(one)))
+            left.remove(q)
+        block: list = [slice(None)] * (2 * n)
+        for q in positions:
+            block[q] = block[n + q] = 0
+        self.block = tuple(block)
+
+    def sandwich(self, rho: np.ndarray) -> np.ndarray:
+        t = rho.reshape((2,) * (2 * self.n))
+        for zero, one in self.steps:
+            t = t[zero] + t[one]
+        out = np.zeros(rho.shape, dtype=complex)
+        out.reshape((2,) * (2 * self.n))[self.block] = t
+        return out
+
+
+def _normalized(p: np.ndarray) -> np.ndarray:
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise QwhileError(f"measurement probabilities sum to {total}")
+    return p / total
+
+
+class _DiagonalSite:
+    """A measurement whose Kraus operators are all diagonal. Probabilities
+    come from diag(rho). An outcome whose operator has one nonzero entry,
+    at local index l, collapses to the block of rho on l, renormalized
+    (one slice); any other goes through the diagonal kernel. `diags`
+    holds one local diagonal per outcome."""
+
+    __slots__ = ("positions", "n", "local", "weights", "outcomes")
+
+    def __init__(self, diags: np.ndarray, positions: tuple[int, ...], n: int):
+        self.positions, self.n = positions, n
+        self.local = _bit_maps(positions, n)[0]
+        self.weights = np.abs(diags) ** 2
+        # per outcome: its one nonzero local index, or the diagonal kernel
+        self.outcomes: list[int | _Diagonal] = []
+        for d in diags:
+            nz = np.flatnonzero(d)
+            self.outcomes.append(int(nz[0]) if len(nz) == 1 else _Diagonal(d, positions, n))
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        if self.full_poms is not None:
-            p = np.array([trace_inner(a, rho) for a in self.full_poms])
-        else:
-            reduced = partial_trace(rho, self.positions, self.n)
-            p = np.array([trace_inner(a, reduced) for a in self.poms])
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise QwhileError(f"measurement probabilities sum to {total}")
-        return p / total
+        p = np.bincount(self.local, weights=np.diagonal(rho).real,
+                        minlength=1 << len(self.positions))
+        return _normalized(self.weights @ p)
+
+    def collapse(self, rho: np.ndarray, outcome: int) -> np.ndarray:
+        basis = self.outcomes[outcome]
+        if isinstance(basis, _Diagonal):
+            post = basis.sandwich(rho)
+            return post / post.trace().real
+        n, k = self.n, len(self.positions)
+        pick: list = [slice(None)] * (2 * n)
+        for j, p in enumerate(self.positions):
+            pick[p] = pick[n + p] = (basis >> (k - 1 - j)) & 1
+        pick = tuple(pick)
+        side = 1 << (n - k)
+        block = rho.reshape((2,) * (2 * n))[pick].reshape(side, side)
+        out = np.zeros(rho.shape, dtype=complex)
+        out.reshape((2,) * (2 * n))[pick] = (block / block.trace().real).reshape(
+            (2,) * (2 * (n - k)))
+        return out
+
+
+class _GeneralSite:
+    """Any other measurement: probabilities from the reduced state of the
+    measured qubits, collapse through each operator's sandwich kernel."""
+
+    __slots__ = ("positions", "n", "ops", "poms")
+
+    def __init__(self, operators, positions: tuple[int, ...], n: int):
+        self.positions, self.n = positions, n
+        self.ops = [sandwich_kernel(m, positions, n) for m in operators]
+        self.poms = [m.conj().T @ m for m in operators]  # M†M in the local space
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        reduced = partial_trace(rho, self.positions, self.n)
+        return _normalized(np.array([trace_inner(a, reduced) for a in self.poms]))
 
     def collapse(self, rho: np.ndarray, outcome: int) -> np.ndarray:
         post = self.ops[outcome].sandwich(rho)
         return post / post.trace().real
 
 
+def site_kernel(operators, positions: tuple[int, ...], n: int) -> _DiagonalSite | _GeneralSite:
+    """The kernel of a measurement with the given Kraus operators on
+    `positions`: diagonal when every operator is, general otherwise."""
+    ops = [_fitted(m, positions, n) for m in operators]
+    if all(_is_diagonal(m) for m in ops):
+        return _DiagonalSite(np.array([np.diagonal(m) for m in ops]), positions, n)
+    return _GeneralSite(ops, positions, n)
+
+
 class KernelTable:
-    """The register layout and every operator a program applies, embedded
-    once per distinct operation and shared by both executors.
+    """The register layout and every operator a program applies, each
+    built once per distinct operation as the kernel its structure
+    allows, and shared by both executors.
 
     Keys are operation values, so every site that applies the same
-    operation shares one operator: `unitaries[(gate, regs)]`,
-    `inits[reg]` (one (P0, K) Kraus pair per qubit, least significant
-    first) and `sites[(meas, regs)]`. Registers are laid out in
-    declaration order. `program` is a SourceProgram or an FqasmProgram;
-    its `gate_decl` and `meas_decl` resolve names, and every gate is
-    checked to be unitary.
+    operation shares one kernel: `unitaries[(gate, regs)]`, `inits[reg]`
+    and `sites[(meas, regs)]`. Registers are laid out in declaration
+    order. `program` is a SourceProgram or an FqasmProgram; its
+    `gate_decl` and `meas_decl` resolve names, and every gate is checked
+    to be unitary.
     """
 
     def __init__(self, registers: tuple[tuple[str, int], ...], program,
@@ -135,9 +340,9 @@ class KernelTable:
             self.positions[name] = tuple(range(at, at + width))
             at += width
         self.n = at
-        self.unitaries: dict[tuple[str, tuple[str, ...]], _Embedded] = {}
-        self.inits: dict[str, list[tuple[_Embedded, _Embedded]]] = {}
-        self.sites: dict[tuple[str, tuple[str, ...]], _MeasSite] = {}
+        self.unitaries: dict[tuple[str, tuple[str, ...]], _Diagonal | _Monomial | _General] = {}
+        self.inits: dict[str, _Reset] = {}
+        self.sites: dict[tuple[str, tuple[str, ...]], _DiagonalSite | _GeneralSite] = {}
 
     @property
     def dim(self) -> int:
@@ -156,25 +361,26 @@ class KernelTable:
 
     def add_init(self, reg: str) -> None:
         if reg not in self.inits:
-            self.inits[reg] = [(_Embedded(_P0, (q,), self.n), _Embedded(_K01, (q,), self.n))
-                               for q in reversed(self.positions[reg])]
+            self.inits[reg] = _Reset(self.positions[reg], self.n)
 
     def add_unitary(self, gate: str, regs: tuple[str, ...]) -> None:
         if (gate, regs) not in self.unitaries:
             matrix = require_unitary(resolve_gate(self.program, gate, self.library),
                                      what=f"gate {gate!r}")
-            self.unitaries[gate, regs] = _Embedded(matrix, self._span(regs), self.n)
+            self.unitaries[gate, regs] = sandwich_kernel(matrix, self._span(regs), self.n)
 
     def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
         if (meas, regs) not in self.sites:
             pos = self._span(regs)
-            mset = instantiate_measurement(self.program.meas_decl(meas), 1 << len(pos))
-            self.sites[meas, regs] = _MeasSite(mset.operators, pos, self.n)
+            decl = self.program.meas_decl(meas)
+            if decl.builtin == "computational":
+                self.sites[meas, regs] = _DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
+            else:
+                mset = instantiate_measurement(decl, 1 << len(pos))
+                self.sites[meas, regs] = site_kernel(mset.operators, pos, self.n)
 
     def init(self, reg: str, rho: np.ndarray) -> np.ndarray:
-        for p0, k in self.inits[reg]:
-            rho = p0.sandwich(rho) + k.sandwich(rho)
-        return rho
+        return self.inits[reg].sandwich(rho)
 
 
 # --- the two drivers ---------------------------------------------------------
@@ -185,7 +391,7 @@ class Fork(NamedTuple):
     executor's successor for each."""
 
     site: int                  # site id logged with the outcome
-    kernel: _MeasSite
+    kernel: _DiagonalSite | _GeneralSite
     rho: np.ndarray
     loop: bool                 # outcome 1 enters a loop body
     resume: Callable[[int, np.ndarray, float], Any]

@@ -46,10 +46,6 @@ class GateSequence:
             counts[op.name] = counts.get(op.name, 0) + 1
         return counts
 
-    @property
-    def cnot_count(self) -> int:
-        return self.gate_counts.get("CNOT", 0)
-
     def __len__(self) -> int:
         return len(self.ops)
 

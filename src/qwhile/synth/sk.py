@@ -194,13 +194,6 @@ def _invert_word(word: tuple[str, ...], net: SKNet) -> tuple[str, ...]:
     return tuple(inv[name] for name in reversed(word))
 
 
-def _word_matrix(word: tuple[str, ...], alphabet: dict[str, np.ndarray]) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for name in word:
-        m = alphabet[name] @ m
-    return m
-
-
 def _sk_recurse(u: np.ndarray, depth: int, net: SKNet) -> tuple[tuple[str, ...], np.ndarray]:
     if depth == 0:
         idx = net.nearest(u)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qwhile.cli
-from qwhile.core.types import DensityOperator, Ket
+from qwhile.core.linalg import ATOL_ALGEBRA, embed
+from qwhile.core.ops import measurement_probabilities, post_measurement_state
+from qwhile.core.types import DensityOperator, Ket, MeasurementSet
 from qwhile.engine import (
     DistributionResult,
     SamplerState,
@@ -18,10 +20,28 @@ from qwhile.engine import (
     splitmix64,
     step,
 )
+from qwhile.engine.runtime import (
+    KernelTable,
+    _Diagonal,
+    _DiagonalSite,
+    _General,
+    _GeneralSite,
+    _Monomial,
+    _Reset,
+    sandwich_kernel,
+    site_kernel,
+)
 from qwhile.errors import MalformedDistribution, StepLimitExceeded
-from qwhile.experiments import program_names, program_source
+from qwhile.experiments import (
+    grover_source,
+    iteration_count,
+    program_names,
+    program_source,
+    success_probability,
+)
 from qwhile.fqasm import compile_program, vm_distribution
 from qwhile.lang import parse
+from qwhile.lang.syntax import format_matrix
 
 from genprog import random_program
 
@@ -244,6 +264,167 @@ class TestDistribution:
         p0 = counts[0] / shots
         expect0 = max(w for w, _ in dist.terminals)
         assert abs(p0 - expect0) <= 3 * np.sqrt(expect0 * (1 - expect0) / shots) + 1e-12
+
+    @pytest.mark.parametrize("seed", [61, 62])
+    def test_grover7_answer_weight(self, seed):
+        # the answer's terminal is |t><t| with the analytic success probability
+        target = int(np.random.default_rng(seed).integers(128))
+        program = parse(grover_source(7, (target,)))
+        dist = run_distribution(program)
+        weight = sum(w for w, s in dist.terminals if s.matrix[target, target].real > 0.5)
+        assert weight == pytest.approx(success_probability(128, 1, iteration_count(128, 1)),
+                                       abs=1e-9)
+        assert match_distributions(dist, vm_distribution(compile_program(program)))
+
+
+# --- kernels against dense references -------------------------------------------
+
+
+def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    d = 1 << n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_sandwich(op: np.ndarray, positions: tuple[int, ...], n: int, rho: np.ndarray):
+    full = embed(op, positions, n)
+    return full @ rho @ full.conj().T
+
+
+def target_sets(rng: np.random.Generator, n: int) -> list[tuple[int, ...]]:
+    """Every single qubit, and for k = 2, 3: an adjacent run in order, the
+    same run reversed, and a random (mostly non-adjacent) choice."""
+    sets = [(q,) for q in range(n)]
+    for k in range(2, min(n, 3) + 1):
+        lo = int(rng.integers(n - k + 1))
+        run = tuple(range(lo, lo + k))
+        sets += [run, run[::-1], tuple(int(q) for q in rng.choice(n, size=k, replace=False))]
+    if n >= 5:
+        sets.append((4, 0))  # CNOT[q4, q0]
+    return sets
+
+
+def dense_measurement(operators, positions: tuple[int, ...], n: int, rho: np.ndarray):
+    """(probabilities, post-measurement states) of the operators embedded
+    at positions: from core.ops up to 7 qubits, and above from the same
+    formulas written out, because core.ops checks the completeness of a
+    2^n x 2^n set by SVD on every call."""
+    full = [embed(op, positions, n) for op in operators]
+    if n <= 7:
+        state, m = DensityOperator(rho, validate=False), MeasurementSet(full)
+        return (measurement_probabilities(state, m),
+                [post_measurement_state(state, m, i).matrix for i in range(len(full))])
+    p = np.array([np.trace(f.conj().T @ f @ rho).real for f in full])
+    return p, [f @ rho @ f.conj().T / pi for f, pi in zip(full, p)]
+
+
+def kernel_table(n: int, decls: str = "") -> KernelTable:
+    """The kernel table of a program with n one-qubit registers q0..q{n-1}."""
+    program = parse("".join(f"q{i} : qubit; " for i in range(n)) + decls)
+    return KernelTable(program.registers, program)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_gate_kernels_match_dense_reference(self, n):
+        rng = np.random.default_rng(900 + n)
+        rho = random_density(rng, n)
+        kinds = set()
+        for positions in target_sets(rng, n):
+            dim = 1 << len(positions)
+            phases = np.exp(2j * np.pi * rng.random(dim))
+            perm = np.eye(dim)[rng.permutation(dim)] if dim > 2 else np.eye(2)[::-1]
+            ops = [random_unitary(rng, dim), np.diag(phases), perm * phases]
+            if dim > 2:
+                ops.append(perm)
+            for op in ops:
+                kernel = sandwich_kernel(op, positions, n)
+                kinds.add(type(kernel))
+                np.testing.assert_allclose(kernel.sandwich(rho),
+                                           dense_sandwich(op, positions, n, rho),
+                                           rtol=0, atol=ATOL_ALGEBRA)
+        assert kinds == {_Diagonal, _Monomial, _General}
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_reset_matches_kraus_pairs(self, n):
+        # rho -> P0 rho P0 + K rho K† per qubit, least significant first
+        rng = np.random.default_rng(910 + n)
+        rho = random_density(rng, n)
+        width = int(rng.integers(1, n + 1))
+        lo = int(rng.integers(n - width + 1))
+        layout = (("a", lo), ("r", width), ("b", n - lo - width))
+        kernels = KernelTable(tuple((name, w) for name, w in layout if w), program=None)
+        kernels.add_init("r")
+        want = rho
+        for q in reversed(range(lo, lo + width)):
+            want = (dense_sandwich(np.diag([1.0, 0.0]), (q,), n, want)
+                    + dense_sandwich(np.array([[0.0, 1.0], [0.0, 0.0]]), (q,), n, want))
+        assert isinstance(kernels.inits["r"], _Reset)
+        # the 0/1 Kraus products add the same entries in the same order
+        np.testing.assert_array_equal(kernels.init("r", rho), want)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sites_match_measurement_ops(self, n):
+        rng = np.random.default_rng(920 + n)
+        rho = random_density(rng, n)
+        weak = [np.diag([np.sqrt(0.3), np.sqrt(0.6)]), np.diag([np.sqrt(0.7), np.sqrt(0.4)])]
+        split = [np.diag([np.sqrt(0.4), 0.0]), np.diag([np.sqrt(0.6), 0.0]), np.diag([0.0, 1.0])]
+        kernels = kernel_table(n, "measure C = computational; measure P = plusminus; "
+                                  f"measure W = {{{', '.join(map(format_matrix, weak))}}}; "
+                                  f"measure B = {{{', '.join(map(format_matrix, split))}}};")
+        k = min(n, 2)
+        positions = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        regs = tuple(f"q{q}" for q in positions)
+        kernels.add_site("C", regs)
+        kernels.add_site("P", regs[:1])
+        kernels.add_site("W", regs[:1])
+        kernels.add_site("B", regs[:1])
+        half = np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])
+        cases = [(kernels.sites["C", regs], MeasurementSet.computational(1 << k).operators,
+                  positions, _DiagonalSite),
+                 (kernels.sites["P", regs[:1]], MeasurementSet.plus_minus().operators,
+                  positions[:1], _GeneralSite),
+                 (kernels.sites["W", regs[:1]], weak, positions[:1], _DiagonalSite),
+                 (kernels.sites["B", regs[:1]], split, positions[:1], _DiagonalSite)]
+        if k == 2:
+            cases.append((site_kernel(half, positions, n), half, positions, _DiagonalSite))
+        for site, operators, where, kind in cases:
+            assert type(site) is kind
+            p, posts = dense_measurement(operators, where, n, rho)
+            np.testing.assert_allclose(site.probabilities(rho), p, rtol=0, atol=ATOL_ALGEBRA)
+            for i, post in enumerate(posts):
+                np.testing.assert_allclose(site.collapse(rho, i), post,
+                                           rtol=0, atol=ATOL_ALGEBRA)
+
+    def test_classification(self):
+        rng = np.random.default_rng(930)
+        oracle = np.diag([1.0, 1.0, -1.0, 1.0])
+        kernels = kernel_table(
+            3, f"gate ORACLE = {format_matrix(oracle)}; "
+               f"gate G = {format_matrix(random_unitary(rng, 2))}; "
+               "gate DILATE = [[1, 0, 0, 0], [0, 0.7071067811865476, 0.7071067811865476, 0], "
+               "[0, -0.7071067811865476, 0.7071067811865476, 0], [0, 0, 0, 1]]; "
+               "measure C = computational; measure P = plusminus;")
+        gates = {"Z": ("q0",), "S": ("q1",), "T": ("q2",), "ORACLE": ("q2", "q0"),
+                 "X": ("q1",), "CNOT": ("q2", "q0"), "H": ("q0",), "G": ("q1",),
+                 "DILATE": ("q0", "q1")}
+        for gate, regs in gates.items():
+            kernels.add_unitary(gate, regs)
+        kernels.add_site("C", ("q2", "q0", "q1"))
+        kernels.add_site("P", ("q1",))
+        assert {gate: type(kernels.unitaries[gate, regs]) for gate, regs in gates.items()} == {
+            "Z": _Diagonal, "S": _Diagonal, "T": _Diagonal, "ORACLE": _Diagonal,
+            "X": _Monomial, "CNOT": _Monomial,
+            "H": _General, "G": _General, "DILATE": _General}
+        assert type(kernels.sites["C", ("q2", "q0", "q1")]) is _DiagonalSite
+        assert type(kernels.sites["P", ("q1",)]) is _GeneralSite
 
 
 # --- merging and matching terminals ---------------------------------------------

@@ -154,6 +154,19 @@ def test_distribution_json_has_no_step_limited_field(tmp_path, capsys):
     assert sorted(payload) == ["file", "mode", "residual", "terminals"]
 
 
+def test_run_distribution_uses_the_distribution_step_limit(tmp_path, capsys):
+    # without --step-limit, `run --mode distribution` truncates where
+    # run_distribution and compile --check do (10,000 steps), not at the
+    # sampled default of 10**6
+    path = tmp_path / "slow.qw"
+    path.write_text(SLOW_LOOP)
+    assert qwhile.cli.main(["run", str(path), "--mode", "distribution", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = run_distribution(parse(SLOW_LOOP))
+    assert expected.step_limited > 0.5
+    assert payload["residual"] == expected.residual
+
+
 # --- the two executors agree shot for shot ----------------------------------------
 
 

@@ -1,10 +1,15 @@
-"""Source hygiene of the package: every imported name is used."""
+"""Source hygiene of the package: every imported name is used, and every
+module-level and class-level definition is referenced somewhere."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qwhile
 
 PACKAGE = Path(qwhile.__file__).parent
+REPO = PACKAGE.parent.parent
+# besides the package itself, where a package definition may be referenced
+REFERRING = (REPO / "tests", REPO / "perfbench")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -57,3 +62,78 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"
              for name, line in unused_imports(path.read_text())]
     assert found == []
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each module-level function, class and assigned
+    name, and of each method and assigned name in a class body (class
+    fields declared by annotation only are data, not definitions);
+    dunder names are left out."""
+    found = []
+
+    def visit(body, in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, True)
+            elif isinstance(node, ast.Assign):
+                found.extend((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and not in_class):
+                found.append((node.target.id, node))
+
+    visit(tree.body, False)
+    return [(name, node) for name, node in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute, or spelled
+    as a whole (dotted) string such as an `__all__` entry or a
+    `getattr` key."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                used.update(parts)
+    return used
+
+
+def unreferenced(package_sources: dict[str, str], other_sources: list[str]) -> list[str]:
+    """`file:line: name` of every definition in package_sources that no
+    source reads outside the definition itself (so recursion does not
+    count). Names are matched by spelling only."""
+    trees = {path: ast.parse(text) for path, text in package_sources.items()}
+    total = Counter()
+    for tree in list(trees.values()) + [ast.parse(text) for text in other_sources]:
+        total += references(tree)
+    found = []
+    for path, tree in trees.items():
+        for name, node in definitions(tree):
+            own = 0 if isinstance(node, ast.Assign) else references(node)[name]
+            if total[name] <= own:
+                found.append(f"{path}:{node.lineno}: {name}")
+    return found
+
+
+def test_scan_finds_unreferenced_definitions():
+    package = {"m.py": ("LIMIT = 3\nDEAD = 4\n__all__ = ['f']\n"
+                        "def f(n):\n    return f(n - 1) if n else LIMIT\n"
+                        "def loop(n):\n    return loop(n)\n"
+                        "class C:\n    kind = 'c'\n    def used(self): pass\n"
+                        "    def unused(self): pass\n    x: int = 0\n")}
+    other = ["C().used()\ngetattr(C, 'kind')\n"]
+    assert unreferenced(package, other) == ["m.py:2: DEAD", "m.py:6: loop", "m.py:11: unused"]
+
+
+def test_no_unreferenced_definitions():
+    package = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
+    assert unreferenced(package, others) == []
