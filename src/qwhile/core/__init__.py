@@ -6,10 +6,10 @@ from .linalg import (
     as_matrix,
     basis_ket,
     check_dim,
+    completeness_residual,
     conjugate_density,
     dagger,
     embed,
-    is_unitary,
     kron,
     num_qubits,
     partial_trace,
@@ -41,7 +41,7 @@ __all__ = [
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
     "as_matrix", "basis_ket", "check_dim",
-    "conjugate_density", "dagger", "embed", "is_unitary", "kron",
+    "completeness_residual", "conjugate_density", "dagger", "embed", "kron",
     "num_qubits", "partial_trace", "require_unitary", "unitary_residual",
     "apply_superoperator", "apply_unitary", "inner_product",
     "measurement_probabilities", "normalize", "post_measurement_state",

@@ -42,8 +42,10 @@ def unitary_residual(m: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0]), ord=2))
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
-    return unitary_residual(m) <= atol
+def completeness_residual(operators) -> float:
+    """Spectral-norm distance of sum_i M_i†M_i from the identity."""
+    acc = sum(dagger(m) @ m for m in operators)
+    return float(np.linalg.norm(acc - np.eye(acc.shape[0]), ord=2))
 
 
 def require_unitary(m: np.ndarray, atol: float = ATOL_UNITARY, what: str = "matrix") -> np.ndarray:

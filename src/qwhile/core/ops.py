@@ -72,7 +72,8 @@ def apply_superoperator(rho: DensityOperator, chan: SuperOperator) -> DensityOpe
 
 
 def measurement_probabilities(state: State, m: MeasurementSet) -> np.ndarray:
-    """p_i = <psi|M_i†M_i|psi> (ket form) or tr(M_i†M_i rho) (density form)."""
+    """p_i = <psi|M_i†M_i|psi> (ket form) or tr(M_i†M_i rho) (density form).
+    Completeness is read from the report `m` stored when it was built."""
     if m.dim != state.dim:
         raise DimMismatch(f"measurement dim {m.dim} != state dim {state.dim}")
     report = m.validate()

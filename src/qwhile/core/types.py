@@ -171,10 +171,19 @@ class Ensemble:
 _SQRT2 = np.sqrt(2.0)
 
 
-class MeasurementSet:
-    """Operators {M_i} with sum_i M_i†M_i = I; outcome labels are 0..m-1."""
+# Projectors onto |+> and |-> (outcome 0 is |+>), read-only because every
+# plus-minus measurement shares them.
+PLUS_MINUS = tuple(np.outer(v, v.conj())
+                   for v in np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2)
+for _p in PLUS_MINUS:
+    _p.setflags(write=False)
 
-    __slots__ = ("_ops", "_name")
+
+class MeasurementSet:
+    """Operators {M_i} with sum_i M_i†M_i = I; outcome labels are 0..m-1.
+    Completeness is decided once, when the set is built."""
+
+    __slots__ = ("_ops", "_name", "_report")
 
     def __init__(self, operators, *, name: str = "measurement", require_complete: bool = True):
         ops = tuple(linalg.as_matrix(m) for m in operators)
@@ -187,10 +196,13 @@ class MeasurementSet:
         check_dim(d)
         object.__setattr__(self, "_ops", ops)
         object.__setattr__(self, "_name", name)
-        if require_complete:
-            report = self.validate()
-            if not report.ok:
-                raise IncompleteMeasurement(str(report))
+        residual = linalg.completeness_residual(ops)
+        violations = ((Violation("IncompleteMeasurement", residual),)
+                      if residual > ATOL_PHYSICAL else ())
+        report = ValidationReport(f"MeasurementSet({name})", violations)
+        object.__setattr__(self, "_report", report)
+        if require_complete and not report.ok:
+            raise IncompleteMeasurement(str(report))
 
     @property
     def dim(self) -> int:
@@ -209,12 +221,7 @@ class MeasurementSet:
         return tuple(m.copy() for m in self._ops)
 
     def validate(self) -> ValidationReport:
-        acc = sum(dagger(m) @ m for m in self._ops)
-        residual = float(np.linalg.norm(acc - np.eye(self.dim), ord=2))
-        if residual > ATOL_PHYSICAL:
-            return ValidationReport(f"MeasurementSet({self._name})",
-                                    (Violation("IncompleteMeasurement", residual),))
-        return ValidationReport(f"MeasurementSet({self._name})")
+        return self._report
 
     @classmethod
     def computational(cls, dim: int = 2) -> "MeasurementSet":
@@ -225,10 +232,7 @@ class MeasurementSet:
     @classmethod
     def plus_minus(cls) -> "MeasurementSet":
         """Projective measurement onto |+> and |-> (outcome 0 is |+>)."""
-        plus = np.array([1, 1], dtype=complex) / _SQRT2
-        minus = np.array([1, -1], dtype=complex) / _SQRT2
-        return cls([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())],
-                   name="plus_minus")
+        return cls(PLUS_MINUS, name="plus_minus")
 
     def __repr__(self) -> str:
         return f"MeasurementSet({self._name}, dim={self.dim}, outcomes={self.n_outcomes})"
@@ -266,12 +270,9 @@ class SuperOperator:
     def name(self) -> str:
         return self._name
 
-    def completeness_sum(self) -> np.ndarray:
-        return sum(dagger(e) @ e for e in self._kraus)
-
     def validate(self) -> ValidationReport:
         # sum E†E <= I  <=>  all eigenvalues of I - sum E†E are >= -tol.
-        gap = np.eye(self.dim) - self.completeness_sum()
+        gap = np.eye(self.dim) - sum(dagger(e) @ e for e in self._kraus)
         lo = linalg.min_eigenvalue((gap + dagger(gap)) / 2.0)
         if lo < -ATOL_PHYSICAL:
             return ValidationReport(f"SuperOperator({self._name})",

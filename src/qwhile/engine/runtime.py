@@ -68,10 +68,10 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import as_matrix, conjugate_density, partial_trace, require_unitary, trace_inner
-from ..core.types import DensityOperator
+from ..core.linalg import as_matrix, conjugate_density, partial_trace, trace_inner
+from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import DimMismatch, QwhileError, StepLimitExceeded
-from ..lang.checker import instantiate_measurement, require_valid, resolve_gate
+from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, SamplerState, sample_outcome
 
@@ -325,9 +325,10 @@ class KernelTable:
     Keys are operation values, so every site that applies the same
     operation shares one kernel: `unitaries[(gate, regs)]`, `inits[reg]`
     and `sites[(meas, regs)]`. Registers are laid out in declaration
-    order. `program` is a SourceProgram or an FqasmProgram; its
-    `gate_decl` and `meas_decl` resolve names, and every gate is checked
-    to be unitary.
+    order. `program` is a SourceProgram or an FqasmProgram whose
+    declarations were checked (`qwhile.lang.checker`); its `gate_decl`
+    and `meas_decl` resolve names, and the table only resolves and
+    classifies: it decides neither unitarity nor completeness again.
     """
 
     def __init__(self, registers: tuple[tuple[str, int], ...], program,
@@ -365,8 +366,8 @@ class KernelTable:
 
     def add_unitary(self, gate: str, regs: tuple[str, ...]) -> None:
         if (gate, regs) not in self.unitaries:
-            matrix = require_unitary(resolve_gate(self.program, gate, self.library),
-                                     what=f"gate {gate!r}")
+            decl = self.program.gate_decl(gate)
+            matrix = self.library[gate] if decl is None else decl.matrix
             self.unitaries[gate, regs] = sandwich_kernel(matrix, self._span(regs), self.n)
 
     def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
@@ -376,8 +377,8 @@ class KernelTable:
             if decl.builtin == "computational":
                 self.sites[meas, regs] = _DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
             else:
-                mset = instantiate_measurement(decl, 1 << len(pos))
-                self.sites[meas, regs] = site_kernel(mset.operators, pos, self.n)
+                ops = PLUS_MINUS if decl.builtin == "plusminus" else decl.operators
+                self.sites[meas, regs] = site_kernel(ops, pos, self.n)
 
     def init(self, reg: str, rho: np.ndarray) -> np.ndarray:
         return self.inits[reg].sandwich(rho)
@@ -475,13 +476,26 @@ class _Site(NamedTuple):
     next: dict[int, tuple[Stmt, ...]]        # outcome -> statements it runs first
 
 
+# A Case or While at one position: every occurrence in the AST, even of one
+# shared object, becomes its own copy carrying its own site.
+@dataclass(frozen=True, eq=False)
+class _CaseAt(Case):
+    site: _Site = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class _WhileAt(While):
+    site: _Site = field(repr=False)
+
+
 @dataclass
 class PreparedProgram:
-    """A validated program and its kernel table."""
+    """A validated program, its kernel table, and its body as the atoms
+    a configuration runs, measurements carrying their sites."""
 
     program: SourceProgram
     kernels: KernelTable
-    sites: dict[int, _Site] = field(default_factory=dict)                # id(stmt) ->
+    body: tuple[Stmt, ...] = ()
     site_meta: list[tuple[int, str, str]] = field(default_factory=list)  # (id, kind, label)
 
     def loop_sites(self) -> list[int]:
@@ -494,46 +508,34 @@ def prepare(program: SourceProgram, library: GateLibrary = STANDARD_LIBRARY) -> 
     kernels = plan.kernels
     ids = count(1)
 
-    def walk(s: Stmt) -> None:
-        if isinstance(s, Skip):
-            return
+    def lower(s: Stmt) -> tuple[Stmt, ...]:
+        """s as a flat tuple of atoms (the sequencing rule is transparent),
+        each measurement replaced by a copy carrying its site."""
+        if isinstance(s, Seq):
+            return tuple(atom for sub in s.stmts for atom in lower(sub))
         if isinstance(s, Init):
             kernels.add_init(s.target)
-            return
-        if isinstance(s, Unitary):
+        elif isinstance(s, Unitary):
             kernels.add_unitary(s.gate, s.regs)
-            return
-        if isinstance(s, Seq):
-            for sub in s.stmts:
-                walk(sub)
-            return
-        if isinstance(s, (Case, While)):
+        elif isinstance(s, (Case, While)):
             kernels.add_site(s.meas, s.regs)
             kind = "case" if isinstance(s, Case) else "while"
-            sid = next(ids)
-            plan.site_meta.append((sid, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
+            site = _Site(next(ids), kind == "while", {})
+            plan.site_meta.append((site.id, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
             if isinstance(s, Case):
-                plan.sites[id(s)] = _Site(sid, False, {k: flatten(body) for k, body in s.branches})
-                for _, body in s.branches:
-                    walk(body)
-            else:
-                # loop rule L1 runs the body then re-checks the guard; L0 exits
-                plan.sites[id(s)] = _Site(sid, True, {1: flatten(s.body) + (s,)})
-                walk(s.body)
-            return
-        raise QwhileError(f"cannot lower statement {type(s).__name__}")
+                for k, body in s.branches:
+                    site.next[k] = lower(body)
+                return (_CaseAt(s.meas, s.regs, s.branches, site),)
+            # loop rule L1 runs the body then re-checks the guard; L0 exits
+            at = _WhileAt(s.meas, s.regs, s.body, site)
+            site.next[1] = lower(s.body) + (at,)
+            return (at,)
+        elif not isinstance(s, Skip):
+            raise QwhileError(f"cannot lower statement {type(s).__name__}")
+        return (s,)
 
-    walk(program.body)
+    plan.body = lower(program.body)
     return plan
-
-
-def flatten(s: Stmt) -> tuple[Stmt, ...]:
-    if isinstance(s, Seq):
-        out: tuple[Stmt, ...] = ()
-        for sub in s.stmts:
-            out += flatten(sub)
-        return out
-    return (s,)
 
 
 @dataclass(frozen=True)
@@ -562,8 +564,7 @@ def initial_configuration(program: SourceProgram | PreparedProgram,
     rho = plan.kernels.initial_state() if state is None else state.matrix
     if rho.shape != (dim, dim):
         raise QwhileError(f"state dim {rho.shape[0]} != program dim {dim}")
-    return Configuration(flatten(plan.program.body), DensityOperator(rho, validate=False),
-                         1.0, plan)
+    return Configuration(plan.body, DensityOperator(rho, validate=False), 1.0, plan)
 
 
 def _advance(c: Configuration) -> Configuration | Fork:
@@ -585,7 +586,7 @@ def _advance(c: Configuration) -> Configuration | Fork:
         return conf(rest, kernels.init(s.target, rho))
     if isinstance(s, Unitary):
         return conf(rest, kernels.unitaries[s.gate, s.regs].sandwich(rho))
-    site = plan.sites[id(s)]
+    site = s.site
     return Fork(site.id, kernels.sites[s.meas, s.regs], rho, site.loop,
                 lambda outcome, post, weight: conf(site.next.get(outcome, ()) + rest,
                                                    post, weight))

@@ -23,6 +23,7 @@ import numpy as np
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
 from ..core.types import DensityOperator
 from ..errors import QwhileError, UninitializedRegisterRead
+from ..lang.checker import require_declarations
 from ..engine.runtime import (
     DEFAULT_DISTRIBUTION_STEP_LIMIT,
     DEFAULT_MASS_THRESHOLD,
@@ -57,7 +58,10 @@ class PreparedVm:
 
 
 def prepare_vm(prog: FqasmProgram, library: GateLibrary = STANDARD_LIBRARY) -> PreparedVm:
+    """Check `prog` (well-formedness, then each declaration once) and build
+    the kernel of every operation it applies."""
     check_wellformed(prog)
+    require_declarations(prog)
     kernels = KernelTable(prog.qregs, prog, library)
     for ins in prog.instructions:
         if isinstance(ins, InitQ):

@@ -1,5 +1,5 @@
 """Quantum while-language: AST, parser, validator, and pretty-printer."""
-from .checker import ProgramReport, instantiate_measurement, require_valid, resolve_gate, validate_program
+from .checker import ProgramReport, require_valid, validate_program
 from .parser import parse, tokenize
 from .syntax import (
     Case,
@@ -20,6 +20,5 @@ __all__ = [
     "Case", "GateDecl", "Init", "MeasDecl", "Seq", "Skip", "SourceProgram",
     "Stmt", "Unitary", "While", "pretty_print", "seq_of",
     "parse", "tokenize",
-    "ProgramReport", "instantiate_measurement", "require_valid",
-    "resolve_gate", "validate_program",
+    "ProgramReport", "require_valid", "validate_program",
 ]

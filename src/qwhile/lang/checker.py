@@ -4,18 +4,19 @@ The parser already rejects malformed text; this pass re-checks
 programmatically constructed ASTs and verifies the numeric properties
 the parser cannot: declared gates are unitary, declared measurements are
 complete, and every application site is dimensionally consistent.
+`declaration_issue` is the one place a declaration is decided, for `.qw`
+(`validate_program`) and f-QASM (`require_declarations`) alike; the
+kernel table and every layer after it trust what it accepted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import ATOL_PHYSICAL, ATOL_UNITARY, dagger, unitary_residual
-from ..core.types import MeasurementSet
-from ..errors import QwhileError
-from .syntax import Case, Init, MeasDecl, Seq, Skip, SourceProgram, Stmt, Unitary, While
+from ..core.linalg import ATOL_PHYSICAL, ATOL_UNITARY, completeness_residual, unitary_residual
+from ..errors import IncompleteMeasurement, NotUnitary, QwhileError
+from .syntax import (Case, GateDecl, Init, MeasDecl, Seq, Skip, SourceProgram, Stmt, Unitary,
+                     While)
 
 
 @dataclass(frozen=True)
@@ -40,20 +41,30 @@ class ProgramReport:
         return "ok" if self.ok else "\n".join(str(i) for i in self.issues)
 
 
-def resolve_gate(program: SourceProgram, name: str,
-                 library: GateLibrary = STANDARD_LIBRARY) -> np.ndarray:
-    decl = program.gate_decl(name)
-    if decl is not None:
-        return decl.matrix
-    return library[name]
+def declaration_issue(decl: GateDecl | MeasDecl) -> Issue | None:
+    """The issue of one declaration, or None: a gate must be unitary
+    within ATOL_UNITARY, a measurement with explicit operators complete
+    within ATOL_PHYSICAL (the built-in ones are complete by definition)."""
+    if isinstance(decl, GateDecl):
+        residual = unitary_residual(decl.matrix)
+        if residual > ATOL_UNITARY:
+            return Issue("NotUnitary", f"gate {decl.name}", f"residual {residual:.3e}")
+    elif decl.operators is not None:
+        residual = completeness_residual(decl.operators)
+        if residual > ATOL_PHYSICAL:
+            return Issue("IncompleteMeasurement", f"measurement {decl.name}",
+                         f"residual {residual:.3e}")
+    return None
 
 
-def instantiate_measurement(decl: MeasDecl, dim: int) -> MeasurementSet:
-    if decl.builtin == "computational":
-        return MeasurementSet.computational(dim)
-    if decl.builtin == "plusminus":
-        return MeasurementSet.plus_minus()
-    return MeasurementSet(decl.operators, name=decl.name)
+def require_declarations(program) -> None:
+    """Raise NotUnitary or IncompleteMeasurement, naming it, for the first
+    declared gate or measurement of `program` that has an issue."""
+    for decl in (*program.gates, *program.measurements):
+        if (issue := declaration_issue(decl)) is not None:
+            noun, error = (("gate", NotUnitary) if isinstance(decl, GateDecl)
+                           else ("measurement", IncompleteMeasurement))
+            raise error(f"{noun} {decl.name!r}: {issue.kind} ({issue.detail})")
 
 
 def validate_program(program: SourceProgram,
@@ -72,22 +83,16 @@ def validate_program(program: SourceProgram,
         if g.name in gate_names:
             issues.append(Issue("DuplicateName", f"gate {g.name}", "declared twice"))
         gate_names.add(g.name)
-        residual = unitary_residual(g.matrix)
-        if residual > ATOL_UNITARY:
-            issues.append(Issue("NotUnitary", f"gate {g.name}", f"residual {residual:.3e}"))
+        if (issue := declaration_issue(g)) is not None:
+            issues.append(issue)
 
     meas_decls = {}
     for m in program.measurements:
         if m.name in meas_decls:
             issues.append(Issue("DuplicateName", f"measurement {m.name}", "declared twice"))
         meas_decls[m.name] = m
-        if m.operators is not None:
-            d = m.operators[0].shape[0]
-            acc = sum(dagger(op) @ op for op in m.operators)
-            residual = float(np.linalg.norm(acc - np.eye(d), ord=2))
-            if residual > ATOL_PHYSICAL:
-                issues.append(Issue("IncompleteMeasurement", f"measurement {m.name}",
-                                    f"residual {residual:.3e}"))
+        if (issue := declaration_issue(m)) is not None:
+            issues.append(issue)
 
     def site_width(regs: tuple[str, ...], where: str) -> int | None:
         width = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import gates
-from ..core.linalg import embed, require_unitary
+from ..core.linalg import embed
 from ..errors import IndexOutOfRange
 
 
@@ -50,12 +50,9 @@ class GateSequence:
         return len(self.ops)
 
 
-class GateSet:
-    """Named basic gates available to synthesis targets."""
-
-    def __init__(self, named: dict[str, np.ndarray]):
-        self._gates = {name: require_unitary(m, what=f"gate {name!r}")
-                       for name, m in named.items()}
+class GateSet(gates.GateLibrary):
+    """Named basic gates available to synthesis targets; registration,
+    lookup and the unitarity check are the GateLibrary's."""
 
     @classmethod
     def default(cls) -> "GateSet":
@@ -63,16 +60,6 @@ class GateSet:
             "H": gates.H, "T": gates.T, "Tdg": gates.TDG,
             "S": gates.S, "Sdg": gates.SDG, "X": gates.X, "CNOT": gates.CNOT,
         })
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._gates
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._gates[name].copy()
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._gates)
 
     def single_qubit(self) -> dict[str, np.ndarray]:
         return {n: m.copy() for n, m in self._gates.items() if m.shape == (2, 2)}

@@ -10,6 +10,7 @@ from qwhile.core import (
     measurement_probabilities, normalize, partial_trace,
     post_measurement_state, tensor, validate,
 )
+from qwhile.core import linalg
 from qwhile.errors import (
     CapacityExceeded, DimMismatch, IncompleteMeasurement, InvalidState,
     NotUnitary, ZeroProbabilityOutcome, ZeroVector,
@@ -202,6 +203,31 @@ class TestMeasurement:
     def test_incomplete_rejected(self):
         with pytest.raises(IncompleteMeasurement):
             MeasurementSet([np.diag([1.0, 0.0])])
+
+    def test_completeness_is_decided_once_per_set(self, monkeypatch):
+        calls = []
+
+        def counted(operators):
+            calls.append(len(operators))
+            return residual(operators)
+
+        residual = linalg.completeness_residual
+        monkeypatch.setattr(linalg, "completeness_residual", counted)
+        m = MeasurementSet.plus_minus()
+        rho = Ket([1, 0]).to_density()
+        for _ in range(100):
+            np.testing.assert_allclose(measurement_probabilities(rho, m), [0.5, 0.5],
+                                       atol=1e-12)
+        post_measurement_state(rho, m, 1)
+        assert validate(m).ok
+        assert calls == [2]
+
+    def test_incomplete_set_is_refused_when_measured(self):
+        m = MeasurementSet([np.diag([1.0, 0.0])], require_complete=False)
+        for measure in (lambda: measurement_probabilities(Ket([1, 0]), m),
+                        lambda: post_measurement_state(Ket([1, 0]), m, 0)):
+            with pytest.raises(IncompleteMeasurement, match="IncompleteMeasurement"):
+                measure()
 
 
 class TestPostMeasurement:

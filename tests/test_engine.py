@@ -1,4 +1,6 @@
 """Sampler procedure, small-step semantics, shot runs, and distribution mode."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,7 +42,7 @@ from qwhile.experiments import (
     success_probability,
 )
 from qwhile.fqasm import compile_program, vm_distribution
-from qwhile.lang import parse
+from qwhile.lang import Seq, parse
 from qwhile.lang.syntax import format_matrix
 
 from genprog import random_program
@@ -202,6 +204,21 @@ class TestRunShots:
             '{\n  "circles": {\n    "1": 113,\n    "2": 57,\n    "3": 29,\n    "4": 15,\n'
             '    "5": 7,\n    "6": 3,\n    "7": 3,\n    "9": 2\n  },\n  "seed": 3,\n'
             '  "shots": 1000,\n  "shots_entering": 229,\n  "total_entries": 466\n}\n')
+
+    def test_a_shared_measurement_object_has_one_site_per_position(self):
+        p = parse("q : qubit; measure M = computational; q := |0>; H[q]; "
+                  "if M[q] = 0 -> skip; [] 1 -> skip; fi; while M[q] = 1 do H[q]; od;")
+        init, h, case, loop = p.body.stmts
+        for shared in (case, loop):
+            plan = prepare(replace(p, body=Seq((init, h, shared, h, shared))))
+            assert [sid for sid, _, _ in plan.site_meta] == [1, 2]
+            stats = run_shots(plan, 10, 0)
+            if shared is case:
+                assert [sum(stats.site_outcomes[sid].values()) for sid in (1, 2)] == [10, 10]
+            else:
+                assert [sum(stats.loop_histogram[sid].values()) for sid in (1, 2)] == [10, 10]
+                # every shot ends each loop with one outcome 0
+                assert [stats.site_outcomes[sid][0] for sid in (1, 2)] == [10, 10]
 
     def test_csv_rows_shape(self):
         p = prepare(parse("q : qubit; measure M = computational; q := |0>; H[q]; "

@@ -8,7 +8,14 @@ import pytest
 
 import qwhile.cli
 from qwhile.engine import DistributionResult, run_distribution, run_shot
-from qwhile.errors import FqasmSyntaxError, NotUnitary, ParseError, StepLimitExceeded
+from qwhile.errors import (
+    FqasmSyntaxError,
+    IncompleteMeasurement,
+    NotUnitary,
+    ParseError,
+    QwhileError,
+    StepLimitExceeded,
+)
 from qwhile.experiments import program_names, program_source
 from qwhile.fqasm import compile_program, parse_fqasm, serialize, vm_distribution, vm_run
 from qwhile.lang import parse
@@ -102,6 +109,28 @@ def test_non_unitary_gate_rejected():
         vm_run(prog, seed=0)
 
 
+def test_incomplete_measurement_rejected():
+    prog = parse_fqasm("QREG q1 1;\nCREG r1;\n"
+                       "MEASURE M {[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.5]]};\n\n"
+                       "MOV(r1,{M}(q1));\n")
+    with pytest.raises(IncompleteMeasurement, match="measurement 'M'"):
+        vm_distribution(prog)
+    with pytest.raises(IncompleteMeasurement, match="measurement 'M'"):
+        vm_run(prog, seed=0)
+
+
+def test_declarations_are_checked_even_when_never_applied():
+    # as in .qw, where validate_program checks every declaration
+    gate = "GATE G [[1.0, 1.0], [0.0, 1.0]];\n"
+    meas = "MEASURE M {[[1.0, 0.0], [0.0, 0.0]]};\n"
+    for decl, error in ((gate, NotUnitary), (meas, IncompleteMeasurement)):
+        prog = parse_fqasm(f"QREG q1 1;\n{decl}\nhGate(q1,0);\n")
+        with pytest.raises(error):
+            vm_run(prog, seed=0)
+    with pytest.raises(QwhileError, match="NotUnitary at gate G"):
+        run_shot(parse(f"q : qubit;\ngate G = [[1.0, 1.0], [0.0, 1.0]];\nH[q];\n"), seed=0)
+
+
 # --- the step limit in compile --check ------------------------------------------
 
 # 0.01 rad rotation with the exact digits of math.cos / math.sin
@@ -164,7 +193,7 @@ def test_run_distribution_uses_the_distribution_step_limit(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     expected = run_distribution(parse(SLOW_LOOP))
     assert expected.step_limited > 0.5
-    assert payload["residual"] == expected.residual
+    assert payload["residual"] == round(expected.residual, 12)  # printed to 12 digits
 
 
 # --- the two executors agree shot for shot ----------------------------------------
