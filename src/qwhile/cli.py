@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, QwhileError
-from .lang import parse, validate_program
+from .errors import QwhileError
+from .lang import parse
 from .engine import match_distributions, prepare, run_distribution, run_shots
 from .engine.runtime import DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT
 from .fqasm import compile_program, parse_fqasm, serialize, vm_distribution
@@ -35,13 +35,9 @@ def _load_program(path: str):
     except OSError as exc:
         raise QwhileError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        program = parse(text)
-    except ParseError as exc:
+        return parse(text)
+    except QwhileError as exc:
         raise QwhileError(f"{path}: {exc}") from exc
-    report = validate_program(program)
-    if not report.ok:
-        raise QwhileError(f"{path}: {report}")
-    return program
 
 
 def _write_or_print(text: str, out: str | None) -> None:

@@ -67,7 +67,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from ..core.gates import GateLibrary, STANDARD_LIBRARY
+from ..core.gates import STANDARD_LIBRARY
 from ..core.linalg import as_matrix, conjugate_density, partial_trace, trace_inner
 from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import DimMismatch, QwhileError, StepLimitExceeded
@@ -331,10 +331,8 @@ class KernelTable:
     classifies: it decides neither unitarity nor completeness again.
     """
 
-    def __init__(self, registers: tuple[tuple[str, int], ...], program,
-                 library: GateLibrary = STANDARD_LIBRARY):
+    def __init__(self, registers: tuple[tuple[str, int], ...], program):
         self.program = program
-        self.library = library
         self.positions: dict[str, tuple[int, ...]] = {}
         at = 0
         for name, width in registers:
@@ -367,7 +365,7 @@ class KernelTable:
     def add_unitary(self, gate: str, regs: tuple[str, ...]) -> None:
         if (gate, regs) not in self.unitaries:
             decl = self.program.gate_decl(gate)
-            matrix = self.library[gate] if decl is None else decl.matrix
+            matrix = STANDARD_LIBRARY[gate] if decl is None else decl.matrix
             self.unitaries[gate, regs] = sandwich_kernel(matrix, self._span(regs), self.n)
 
     def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
@@ -502,9 +500,9 @@ class PreparedProgram:
         return [sid for sid, kind, _ in self.site_meta if kind == "while"]
 
 
-def prepare(program: SourceProgram, library: GateLibrary = STANDARD_LIBRARY) -> PreparedProgram:
-    require_valid(program, library)
-    plan = PreparedProgram(program, KernelTable(program.registers, program, library))
+def prepare(program: SourceProgram) -> PreparedProgram:
+    require_valid(program)
+    plan = PreparedProgram(program, KernelTable(program.registers, program))
     kernels = plan.kernels
     ids = count(1)
 
@@ -557,9 +555,8 @@ class Configuration:
 
 
 def initial_configuration(program: SourceProgram | PreparedProgram,
-                          state: DensityOperator | None = None,
-                          library: GateLibrary = STANDARD_LIBRARY) -> Configuration:
-    plan = program if isinstance(program, PreparedProgram) else prepare(program, library)
+                          state: DensityOperator | None = None) -> Configuration:
+    plan = program if isinstance(program, PreparedProgram) else prepare(program)
     dim = plan.kernels.dim
     rho = plan.kernels.initial_state() if state is None else state.matrix
     if rho.shape != (dim, dim):

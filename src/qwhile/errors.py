@@ -3,7 +3,15 @@ from __future__ import annotations
 
 
 class QwhileError(Exception):
-    """Base class for all toolchain errors."""
+    """Base class for all toolchain errors. An error found in source text
+    carries the 1-based line and column it was found at (0 when unknown)
+    and prefixes its message with them."""
+
+    def __init__(self, message: str = "", line: int = 0, column: int = 0):
+        super().__init__(f"line {line}, col {column}: {message}" if line else message)
+        self.message = message
+        self.line = line
+        self.column = column
 
 
 # --- quantum core ---
@@ -41,15 +49,13 @@ class CapacityExceeded(QwhileError):
 class ParseError(QwhileError):
     """Source text error, with 1-based line/column location."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"line {line}, col {column}: {message}" if line else message)
-        self.message = message
-        self.line = line
-        self.column = column
-
 
 class UndeclaredName(ParseError):
     """A name is used before/without being declared."""
+
+
+class DuplicateName(ParseError):
+    """A name is declared twice, or shadows a standard-library gate."""
 
 
 class DimensionError(ParseError):

@@ -12,7 +12,7 @@ Control-flow shapes (deterministic register/label numbering per site):
 """
 from __future__ import annotations
 
-from ..core.gates import GateLibrary, STANDARD_LIBRARY
+from ..core.gates import STANDARD_LIBRARY
 from ..errors import QwhileError
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
@@ -20,9 +20,8 @@ from .ir import Apply, Cmp, FqasmProgram, InitQ, Instruction, Je, Jmp, Label, Me
 
 
 class _Emitter:
-    def __init__(self, program: SourceProgram, library: GateLibrary):
+    def __init__(self, program: SourceProgram):
         self.program = program
-        self.library = library
         self.out: list[Instruction] = []
         self.cregs: list[str] = []
         self.n_labels = 0
@@ -47,8 +46,8 @@ class _Emitter:
             self.out.append(InitQ(s.target))
             return
         if isinstance(s, Unitary):
-            num = 0 if (self.program.gate_decl(s.gate) is None and s.gate in self.library) else 1
-            self.out.append(Apply(s.gate, s.regs, num))
+            # a declared gate never takes a library name
+            self.out.append(Apply(s.gate, s.regs, 0 if s.gate in STANDARD_LIBRARY else 1))
             return
         if isinstance(s, Seq):
             for sub in s.stmts:
@@ -86,11 +85,10 @@ class _Emitter:
         raise QwhileError(f"cannot compile statement {type(s).__name__}")
 
 
-def compile_program(program: SourceProgram,
-                    library: GateLibrary = STANDARD_LIBRARY) -> FqasmProgram:
+def compile_program(program: SourceProgram) -> FqasmProgram:
     """Deterministic lowering; identical ASTs compile to identical output."""
-    require_valid(program, library)
-    emitter = _Emitter(program, library)
+    require_valid(program)
+    emitter = _Emitter(program)
     emitter.emit(program.body)
     return FqasmProgram(
         instructions=tuple(emitter.out),
@@ -98,5 +96,4 @@ def compile_program(program: SourceProgram,
         cregs=tuple(emitter.cregs),
         gates=program.gates,
         measurements=program.measurements,
-        basic_gates=library.names,
     )

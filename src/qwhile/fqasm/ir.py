@@ -14,9 +14,9 @@ Instruction kinds:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import DuplicateLabel, UnknownLabel, UnknownRegister
+from ..errors import DuplicateLabel, DuplicateName, UnknownLabel, UnknownRegister
 from ..lang.syntax import GateDecl, MeasDecl
 
 
@@ -77,7 +77,6 @@ class FqasmProgram:
     cregs: tuple[str, ...]
     gates: tuple[GateDecl, ...]              # declared non-library gates
     measurements: tuple[MeasDecl, ...]
-    basic_gates: tuple[str, ...] = field(compare=False, default=())  # names with num tag 0
 
     def labels(self) -> dict[str, int]:
         table: dict[str, int] = {}
@@ -102,10 +101,17 @@ class FqasmProgram:
 
 
 def check_wellformed(prog: FqasmProgram) -> None:
-    """Labels unique and resolvable, registers declared."""
+    """Labels unique and resolvable, registers declared, classical
+    register names unique. Classical names form their own namespace: the
+    compiler names them r1, r2, ..., which a quantum register may also be
+    called. The quantum declarations are `prepare_vm`'s to check."""
     labels = prog.labels()
     qnames = {name for name, _ in prog.qregs}
-    cnames = set(prog.cregs)
+    cnames: set[str] = set()
+    for r in prog.cregs:
+        if r in cnames:
+            raise DuplicateName(f"classical register {r!r} declared twice")
+        cnames.add(r)
     for ins in prog.instructions:
         if isinstance(ins, (Jmp, Je)) and ins.label not in labels:
             raise UnknownLabel(f"jump target {ins.label!r} does not exist")

@@ -120,7 +120,6 @@ class _FqasmParser(TokenParser):
             cregs=tuple(self.cregs),
             gates=tuple(self.gates),
             measurements=tuple(self.measurements),
-            basic_gates=tuple(GATE_TEXT_NAMES),
         )
 
     def parse_line(self) -> None:

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.gates import GateLibrary, STANDARD_LIBRARY
 from ..core.types import DensityOperator
 from ..errors import QwhileError, UninitializedRegisterRead
 from ..lang.checker import require_declarations
+from ..lang.syntax import Case, Unitary
 from ..engine.runtime import (
     DEFAULT_DISTRIBUTION_STEP_LIMIT,
     DEFAULT_MASS_THRESHOLD,
@@ -57,12 +57,16 @@ class PreparedVm:
     kernels: KernelTable
 
 
-def prepare_vm(prog: FqasmProgram, library: GateLibrary = STANDARD_LIBRARY) -> PreparedVm:
-    """Check `prog` (well-formedness, then each declaration once) and build
-    the kernel of every operation it applies."""
+def prepare_vm(prog: FqasmProgram) -> PreparedVm:
+    """Check `prog` (well-formedness, then the checker's declaration and
+    statement checks) and build the kernel of every operation it applies.
+    The statement check sees each APPLY as the gate application and each
+    MEAS_MOV as a measurement without branches."""
     check_wellformed(prog)
-    require_declarations(prog)
-    kernels = KernelTable(prog.qregs, prog, library)
+    require_declarations(prog.qregs, prog, [
+        Unitary(ins.gate, ins.qregs) if isinstance(ins, Apply) else Case(ins.meas, ins.qregs, ())
+        for ins in prog.instructions if isinstance(ins, (Apply, MeasMov))])
+    kernels = KernelTable(prog.qregs, prog)
     for ins in prog.instructions:
         if isinstance(ins, InitQ):
             kernels.add_init(ins.qreg)
@@ -159,18 +163,16 @@ def _advance(c: _Config) -> _Config | Fork:
 
 
 def vm_run(prog: FqasmProgram | PreparedVm, seed: int,
-           step_limit: int = DEFAULT_STEP_LIMIT,
-           library: GateLibrary = STANDARD_LIBRARY) -> RunRecord:
+           step_limit: int = DEFAULT_STEP_LIMIT) -> RunRecord:
     """One sampled pass; outcome log entries are (instruction index, outcome)."""
-    plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog, library)
+    plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog)
     return run_sampled(_Config.start(plan), _advance, seed, step_limit)
 
 
 def vm_distribution(prog: FqasmProgram | PreparedVm,
                     mass_threshold: float = DEFAULT_MASS_THRESHOLD,
-                    step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
-                    library: GateLibrary = STANDARD_LIBRARY) -> DistributionResult:
+                    step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT) -> DistributionResult:
     """Exhaustive branch exploration."""
-    plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog, library)
+    plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog)
     return explore(_Config.start(plan), partial(successors, _advance),
                    mass_threshold, step_limit)

@@ -1,27 +1,45 @@
-"""Semantic validation of programs, independent of how the AST was built.
+"""The one home of the rules of a well-formed program, for `.qw` text,
+built ASTs and f-QASM alike; gate names resolve against STANDARD_LIBRARY.
 
-The parser already rejects malformed text; this pass re-checks
-programmatically constructed ASTs and verifies the numeric properties
-the parser cannot: declared gates are unitary, declared measurements are
-complete, and every application site is dimensionally consistent.
-`declaration_issue` is the one place a declaration is decided, for `.qw`
-(`validate_program`) and f-QASM (`require_declarations`) alike; the
-kernel table and every layer after it trust what it accepted.
+`Scope.declare` is the declaration check and `Scope.check` the statement
+check. `validate_program` runs both over a built program and reports
+every issue. The `.qw` parser runs them as it finishes each declaration
+and statement, and raises the first issue at the token it read, so
+`parse` raises exactly when `validate_program` reports. `prepare_vm`
+runs them over f-QASM through `require_declarations`. An issue raises
+the error class `ERRORS` maps its kind to, wherever it is found; the
+kernel table and every layer after it trust what the checks accepted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import ATOL_PHYSICAL, ATOL_UNITARY, completeness_residual, unitary_residual
-from ..errors import IncompleteMeasurement, NotUnitary, QwhileError
+from ..core.gates import STANDARD_LIBRARY
+from ..core.linalg import (ATOL_PHYSICAL, ATOL_UNITARY, MAX_QUBITS, completeness_residual,
+                           unitary_residual)
+from ..errors import (CapacityExceeded, DimensionError, DuplicateName, IncompleteMeasurement,
+                      NotUnitary, QwhileError, UndeclaredName)
 from .syntax import (Case, GateDecl, Init, MeasDecl, Seq, Skip, SourceProgram, Stmt, Unitary,
                      While)
+
+# The error class each issue kind raises.
+ERRORS: dict[str, type[QwhileError]] = {
+    "DuplicateName": DuplicateName,
+    "DimensionError": DimensionError,
+    "CapacityExceeded": CapacityExceeded,
+    "NotUnitary": NotUnitary,
+    "IncompleteMeasurement": IncompleteMeasurement,
+    "UndeclaredName": UndeclaredName,
+    "BadBranch": DimensionError,
+    "BadNode": QwhileError,
+}
+
+_LIBRARY_DIMS = {name: STANDARD_LIBRARY[name].shape[0] for name in STANDARD_LIBRARY.names}
 
 
 @dataclass(frozen=True)
 class Issue:
-    kind: str       # NotUnitary | IncompleteMeasurement | DimensionError | UndeclaredName | BadBranch
+    kind: str       # a key of ERRORS
     where: str
     detail: str
 
@@ -41,144 +59,160 @@ class ProgramReport:
         return "ok" if self.ok else "\n".join(str(i) for i in self.issues)
 
 
-def declaration_issue(decl: GateDecl | MeasDecl) -> Issue | None:
-    """The issue of one declaration, or None: a gate must be unitary
-    within ATOL_UNITARY, a measurement with explicit operators complete
-    within ATOL_PHYSICAL (the built-in ones are complete by definition)."""
-    if isinstance(decl, GateDecl):
-        residual = unitary_residual(decl.matrix)
-        if residual > ATOL_UNITARY:
-            return Issue("NotUnitary", f"gate {decl.name}", f"residual {residual:.3e}")
-    elif decl.operators is not None:
-        residual = completeness_residual(decl.operators)
-        if residual > ATOL_PHYSICAL:
-            return Issue("IncompleteMeasurement", f"measurement {decl.name}",
-                         f"residual {residual:.3e}")
-    return None
+def _site(s: Unitary | Case | While) -> str:
+    regs = ", ".join(s.regs)
+    if isinstance(s, Unitary):
+        return f"{s.gate}[{regs}]"
+    return f"{'if' if isinstance(s, Case) else 'while'} {s.meas}[{regs}]"
 
 
-def require_declarations(program) -> None:
-    """Raise NotUnitary or IncompleteMeasurement, naming it, for the first
-    declared gate or measurement of `program` that has an issue."""
-    for decl in (*program.gates, *program.measurements):
-        if (issue := declaration_issue(decl)) is not None:
-            noun, error = (("gate", NotUnitary) if isinstance(decl, GateDecl)
-                           else ("measurement", IncompleteMeasurement))
-            raise error(f"{noun} {decl.name!r}: {issue.kind} ({issue.detail})")
+class Scope:
+    """The names a program has declared so far. A name declared twice
+    keeps its first declaration, as `gate_decl` and `meas_decl` do."""
 
+    def __init__(self):
+        self.widths: dict[str, int] = {}
+        self.gate_dims: dict[str, int] = dict(_LIBRARY_DIMS)
+        self.measurements: dict[str, MeasDecl] = {}
+        self.n_qubits = 0
 
-def validate_program(program: SourceProgram,
-                     library: GateLibrary = STANDARD_LIBRARY) -> ProgramReport:
-    issues: list[Issue] = []
+    def declare(self, decl: tuple[str, int] | GateDecl | MeasDecl) -> list[Issue]:
+        """The declaration check of `decl`, a (name, width) quantum
+        register, a gate or a measurement, which is then in scope unless
+        its name was taken: names are unique across the three kinds and
+        are not standard-library gate names, a width is >= 1, registers
+        hold at most MAX_QUBITS qubits in all, a gate is unitary within
+        ATOL_UNITARY, and explicit measurement operators are complete
+        within ATOL_PHYSICAL (the built-in measurements are complete)."""
+        if isinstance(decl, tuple):
+            (name, width), noun = decl, "register"
+        else:
+            name, noun = decl.name, "gate" if isinstance(decl, GateDecl) else "measurement"
+        issues: list[Issue] = []
 
-    reg_width = dict(program.registers)
-    if len(reg_width) != len(program.registers):
-        issues.append(Issue("DuplicateName", "registers", "register names must be unique"))
-    for name, width in program.registers:
-        if width < 1:
-            issues.append(Issue("DimensionError", f"register {name}", "width must be >= 1"))
+        def issue(kind: str, detail: str) -> None:
+            issues.append(Issue(kind, f"{noun} {name}", detail))
 
-    gate_names = set()
-    for g in program.gates:
-        if g.name in gate_names:
-            issues.append(Issue("DuplicateName", f"gate {g.name}", "declared twice"))
-        gate_names.add(g.name)
-        if (issue := declaration_issue(g)) is not None:
-            issues.append(issue)
+        taken = name in self.widths or name in self.gate_dims or name in self.measurements
+        if taken:
+            issue("DuplicateName", f"name {name!r} " + ("shadows a standard-library gate"
+                                   if name in _LIBRARY_DIMS else "already declared"))
+        if noun == "register":
+            if width < 1:
+                issue("DimensionError", "width must be >= 1")
+            elif self.n_qubits <= MAX_QUBITS < self.n_qubits + width:
+                issue("CapacityExceeded", f"{self.n_qubits + width} qubits in all exceed "
+                      f"the dense cap of {MAX_QUBITS}")
+            width = max(width, 0)
+            self.n_qubits += width
+            if not taken:
+                self.widths[name] = width
+        elif noun == "gate":
+            if (residual := unitary_residual(decl.matrix)) > ATOL_UNITARY:
+                issue("NotUnitary", f"gate {name!r} is not unitary (residual {residual:.3e})")
+            if not taken:
+                self.gate_dims[name] = decl.matrix.shape[0]
+        else:
+            if (decl.operators is not None
+                    and (residual := completeness_residual(decl.operators)) > ATOL_PHYSICAL):
+                issue("IncompleteMeasurement",
+                      f"measurement {name!r} is not complete (residual {residual:.3e})")
+            if not taken:
+                self.measurements[name] = decl
+        return issues
 
-    meas_decls = {}
-    for m in program.measurements:
-        if m.name in meas_decls:
-            issues.append(Issue("DuplicateName", f"measurement {m.name}", "declared twice"))
-        meas_decls[m.name] = m
-        if (issue := declaration_issue(m)) is not None:
-            issues.append(issue)
-
-    def site_width(regs: tuple[str, ...], where: str) -> int | None:
-        width = 0
-        seen = set()
-        for r in regs:
-            if r not in reg_width:
-                issues.append(Issue("UndeclaredName", where, f"register {r!r} not declared"))
-                return None
-            if r in seen:
-                issues.append(Issue("DimensionError", where, f"register {r!r} listed twice"))
-                return None
-            seen.add(r)
-            width += reg_width[r]
-        return width
-
-    def meas_outcomes(name: str, dim: int, where: str) -> int | None:
-        decl = meas_decls.get(name)
-        if decl is None:
-            issues.append(Issue("UndeclaredName", where, f"measurement {name!r} not declared"))
-            return None
-        if decl.fixed_dim is not None and decl.fixed_dim != dim:
-            issues.append(Issue("DimensionError", where,
-                                f"measurement dim {decl.fixed_dim} != site dim {dim}"))
-            return None
-        return decl.n_outcomes(dim)
-
-    def walk(s: Stmt, path: str) -> None:
-        if isinstance(s, Skip):
-            return
+    def check(self, s: Stmt) -> list[Issue]:
+        """The statement check of the node `s`, without the statements it
+        contains: its registers are declared and listed once, its gate or
+        measurement is declared and fits their dimension, branch outcomes
+        are distinct and in range, and a `while` guard has two outcomes."""
+        if isinstance(s, (Skip, Seq)):
+            return []
         if isinstance(s, Init):
-            if s.target not in reg_width:
-                issues.append(Issue("UndeclaredName", path, f"register {s.target!r} not declared"))
-            return
-        if isinstance(s, Unitary):
-            width = site_width(s.regs, path)
-            if width is None:
-                return
-            if s.gate in gate_names:
-                dim = program.gate_decl(s.gate).matrix.shape[0]
-            elif s.gate in library:
-                dim = library[s.gate].shape[0]
-            else:
-                issues.append(Issue("UndeclaredName", path, f"gate {s.gate!r} not declared"))
-                return
-            if dim != (1 << width):
-                issues.append(Issue("DimensionError", path,
-                                    f"gate dim {dim} applied to {width} qubit(s)"))
-            return
-        if isinstance(s, Seq):
-            for i, sub in enumerate(s.stmts):
-                walk(sub, f"{path}.{i}")
-            return
-        if isinstance(s, Case):
-            width = site_width(s.regs, path)
-            if width is None:
-                return
-            n = meas_outcomes(s.meas, 1 << width, path)
-            seen = set()
-            for outcome, body in s.branches:
-                if outcome in seen:
-                    issues.append(Issue("BadBranch", path, f"duplicate outcome {outcome}"))
-                seen.add(outcome)
-                if n is not None and not 0 <= outcome < n:
-                    issues.append(Issue("BadBranch", path,
-                                        f"outcome {outcome} out of range 0..{n - 1}"))
-                walk(body, f"{path}.case{outcome}")
-            return
-        if isinstance(s, While):
-            width = site_width(s.regs, path)
-            if width is None:
-                return
-            n = meas_outcomes(s.meas, 1 << width, path)
-            if n is not None and n != 2:
-                issues.append(Issue("DimensionError", path,
-                                    f"while guard needs 2 outcomes, got {n}"))
-            walk(s.body, f"{path}.body")
-            return
-        issues.append(Issue("BadNode", path, f"unknown statement {type(s).__name__}"))
+            if s.target in self.widths:
+                return []
+            return [Issue("UndeclaredName", f"{s.target} := |0>",
+                          f"register {s.target!r} not declared")]
+        if not isinstance(s, (Unitary, Case, While)):
+            return [Issue("BadNode", type(s).__name__, f"unknown statement {s!r}")]
 
-    walk(program.body, "body")
+        def issue(kind: str, detail: str) -> list[Issue]:
+            return [Issue(kind, _site(s), detail)]
+
+        width = 0
+        for i, r in enumerate(s.regs):
+            if r not in self.widths:
+                return issue("UndeclaredName", f"register {r!r} not declared")
+            if r in s.regs[:i]:
+                return issue("DimensionError", f"register {r!r} listed twice")
+            width += self.widths[r]
+        dim = 1 << width
+        if isinstance(s, Unitary):
+            gate_dim = self.gate_dims.get(s.gate)
+            if gate_dim is None:
+                return issue("UndeclaredName", f"gate {s.gate!r} not declared")
+            if gate_dim != dim:
+                return issue("DimensionError", f"gate {s.gate!r} has dim {gate_dim}, "
+                             f"applied to {width} qubit(s) (dim {dim})")
+            return []
+        decl = self.measurements.get(s.meas)
+        if decl is None:
+            return issue("UndeclaredName", f"measurement {s.meas!r} not declared")
+        if decl.fixed_dim not in (None, dim):
+            return issue("DimensionError", f"measurement {s.meas!r} has dim "
+                         f"{decl.fixed_dim}, applied to {width} qubit(s) (dim {dim})")
+        n = decl.n_outcomes(dim)
+        if isinstance(s, While):
+            return [] if n == 2 else issue(
+                "DimensionError", f"while guard needs a yes-no measurement; "
+                f"{s.meas!r} has {n} outcomes")
+        issues = []
+        outcomes = [k for k, _ in s.branches]
+        for i, k in enumerate(outcomes):
+            if k in outcomes[:i]:
+                issues += issue("BadBranch", f"duplicate branch outcome {k}")
+            elif not 0 <= k < n:
+                issues += issue("BadBranch", f"branch outcome {k} out of range for "
+                                f"{n}-outcome measurement {s.meas!r}")
+        return issues
+
+
+def _post_order(s: Stmt):
+    """The statements of s, each after the statements it contains: the
+    order in which the parser finishes them."""
+    if isinstance(s, (Seq, Case, While)):
+        inner = (s.stmts if isinstance(s, Seq) else [s.body] if isinstance(s, While)
+                 else [body for _, body in s.branches])
+        for sub in inner:
+            yield from _post_order(sub)
+    yield s
+
+
+def validate_program(program: SourceProgram) -> ProgramReport:
+    scope = Scope()
+    issues = [issue for decl in (*program.registers, *program.gates, *program.measurements)
+              for issue in scope.declare(decl)]
+    issues += [issue for s in _post_order(program.body) for issue in scope.check(s)]
     return ProgramReport(tuple(issues))
 
 
-def require_valid(program: SourceProgram,
-                  library: GateLibrary = STANDARD_LIBRARY) -> SourceProgram:
-    report = validate_program(program, library)
+def require_valid(program: SourceProgram) -> SourceProgram:
+    """`program`, or the error of its first issue, listing them all."""
+    report = validate_program(program)
     if not report.ok:
-        raise QwhileError(f"invalid program:\n{report}")
+        raise ERRORS[report.issues[0].kind](f"invalid program:\n{report}")
     return program
+
+
+def require_declarations(registers: tuple[tuple[str, int], ...], program,
+                         sites: list[Stmt]) -> None:
+    """Raise the error of the first issue of the declaration check over
+    `registers` and the gates and measurements of `program` (an
+    FqasmProgram), then of the statement check over `sites`."""
+    scope = Scope()
+    for decl in (*registers, *program.gates, *program.measurements):
+        for issue in scope.declare(decl):
+            raise ERRORS[issue.kind](str(issue))
+    for s in sites:
+        for issue in scope.check(s):
+            raise ERRORS[issue.kind](str(issue))

@@ -20,7 +20,8 @@ Grammar (comments run `//` to end of line; statements end with `;`):
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
 only: a declaration inside an `if` branch or a `while` body is a
-ParseError. A declaration may not bind a keyword (`KEYWORDS`).
+ParseError. A declaration may not bind a keyword (`KEYWORDS`), and a
+program declares at least one quantum register.
 `pretty_print` lists all declarations first, so the canonical form of
 an interleaved program is the program with its declarations moved to
 the front.
@@ -29,9 +30,13 @@ Declared measurement names bound to `computational` adapt their outcome
 count to the register width at each use site; `plusminus` is the fixed
 2-dimensional |+>/|-> basis.
 
-Name binding and dimension consistency are checked while parsing;
-numeric well-formedness (unitarity, completeness) is the job of
-`checker.validate_program`.
+The parser owns the grammar, the keyword rule and declare-before-use;
+every other rule lives in `checker`, the one home of the rules of a
+well-formed program. The parser runs the checker's declaration check as
+it finishes each declaration and its statement check as it finishes
+each gate application, `if` and `while`, and raises the first issue at
+the declared name or at the statement's gate or measurement name. So a
+program that parses is one that `checker.validate_program` accepts.
 """
 from __future__ import annotations
 
@@ -40,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionError, ParseError, UndeclaredName
-from ..core.gates import GateLibrary, STANDARD_LIBRARY
-from ..core.linalg import check_dim
+from ..errors import ParseError, UndeclaredName
+from ..core.gates import STANDARD_LIBRARY
+from .checker import ERRORS, Scope
 from .syntax import (
     Case,
     GateDecl,
@@ -188,13 +193,13 @@ class TokenParser:
 
 
 class _Parser(TokenParser):
-    def __init__(self, tokens: list[Token], library: GateLibrary):
+    def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
-        self.library = library
+        self.scope = Scope()
         self.registers: list[tuple[str, int]] = []
         self.gates: list[GateDecl] = []
         self.measurements: list[MeasDecl] = []
-        self.names: dict[str, str] = {}  # name -> 'register' | 'gate' | 'measure'
+        self.names: dict[str, str] = {}  # name -> 'register' | 'gate' | 'measurement'
 
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "name" and self.cur.text == word
@@ -204,6 +209,12 @@ class _Parser(TokenParser):
             raise ParseError(f"expected {word!r}, found {self.cur.text or 'end of input'!r}",
                              self.cur.line, self.cur.col)
         self.advance()
+
+    @staticmethod
+    def require(issues: list, tok: Token) -> None:
+        """Raise the first of the checker's issues at tok."""
+        if issues:
+            raise ERRORS[issues[0].kind](str(issues[0]), tok.line, tok.col)
 
     # --- declarations ---
 
@@ -234,14 +245,12 @@ class _Parser(TokenParser):
         return (self.cur.kind == "name"
                 and self.tokens[self.pos + 1].kind == ":")
 
-    def _declare(self, tok: Token, kind: str) -> None:
+    def _declare(self, tok: Token, kind: str, decl, into: list) -> None:
         if tok.text in KEYWORDS:
             raise self.error(f"keyword {tok.text!r} cannot be declared as a name", tok)
-        if tok.text in self.names:
-            raise self.error(f"name {tok.text!r} already declared", tok)
-        if tok.text in self.library:
-            raise self.error(f"name {tok.text!r} shadows a built-in gate", tok)
+        self.require(self.scope.declare(decl), tok)
         self.names[tok.text] = kind
+        into.append(decl)
 
     def parse_decl(self) -> None:
         # `gate : qubit;` is a register declaration, rejected by _declare
@@ -252,14 +261,13 @@ class _Parser(TokenParser):
             self.expect("=")
             if self.cur.kind == "name":
                 ref = self.advance()
-                if ref.text not in self.library:
+                if ref.text not in STANDARD_LIBRARY:
                     raise UndeclaredName(f"unknown library gate {ref.text!r}",
                                          ref.line, ref.col)
-                decl = GateDecl(name.text, self.library[ref.text], library_ref=ref.text)
+                decl = GateDecl(name.text, STANDARD_LIBRARY[ref.text], library_ref=ref.text)
             else:
                 decl = GateDecl(name.text, self.parse_matrix())
-            self._declare(name, "gate")
-            self.gates.append(decl)
+            self._declare(name, "gate", decl, self.gates)
         elif self.at_keyword("measure") and not register:
             self.advance()
             name = self.expect("name", "measurement name")
@@ -274,8 +282,7 @@ class _Parser(TokenParser):
                 decl = MeasDecl(name.text, builtin=ref.text)
             else:
                 decl = MeasDecl(name.text, operators=self.parse_operators())
-            self._declare(name, "measure")
-            self.measurements.append(decl)
+            self._declare(name, "measurement", decl, self.measurements)
         else:
             name = self.expect("name", "register name")
             self.expect(":")
@@ -288,12 +295,8 @@ class _Parser(TokenParser):
                     width = int(width_tok.text)
                 except ValueError:
                     raise self.error("register width must be an integer", width_tok)
-                if width < 1:
-                    raise self.error("register width must be >= 1", width_tok)
                 self.expect("]")
-            self._declare(name, "register")
-            check_dim(1 << (sum(w for _, w in self.registers) + width))
-            self.registers.append((name.text, width))
+            self._declare(name, "register", (name.text, width), self.registers)
         self.expect(";")
 
     # --- statements ---
@@ -316,48 +319,22 @@ class _Parser(TokenParser):
     def _lookup(self, tok: Token, kind: str) -> str:
         declared = self.names.get(tok.text)
         if declared is None:
-            if kind == "gate" and tok.text in self.library:
+            if kind == "gate" and tok.text in STANDARD_LIBRARY:
                 return tok.text
             raise UndeclaredName(f"undeclared {kind} {tok.text!r}", tok.line, tok.col)
         if declared != kind:
             raise self.error(f"{tok.text!r} is a {declared}, expected a {kind}", tok)
         return tok.text
 
-    def parse_reg_list(self) -> tuple[tuple[str, ...], int]:
-        """Parse `[q1, q2]`; returns names and their total qubit width."""
+    def parse_reg_list(self) -> tuple[str, ...]:
+        """Parse `[q1, q2]`, each name a declared register."""
         self.expect("[")
-        regs = []
-        seen = set()
-        while True:
-            tok = self.expect("name", "register name")
-            self._lookup(tok, "register")
-            if tok.text in seen:
-                raise self.error(f"register {tok.text!r} listed twice", tok)
-            seen.add(tok.text)
-            regs.append(tok.text)
-            if self.cur.kind != ",":
-                break
+        regs = [self._lookup(self.expect("name", "register name"), "register")]
+        while self.cur.kind == ",":
             self.advance()
+            regs.append(self._lookup(self.expect("name", "register name"), "register"))
         self.expect("]")
-        width = sum(w for name, w in self.registers if name in seen)
-        return tuple(regs), width
-
-    def _gate_dim(self, name: str) -> int:
-        for g in self.gates:
-            if g.name == name:
-                return g.matrix.shape[0]
-        return self.library[name].shape[0]
-
-    def _meas_outcomes(self, name: str, dim: int, tok: Token) -> int:
-        for m in self.measurements:
-            if m.name == name:
-                if m.fixed_dim is not None and m.fixed_dim != dim:
-                    raise DimensionError(
-                        f"measurement {name!r} has dim {m.fixed_dim}, "
-                        f"applied to {dim}-dimensional register(s)",
-                        tok.line, tok.col)
-                return m.n_outcomes(dim)
-        raise UndeclaredName(f"undeclared measurement {name!r}", tok.line, tok.col)
+        return tuple(regs)
 
     def parse_stmt(self) -> Stmt:
         if self.at_keyword("skip"):
@@ -381,37 +358,24 @@ class _Parser(TokenParser):
 
         # gate application: NAME [ regs ] ;
         self._lookup(name, "gate")
-        regs, width = self.parse_reg_list()
-        gate_dim = self._gate_dim(name.text)
-        if gate_dim != (1 << width):
-            raise DimensionError(
-                f"gate {name.text!r} has dim {gate_dim}, applied to "
-                f"{width} qubit(s) (dim {1 << width})", name.line, name.col)
+        stmt = Unitary(name.text, self.parse_reg_list())
         self.expect(";")
-        return Unitary(name.text, regs)
+        self.require(self.scope.check(stmt), name)
+        return stmt
 
     def parse_case(self) -> Stmt:
         self.eat_keyword("if")
         meas = self.expect("name", "measurement name")
-        regs, width = self.parse_reg_list()
-        n_outcomes = self._meas_outcomes(meas.text, 1 << width, meas)
+        self._lookup(meas, "measurement")
+        regs = self.parse_reg_list()
         self.expect("=")
         branches: list[tuple[int, Stmt]] = []
-        seen: set[int] = set()
         while True:
             outcome_tok = self.expect("num", "branch outcome")
             try:
                 outcome = int(outcome_tok.text)
             except ValueError:
                 raise self.error("branch outcome must be an integer", outcome_tok)
-            if outcome in seen:
-                raise self.error(f"duplicate branch outcome {outcome}", outcome_tok)
-            if not 0 <= outcome < n_outcomes:
-                raise DimensionError(
-                    f"branch outcome {outcome} out of range for "
-                    f"{n_outcomes}-outcome measurement {meas.text!r}",
-                    outcome_tok.line, outcome_tok.col)
-            seen.add(outcome)
             self.expect("->")
             branches.append((outcome, seq_of(self.parse_stmt_list())))
             if self.cur.kind == "[]":
@@ -420,17 +384,15 @@ class _Parser(TokenParser):
             break
         self.eat_keyword("fi")
         self.expect(";")
-        return Case(meas.text, regs, tuple(branches))
+        stmt = Case(meas.text, regs, tuple(branches))
+        self.require(self.scope.check(stmt), meas)
+        return stmt
 
     def parse_while(self) -> Stmt:
         self.eat_keyword("while")
         meas = self.expect("name", "measurement name")
-        regs, width = self.parse_reg_list()
-        n_outcomes = self._meas_outcomes(meas.text, 1 << width, meas)
-        if n_outcomes != 2:
-            raise DimensionError(
-                f"while guard needs a yes-no measurement; {meas.text!r} has "
-                f"{n_outcomes} outcomes", meas.line, meas.col)
+        self._lookup(meas, "measurement")
+        regs = self.parse_reg_list()
         self.expect("=")
         guard = self.expect("num", "guard literal")
         if guard.text != "1":
@@ -440,14 +402,17 @@ class _Parser(TokenParser):
         body = seq_of(self.parse_stmt_list())
         self.eat_keyword("od")
         self.expect(";")
-        return While(meas.text, regs, body)
+        stmt = While(meas.text, regs, body)
+        self.require(self.scope.check(stmt), meas)
+        return stmt
 
 
-def parse(text: str, library: GateLibrary | None = None) -> SourceProgram:
-    """Parse `.qw` source text into a SourceProgram.
+def parse(text: str) -> SourceProgram:
+    """Parse `.qw` source text into a SourceProgram that
+    `checker.validate_program` accepts.
 
-    Raises ParseError/UndeclaredName/DimensionError with 1-based
-    line/column positions.
+    Every error carries its 1-based line and column: a ParseError or
+    UndeclaredName from the grammar and the name table, else the error
+    the checker's `ERRORS` gives the first issue found.
     """
-    tokens = tokenize(text)
-    return _Parser(tokens, library or STANDARD_LIBRARY).parse_program()
+    return _Parser(tokenize(text)).parse_program()

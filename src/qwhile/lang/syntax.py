@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionError
-
 
 class Stmt:
     """Base class for statements."""
@@ -100,8 +98,6 @@ class MeasDecl:
         if self.builtin == "computational":
             return dim
         if self.builtin == "plusminus":
-            if dim != 2:
-                raise DimensionError(f"plusminus measurement needs dim 2, got {dim}")
             return 2
         assert self.operators is not None
         return len(self.operators)

@@ -1,6 +1,8 @@
-"""The command line: stable distribution output and synthesis input checks."""
+"""The command line: byte-identical output for a fixed seed, errors with a
+position, stable distribution output and synthesis input checks."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,3 +60,68 @@ def test_synthesize_accepts_a_unitary_matrix(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["sequence"] == [["H", [0]]]
     assert payload["reconstruction_error"] <= 1e-10
+
+
+# --- the same seed gives the same bytes --------------------------------------------
+
+
+def _haar_1q(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Input files of every subcommand, by name."""
+    qloop = tmp_path / "qloop.qw"
+    qloop.write_text(program_source("qloop"))
+    matrix = tmp_path / "u.json"
+    matrix.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in _haar_1q(3)]))
+    return {"qw": str(qloop), "matrix": str(matrix), "fqasm": str(tmp_path / "qloop.fqasm")}
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "{qw}", "--shots", "50", "--seed", "4"),
+    ("run", "{qw}", "--shots", "50", "--seed", "4", "--format", "json"),
+    ("run", "{qw}", "--shots", "50", "--seed", "4", "--format", "csv"),
+    ("run", "{qw}", "--mode", "distribution"),
+    ("compile", "{qw}", "--check", "--out", "{fqasm}"),
+    ("synthesize", "{matrix}", "--method", "qr", "--epsilon", "1e-2"),
+    ("synthesize", "{matrix}", "--method", "qsd", "--epsilon", "1e-2"),
+    ("experiment", "qloop", "--shots", "200", "--seed", "5"),
+    ("experiment", "bb84", "--n", "32", "--sessions", "3", "--seed", "5"),
+    ("experiment", "bb84-multi", "--n", "32", "--clients", "3", "--seed", "5"),
+    ("experiment", "bb84-sweep", "--sessions", "1", "--seed", "5"),
+    ("experiment", "grover", "--n", "4", "--targets", "3", "9", "--mode", "multi", "--seed", "5"),
+])
+def test_same_seed_same_output(argv, files, capsys):
+    argv = [arg.format(**files) for arg in argv]
+    first = cli(capsys, *argv)
+    written = Path(files["fqasm"]).read_text() if "compile" in argv else None
+    assert first[0] == 0 and first[1]
+    assert cli(capsys, *argv) == first
+    if written is not None:
+        assert Path(files["fqasm"]).read_text() == written
+
+
+# --- every .qw error exits 1 at a line and column --------------------------------------
+
+
+@pytest.mark.parametrize("source, line, col", [
+    ("q : qubit;\nH[q]\n", 3, 1),                                                 # syntax
+    ("q : qubit;\nX[e];\n", 2, 3),                                                # undeclared
+    ("q : qubit;\nCNOT[q];\n", 2, 1),                                             # dimension
+    ("q : qubit;\nmeasure M = computational;\nif M[q] = 2 -> skip; fi;\n", 3, 4),  # outcome
+    ("q : qubit;\ngate G = [[1, 1], [0, 1]];\nH[q];\n", 2, 6),                    # non-unitary
+    ("q : qubit;\nmeasure M = {[[1, 0], [0, 0]]};\nH[q];\n", 2, 9),               # incomplete
+    ("q : qubit[7];\ne : qubit[6];\nH[q];\n", 2, 1),                              # 13 qubits
+])
+@pytest.mark.parametrize("command", ["run", "compile"])
+def test_qw_errors_exit_1_with_a_position(command, source, line, col, tmp_path, capsys):
+    path = tmp_path / "bad.qw"
+    path.write_text(source)
+    code, out, err = cli(capsys, command, str(path), "--out", str(tmp_path / "bad.out"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: line {line}, col {col}: ")
+    assert not (tmp_path / "bad.out").exists()

@@ -1,12 +1,16 @@
 """BB84: pinned seeded output, and sifted-bit error rates against the
-channels' analytic values."""
+channels' analytic values. Grover: the success rate against its analytic
+value, and the second round after a wrong find."""
 import math
 
 import pytest
 
 import qwhile.cli
 from qwhile.engine.sampler import splitmix64
-from qwhile.experiments import BB84Session, bb84_run, paper_channels
+from qwhile.experiments import (
+    BB84Session, GroverSpec, bb84_run, degradation_probe, grover_run, paper_channels,
+    success_probability,
+)
 
 # Error rate of a sifted bit, worked out by hand from each channel's Kraus
 # operators; Alice's and Bob's common basis is Z or X with probability 1/2.
@@ -103,3 +107,26 @@ def test_sifted_error_rate_matches_the_channel(name):
     # this seed the z-scores run from -2.1 to +0.8
     sigma = math.sqrt(rate * (1 - rate) / bits)
     assert abs(errors / bits - rate) <= 4 * sigma
+
+
+# --- Grover ---------------------------------------------------------------------------
+
+
+def test_grover_success_rate_matches_the_analytic_value():
+    spec = GroverSpec(5, (3, 17))
+    p = success_probability(32, 2, 3)
+    assert p == pytest.approx(0.9613, abs=1e-4)
+    runs = 400
+    correct = 0
+    for seed in range(runs):
+        (round_,) = grover_run(spec, "single", seed).rounds
+        assert round_.oracle_calls == 3
+        assert round_.success_probability == pytest.approx(p, abs=1e-12)
+        correct += round_.correct
+    # each seeded round succeeds independently with probability p
+    assert abs(correct / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
+
+
+def test_grover_degrades_after_a_wrong_index():
+    after_correct, after_wrong = degradation_probe(GroverSpec(5, (3, 17)), 0)
+    assert after_wrong < after_correct

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import qwhile.cli
-from qwhile.engine import DistributionResult, run_distribution, run_shot
+from qwhile.engine import DistributionResult, match_distributions, run_distribution, run_shot
 from qwhile.errors import (
+    DuplicateName,
     FqasmSyntaxError,
     IncompleteMeasurement,
     NotUnitary,
@@ -226,3 +227,28 @@ def test_executors_agree_shot_for_shot():
             assert a.outcome_sequence() == b.outcome_sequence(), (name, seed)
             assert np.array_equal(a.final_state.matrix, b.final_state.matrix), (name, seed)
     assert limited == [("genprog22", 1), ("genprog22", 2)]
+
+
+# --- classical register names -------------------------------------------------------
+
+
+def test_duplicate_classical_register_rejected():
+    text = ("QREG q 1;\nCREG r;\nCREG r;\nMEASURE M computational;\n\n"
+            "hGate(q,0);\nMOV(r,{M}(q));\n")
+    with pytest.raises(DuplicateName, match="classical register 'r'"):
+        parse_fqasm(text)
+
+
+def test_classical_names_are_their_own_namespace():
+    # the compiler names classical registers r1, r2, ..., so the .qw
+    # register r1 compiles to QREG r1 1 beside CREG r1
+    program = parse("r1 : qubit;\nmeasure M = computational;\n"
+                    "r1 := |0>;\nH[r1];\nif M[r1] = 1 -> X[r1]; fi;\n")
+    text = serialize(compile_program(program))
+    assert text.startswith("QREG r1 1;\nCREG r1;\n")
+    for seed in range(4):
+        a = run_shot(program, seed)
+        b = vm_run(parse_fqasm(text), seed)
+        assert a.outcome_sequence() == b.outcome_sequence()
+        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+    assert match_distributions(run_distribution(program), vm_distribution(parse_fqasm(text)))

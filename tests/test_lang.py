@@ -3,11 +3,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qwhile.errors import DimensionError, ParseError, UndeclaredName
+import qwhile.engine.runtime
+import qwhile.fqasm.vm
+from qwhile.engine import prepare
+from qwhile.errors import (
+    CapacityExceeded, DimensionError, DuplicateName, ParseError, QwhileError, UndeclaredName,
+)
+from qwhile.experiments import program_names, program_source
+from qwhile.fqasm import parse_fqasm, prepare_vm
 from qwhile.lang import (
     Case, Init, Seq, Skip, SourceProgram, Unitary, While,
-    parse, pretty_print, validate_program,
+    parse, pretty_print, seq_of, validate_program,
 )
+from qwhile.lang.checker import ERRORS
 from qwhile.lang.parser import KEYWORDS
 from qwhile.lang.syntax import GateDecl, MeasDecl, format_complex
 
@@ -276,3 +284,117 @@ class TestConstructCoverage:
         p = parse(src)
         kinds = [type(s) for s in p.body.stmts]
         assert kinds == [Skip, Init, Unitary, Unitary, Case, While]
+
+
+# --- one rule set: the parser and the checker agree ----------------------------
+
+X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _then(p: SourceProgram, stmt, gates=(), measurements=(), registers=()) -> SourceProgram:
+    """p with extra declarations and `stmt` appended to its body."""
+    body = p.body if stmt is None else seq_of([p.body, stmt])
+    return SourceProgram(p.registers + tuple(registers), p.gates + tuple(gates),
+                         p.measurements + tuple(measurements), body)
+
+
+def _with_site(p: SourceProgram, build) -> SourceProgram:
+    """p measuring its first register with a fresh computational
+    measurement in the statement `build(meas, reg, n_outcomes)`."""
+    reg, width = p.registers[0]
+    return _then(p, build("MutM", reg, 1 << width),
+                 measurements=(MeasDecl("MutM", builtin="computational"),))
+
+
+def _three_outcome_guard(p: SourceProgram) -> SourceProgram:
+    reg, width = p.registers[0]
+    dim = 1 << width
+    rest = np.diag([0.0] + [np.sqrt(0.5)] * (dim - 1))
+    ops = (np.diag([1.0] + [0.0] * (dim - 1)), rest, rest)
+    return _then(p, While("Mut3", (reg,), Skip()),
+                 measurements=(MeasDecl("Mut3", operators=ops),))
+
+
+# one rule broken each, on a valid program
+MUTATIONS = {
+    "wrong arity": lambda p: _then(p, Unitary("CNOT", (p.registers[0][0],))),
+    "register listed twice": lambda p: _then(p, Unitary("CNOT", (p.registers[0][0],) * 2)),
+    "outcome out of range": lambda p: _with_site(p, lambda m, r, n: Case(m, (r,), ((n, Skip()),))),
+    "duplicate outcome": lambda p: _with_site(
+        p, lambda m, r, n: Case(m, (r,), ((0, Skip()), (0, Init(r))))),
+    "3-outcome guard": _three_outcome_guard,
+    "width 0": lambda p: SourceProgram(((p.registers[0][0], 0),) + p.registers[1:],
+                                       p.gates, p.measurements, p.body),
+    "13 qubits": lambda p: _then(p, None, registers=(("mutwide", 13 - p.n_qubits),)),
+    "register and gate share a name": lambda p: _then(
+        p, None, gates=(GateDecl(p.registers[0][0], X_MATRIX),)),
+    "declared gate named H": lambda p: _then(p, None, gates=(GateDecl("H", X_MATRIX),)),
+    "non-unitary gate": lambda p: _then(
+        p, None, gates=(GateDecl("MutNU", np.array([[1.0, 1.0], [0.0, 1.0]])),)),
+    "incomplete measurement": lambda p: _then(
+        p, None, measurements=(MeasDecl("MutInc", operators=(np.diag([1.0, 0.0]),)),)),
+}
+
+
+def _agreement_inputs():
+    bases = [parse(program_source(name)) for name in program_names()]
+    rng = np.random.default_rng(5)
+    bases += [random_program(rng) for _ in range(50)]
+    inputs = [("valid", p) for p in bases]
+    inputs += [(rule, mutate(p)) for p in bases for rule, mutate in MUTATIONS.items()]
+    return inputs
+
+
+class TestParserAgreesWithChecker:
+    """`validate_program` and `parse` apply one rule set: the parser
+    raises exactly when the checker reports, with the error class the
+    checker's table gives the first issue, at a line and column."""
+
+    def test_parse_raises_exactly_when_validate_reports(self):
+        rejected = set()
+        for rule, p in _agreement_inputs():
+            report = validate_program(p)
+            assert report.ok == (rule == "valid"), (rule, str(report))
+            if report.ok:
+                assert parse(pretty_print(p)) == p
+                continue
+            with pytest.raises(QwhileError) as err:
+                parse(pretty_print(p))
+            assert type(err.value) is ERRORS[report.issues[0].kind], (rule, str(report))
+            assert err.value.line >= 1 and err.value.column >= 1
+            assert str(err.value).startswith(f"line {err.value.line}, col {err.value.column}: ")
+            rejected.add(rule)
+        assert rejected == set(MUTATIONS)
+
+    @pytest.mark.parametrize("rule, kind", [
+        ("13 qubits", "CapacityExceeded"),
+        ("register and gate share a name", "DuplicateName"),
+        ("declared gate named H", "DuplicateName"),
+    ])
+    def test_rules_the_parser_alone_had(self, rule, kind):
+        report = validate_program(MUTATIONS[rule](parse(QLOOP_SRC)))
+        assert [issue.kind for issue in report.issues] == [kind]
+
+    def test_capacity_is_checked_before_any_state(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("kernel table built for a program over the cap")
+
+        monkeypatch.setattr(qwhile.engine.runtime, "KernelTable", no_table)
+        monkeypatch.setattr(qwhile.fqasm.vm, "KernelTable", no_table)
+        wide = SourceProgram(tuple((f"q{i}", 1) for i in range(13)), (), (), Skip())
+        with pytest.raises(CapacityExceeded):
+            prepare(wide)
+        with pytest.raises(CapacityExceeded):
+            prepare_vm(parse_fqasm("QREG q 13;\n"))
+
+    @pytest.mark.parametrize("text, error", [
+        ("QREG q 1;\nQREG q 1;\n", DuplicateName),
+        ("QREG q 1;\nGATE G [[0, 1], [1, 0]];\nGATE G [[0, 1], [1, 0]];\n", DuplicateName),
+        ("QREG q 1;\nMEASURE M computational;\nMEASURE M computational;\n", DuplicateName),
+        ("QREG q 1;\nCREG r;\nCREG r;\n", DuplicateName),
+        ("QREG q 0;\n", DimensionError),
+        ("QREG q 13;\n", CapacityExceeded),
+    ])
+    def test_fqasm_duplicates_and_widths_rejected(self, text, error):
+        with pytest.raises(error):
+            prepare_vm(parse_fqasm(text + "INIT(q);\n"))
