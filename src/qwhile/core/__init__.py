@@ -1,5 +1,5 @@
 """Complex linear algebra plus the quantum type layer and postulate primitives."""
-from .gates import CNOT, H, I2, S, SDG, SWAP, T, TDG, X, Y, Z, GateLibrary, STANDARD_LIBRARY
+from .gates import CNOT, H, I2, S, SDG, SWAP, T, TDG, X, Z, GateLibrary, STANDARD_LIBRARY
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
@@ -37,7 +37,7 @@ from .types import (
 )
 
 __all__ = [
-    "CNOT", "H", "I2", "S", "SDG", "SWAP", "T", "TDG", "X", "Y", "Z",
+    "CNOT", "H", "I2", "S", "SDG", "SWAP", "T", "TDG", "X", "Z",
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
     "as_matrix", "basis_ket", "check_dim",

@@ -10,7 +10,6 @@ _S2 = np.sqrt(2.0)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / _S2
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)

@@ -325,10 +325,11 @@ class KernelTable:
     Keys are operation values, so every site that applies the same
     operation shares one kernel: `unitaries[(gate, regs)]`, `inits[reg]`
     and `sites[(meas, regs)]`. Registers are laid out in declaration
-    order. `program` is a SourceProgram or an FqasmProgram whose
-    declarations were checked (`qwhile.lang.checker`); its `gate_decl`
-    and `meas_decl` resolve names, and the table only resolves and
-    classifies: it decides neither unitarity nor completeness again.
+    order. `program` is a checked program (`Declarations.checked`, set by
+    `lang.checker`): `prepare` and `prepare_vm` build a table only after
+    `require_valid`. Its `gate_decl` and `meas_decl` resolve names, and
+    the table only resolves and classifies: it decides neither unitarity
+    nor completeness again.
     """
 
     def __init__(self, registers: tuple[tuple[str, int], ...], program):
@@ -488,7 +489,7 @@ class _WhileAt(While):
 
 @dataclass
 class PreparedProgram:
-    """A validated program, its kernel table, and its body as the atoms
+    """A checked program, its kernel table, and its body as the atoms
     a configuration runs, measurements carrying their sites."""
 
     program: SourceProgram
@@ -501,6 +502,7 @@ class PreparedProgram:
 
 
 def prepare(program: SourceProgram) -> PreparedProgram:
+    """The plan of `program`, checked first unless it is already."""
     require_valid(program)
     plan = PreparedProgram(program, KernelTable(program.registers, program))
     kernels = plan.kernels

@@ -24,9 +24,6 @@ from .grover import (
 )
 from .qloop import (
     QloopResult,
-    qloop_analytic,
-    qloop_channel,
-    qloop_channel_output,
     qloop_program,
     qloop_run,
     qloop_source,
@@ -49,7 +46,6 @@ __all__ = [
     "GroverResult", "GroverSpec", "degradation_probe", "diffusion_matrix",
     "grover_run", "grover_source", "iteration_count", "oracle_matrix",
     "success_probability",
-    "QloopResult", "qloop_analytic", "qloop_channel",
-    "qloop_channel_output", "qloop_program", "qloop_run", "qloop_source",
+    "QloopResult", "qloop_program", "qloop_run", "qloop_source",
     "program_source", "program_names",
 ]

@@ -16,21 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
-from ..core.linalg import partial_trace
-from ..core.types import DensityOperator, Ket, SuperOperator
-from ..core import ops
-from ..engine import DistributionResult, PreparedProgram, ShotStats, prepare, run_distribution, run_shots
+from ..engine import PreparedProgram, ShotStats, prepare, run_shots
 from ..lang import parse
-
-_SQ2 = np.sqrt(2.0)
-
-
-def qloop_channel() -> SuperOperator:
-    e0 = np.array([[1, 0], [0, 1 / _SQ2]], dtype=complex)
-    e1 = np.array([[0, 1 / _SQ2], [0, 0]], dtype=complex)
-    return SuperOperator([e0, e1], name="qloop")
 
 
 def qloop_source() -> str:
@@ -77,30 +64,3 @@ def qloop_run(shots: int = 100_000, seed: int = 0) -> QloopResult:
         circle_histogram=hist,
         stats=stats,
     )
-
-
-@dataclass
-class QloopAnalytic:
-    rho_after_channel: np.ndarray      # reduced state of the work qubit
-    terminal_reduced: list[tuple[float, np.ndarray]]
-    residual: float
-    distribution: DistributionResult
-
-
-def qloop_analytic(mass_threshold: float = 1e-9) -> QloopAnalytic:
-    """Distribution-mode run; states are reduced onto the work qubit."""
-    source = qloop_source()
-    # Prefix program: everything up to (not including) the loop.
-    prefix_src = source[:source.index("while")] + "\n"
-    prefix = run_distribution(parse(prefix_src))
-    assert len(prefix.terminals) == 1 and abs(prefix.total_weight() - 1.0) < 1e-12
-    rho1 = partial_trace(prefix.terminals[0][1].matrix, (0,), 2)
-
-    dist = run_distribution(parse(source), mass_threshold=mass_threshold)
-    reduced = [(w, partial_trace(s.matrix, (0,), 2)) for w, s in dist.terminals]
-    return QloopAnalytic(rho1, reduced, dist.residual, dist)
-
-
-def qloop_channel_output() -> DensityOperator:
-    """Direct channel application, independent of the dilated program."""
-    return ops.apply_superoperator(Ket([1, 1]).to_density(), qloop_channel())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..core.gates import STANDARD_LIBRARY
 from ..errors import QwhileError
-from ..lang.checker import require_valid
+from ..lang.checker import mark_checked, require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .ir import Apply, Cmp, FqasmProgram, InitQ, Instruction, Je, Jmp, Label, MeasMov
 
@@ -86,14 +86,15 @@ class _Emitter:
 
 
 def compile_program(program: SourceProgram) -> FqasmProgram:
-    """Deterministic lowering; identical ASTs compile to identical output."""
+    """Deterministic lowering; identical ASTs compile to identical output,
+    marked checked: its declarations and statements are the program's."""
     require_valid(program)
     emitter = _Emitter(program)
     emitter.emit(program.body)
-    return FqasmProgram(
-        instructions=tuple(emitter.out),
-        qregs=program.registers,
-        cregs=tuple(emitter.cregs),
+    return mark_checked(FqasmProgram(
+        registers=program.registers,
         gates=program.gates,
         measurements=program.measurements,
-    )
+        instructions=tuple(emitter.out),
+        cregs=tuple(emitter.cregs),
+    ))

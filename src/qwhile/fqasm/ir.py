@@ -14,10 +14,11 @@ Instruction kinds:
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import DuplicateLabel, DuplicateName, UnknownLabel, UnknownRegister
-from ..lang.syntax import GateDecl, MeasDecl
+from ..lang.syntax import Case, Declarations, Stmt, Unitary
 
 
 class Instruction:
@@ -71,12 +72,11 @@ class Label(Instruction):
 
 
 @dataclass(frozen=True)
-class FqasmProgram:
+class FqasmProgram(Declarations):
+    """Declarations (QREG, GATE, MEASURE), classical registers and the
+    instruction sequence."""
     instructions: tuple[Instruction, ...]
-    qregs: tuple[tuple[str, int], ...]       # (name, width); order fixes the layout
     cregs: tuple[str, ...]
-    gates: tuple[GateDecl, ...]              # declared non-library gates
-    measurements: tuple[MeasDecl, ...]
 
     def labels(self) -> dict[str, int]:
         table: dict[str, int] = {}
@@ -87,26 +87,24 @@ class FqasmProgram:
                 table[ins.name] = i
         return table
 
-    def gate_decl(self, name: str) -> GateDecl | None:
-        for g in self.gates:
-            if g.name == name:
-                return g
-        return None
-
-    def meas_decl(self, name: str) -> MeasDecl:
-        for m in self.measurements:
-            if m.name == name:
-                return m
-        raise UnknownRegister(f"measurement {name!r} not declared")
+    def statements(self) -> Iterator[Stmt]:
+        """Each APPLY as its gate application and each MEAS_MOV as a
+        measurement without branches, in program order."""
+        for ins in self.instructions:
+            if isinstance(ins, Apply):
+                yield Unitary(ins.gate, ins.qregs)
+            elif isinstance(ins, MeasMov):
+                yield Case(ins.meas, ins.qregs, ())
 
 
 def check_wellformed(prog: FqasmProgram) -> None:
     """Labels unique and resolvable, registers declared, classical
     register names unique. Classical names form their own namespace: the
     compiler names them r1, r2, ..., which a quantum register may also be
-    called. The quantum declarations are `prepare_vm`'s to check."""
+    called. The quantum declarations, APPLYs and MEAS_MOVs are checked by
+    `lang.checker`, which `prepare_vm` runs unless the program is `checked`."""
     labels = prog.labels()
-    qnames = {name for name, _ in prog.qregs}
+    qnames = {name for name, _ in prog.registers}
     cnames: set[str] = set()
     for r in prog.cregs:
         if r in cnames:

@@ -13,12 +13,18 @@ round-trips to a structurally identical program:
     GATE G [[0.0, 1.0], [1.0, 0.0]];
     MEASURE M computational;
 
+The reserved words, which `lang.checker` lets no declaration take, are
+the commands `QREG CREG GATE MEASURE INIT MOV CMP JMP JE APPLY`, the
+listing spellings `hGate xGate zGate iGate tGate sGate cnotGate` and the
+`.qw` keywords. `prepare_vm` runs the checker, not `parse_fqasm`.
+
 Matrix literals use the `.qw` grammar (`lang.parser.TokenParser`). Every
 syntax error is an FqasmSyntaxError with its line and column.
 """
 from __future__ import annotations
 
 from ..errors import FqasmSyntaxError, ParseError
+from ..lang.checker import GATE_TEXT_NAMES
 from ..lang.parser import BUILTIN_MEASUREMENTS, Token, TokenParser, tokenize
 from ..lang.syntax import GateDecl, MeasDecl, format_matrix
 from .ir import (
@@ -35,11 +41,7 @@ from .ir import (
     check_wellformed,
 )
 
-# Listing-style names for library gates (input accepts either spelling).
-GATE_TEXT_NAMES = {
-    "H": "hGate", "X": "xGate", "Z": "zGate", "I": "iGate",
-    "T": "tGate", "S": "sGate", "CNOT": "cnotGate",
-}
+# Input accepts either spelling of a library gate.
 _TEXT_TO_GATE = {v: k for k, v in GATE_TEXT_NAMES.items()}
 
 
@@ -50,7 +52,7 @@ def _gate_text(name: str) -> str:
 def serialize(prog: FqasmProgram) -> str:
     check_wellformed(prog)
     lines: list[str] = []
-    for name, width in prog.qregs:
+    for name, width in prog.registers:
         lines.append(f"QREG {name} {width};")
     for name in prog.cregs:
         lines.append(f"CREG {name};")
@@ -91,7 +93,7 @@ def serialize(prog: FqasmProgram) -> str:
 class _FqasmParser(TokenParser):
     def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
-        self.qregs: list[tuple[str, int]] = []
+        self.registers: list[tuple[str, int]] = []
         self.cregs: list[str] = []
         self.gates: list[GateDecl] = []
         self.measurements: list[MeasDecl] = []
@@ -116,7 +118,7 @@ class _FqasmParser(TokenParser):
             self.parse_line()
         return FqasmProgram(
             instructions=tuple(self.instructions),
-            qregs=tuple(self.qregs),
+            registers=tuple(self.registers),
             cregs=tuple(self.cregs),
             gates=tuple(self.gates),
             measurements=tuple(self.measurements),
@@ -216,7 +218,7 @@ class _FqasmParser(TokenParser):
         name = self.expect("name").text
         if word == "QREG":
             width = self.expect_int()
-            self.qregs.append((name, width))
+            self.registers.append((name, width))
         elif word == "CREG":
             self.cregs.append(name)
         elif word == "GATE":

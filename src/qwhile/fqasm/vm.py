@@ -22,8 +22,7 @@ import numpy as np
 
 from ..core.types import DensityOperator
 from ..errors import QwhileError, UninitializedRegisterRead
-from ..lang.checker import require_declarations
-from ..lang.syntax import Case, Unitary
+from ..lang.checker import require_valid
 from ..engine.runtime import (
     DEFAULT_DISTRIBUTION_STEP_LIMIT,
     DEFAULT_MASS_THRESHOLD,
@@ -58,15 +57,12 @@ class PreparedVm:
 
 
 def prepare_vm(prog: FqasmProgram) -> PreparedVm:
-    """Check `prog` (well-formedness, then the checker's declaration and
-    statement checks) and build the kernel of every operation it applies.
-    The statement check sees each APPLY as the gate application and each
-    MEAS_MOV as a measurement without branches."""
+    """Check `prog` (well-formedness, then `require_valid`, which returns
+    at once for a checked program such as `compile_program`'s output) and
+    build the kernel of every operation it applies."""
     check_wellformed(prog)
-    require_declarations(prog.qregs, prog, [
-        Unitary(ins.gate, ins.qregs) if isinstance(ins, Apply) else Case(ins.meas, ins.qregs, ())
-        for ins in prog.instructions if isinstance(ins, (Apply, MeasMov))])
-    kernels = KernelTable(prog.qregs, prog)
+    require_valid(prog)
+    kernels = KernelTable(prog.registers, prog)
     for ins in prog.instructions:
         if isinstance(ins, InitQ):
             kernels.add_init(ins.qreg)

@@ -2,13 +2,18 @@
 built ASTs and f-QASM alike; gate names resolve against STANDARD_LIBRARY.
 
 `Scope.declare` is the declaration check and `Scope.check` the statement
-check. `validate_program` runs both over a built program and reports
-every issue. The `.qw` parser runs them as it finishes each declaration
-and statement, and raises the first issue at the token it read, so
-`parse` raises exactly when `validate_program` reports. `prepare_vm`
-runs them over f-QASM through `require_declarations`. An issue raises
-the error class `ERRORS` maps its kind to, wherever it is found; the
-kernel table and every layer after it trust what the checks accepted.
+check. `validate_program` runs both over the `Declarations` and the
+`statements()` of a `SourceProgram` or an `FqasmProgram` and reports
+every issue; an issue raises the error class `ERRORS` maps its kind to.
+
+Each program is checked once, where it enters, and then carries
+`checked`, which only `mark_checked` sets: `parse` runs the checks as it
+reads (raising the first issue at its token, so exactly when
+`validate_program` reports); `require_valid` (in `prepare`,
+`compile_program` and `prepare_vm`) checks an unchecked program, such as
+a built AST or `parse_fqasm`'s output; `compile_program` marks its
+output, whose declarations and statements are its checked input's.
+Every later layer, the kernel table first, trusts a checked program.
 """
 from __future__ import annotations
 
@@ -18,9 +23,8 @@ from ..core.gates import STANDARD_LIBRARY
 from ..core.linalg import (ATOL_PHYSICAL, ATOL_UNITARY, MAX_QUBITS, completeness_residual,
                            unitary_residual)
 from ..errors import (CapacityExceeded, DimensionError, DuplicateName, IncompleteMeasurement,
-                      NotUnitary, QwhileError, UndeclaredName)
-from .syntax import (Case, GateDecl, Init, MeasDecl, Seq, Skip, SourceProgram, Stmt, Unitary,
-                     While)
+                      NotUnitary, ParseError, QwhileError, UndeclaredName)
+from .syntax import Case, Declarations, GateDecl, Init, MeasDecl, Seq, Skip, Stmt, Unitary, While
 
 # The error class each issue kind raises.
 ERRORS: dict[str, type[QwhileError]] = {
@@ -32,6 +36,21 @@ ERRORS: dict[str, type[QwhileError]] = {
     "UndeclaredName": UndeclaredName,
     "BadBranch": DimensionError,
     "BadNode": QwhileError,
+    "BadName": ParseError,
+}
+
+# The words of the `.qw` grammar.
+QW_KEYWORDS = frozenset({"skip", "if", "fi", "while", "do", "od", "gate", "measure", "qubit"})
+# The f-QASM listing spelling of each standard-library gate.
+GATE_TEXT_NAMES = {"H": "hGate", "X": "xGate", "Z": "zGate", "I": "iGate", "T": "tGate",
+                   "S": "sGate", "CNOT": "cnotGate"}
+# Words either text form reads as syntax, which no declared name may be.
+_RESERVED = {
+    **dict.fromkeys(QW_KEYWORDS, "a .qw keyword"),
+    **dict.fromkeys(("QREG", "CREG", "GATE", "MEASURE", "INIT", "MOV", "CMP", "JMP", "JE",
+                     "APPLY"), "an f-QASM command"),
+    **{text: f"the f-QASM listing spelling of gate {gate}"
+       for gate, text in GATE_TEXT_NAMES.items()},
 }
 
 _LIBRARY_DIMS = {name: STANDARD_LIBRARY[name].shape[0] for name in STANDARD_LIBRARY.names}
@@ -79,7 +98,8 @@ class Scope:
     def declare(self, decl: tuple[str, int] | GateDecl | MeasDecl) -> list[Issue]:
         """The declaration check of `decl`, a (name, width) quantum
         register, a gate or a measurement, which is then in scope unless
-        its name was taken: names are unique across the three kinds and
+        its name was taken: a name is an identifier that neither text
+        form reads as syntax, names are unique across the three kinds and
         are not standard-library gate names, a width is >= 1, registers
         hold at most MAX_QUBITS qubits in all, a gate is unitary within
         ATOL_UNITARY, and explicit measurement operators are complete
@@ -93,6 +113,10 @@ class Scope:
         def issue(kind: str, detail: str) -> None:
             issues.append(Issue(kind, f"{noun} {name}", detail))
 
+        if not (name.isascii() and name.isidentifier()):  # the lexers' name token
+            issue("BadName", f"name {name!r} is not an identifier")
+        elif name in _RESERVED:
+            issue("BadName", f"name {name!r} is {_RESERVED[name]}")
         taken = name in self.widths or name in self.gate_dims or name in self.measurements
         if taken:
             issue("DuplicateName", f"name {name!r} " + ("shadows a standard-library gate"
@@ -177,42 +201,26 @@ class Scope:
         return issues
 
 
-def _post_order(s: Stmt):
-    """The statements of s, each after the statements it contains: the
-    order in which the parser finishes them."""
-    if isinstance(s, (Seq, Case, While)):
-        inner = (s.stmts if isinstance(s, Seq) else [s.body] if isinstance(s, While)
-                 else [body for _, body in s.branches])
-        for sub in inner:
-            yield from _post_order(sub)
-    yield s
-
-
-def validate_program(program: SourceProgram) -> ProgramReport:
+def validate_program(program: Declarations) -> ProgramReport:
     scope = Scope()
     issues = [issue for decl in (*program.registers, *program.gates, *program.measurements)
               for issue in scope.declare(decl)]
-    issues += [issue for s in _post_order(program.body) for issue in scope.check(s)]
+    issues += [issue for s in program.statements() for issue in scope.check(s)]
     return ProgramReport(tuple(issues))
 
 
-def require_valid(program: SourceProgram) -> SourceProgram:
-    """`program`, or the error of its first issue, listing them all."""
-    report = validate_program(program)
-    if not report.ok:
-        raise ERRORS[report.issues[0].kind](f"invalid program:\n{report}")
+def mark_checked(program: Declarations) -> Declarations:
+    """`program`, marked as one the checks accepted."""
+    object.__setattr__(program, "checked", True)
     return program
 
 
-def require_declarations(registers: tuple[tuple[str, int], ...], program,
-                         sites: list[Stmt]) -> None:
-    """Raise the error of the first issue of the declaration check over
-    `registers` and the gates and measurements of `program` (an
-    FqasmProgram), then of the statement check over `sites`."""
-    scope = Scope()
-    for decl in (*registers, *program.gates, *program.measurements):
-        for issue in scope.declare(decl):
-            raise ERRORS[issue.kind](str(issue))
-    for s in sites:
-        for issue in scope.check(s):
-            raise ERRORS[issue.kind](str(issue))
+def require_valid(program: Declarations) -> Declarations:
+    """`program` marked checked, or the error of its first issue, listing
+    them all. A checked program is returned at once."""
+    if not program.checked:
+        report = validate_program(program)
+        if not report.ok:
+            raise ERRORS[report.issues[0].kind](f"invalid program:\n{report}")
+        mark_checked(program)
+    return program

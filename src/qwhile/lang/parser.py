@@ -20,8 +20,7 @@ Grammar (comments run `//` to end of line; statements end with `;`):
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
 only: a declaration inside an `if` branch or a `while` body is a
-ParseError. A declaration may not bind a keyword (`KEYWORDS`), and a
-program declares at least one quantum register.
+ParseError. A program declares at least one quantum register.
 `pretty_print` lists all declarations first, so the canonical form of
 an interleaved program is the program with its declarations moved to
 the front.
@@ -30,13 +29,15 @@ Declared measurement names bound to `computational` adapt their outcome
 count to the register width at each use site; `plusminus` is the fixed
 2-dimensional |+>/|-> basis.
 
-The parser owns the grammar, the keyword rule and declare-before-use;
-every other rule lives in `checker`, the one home of the rules of a
-well-formed program. The parser runs the checker's declaration check as
-it finishes each declaration and its statement check as it finishes
-each gate application, `if` and `while`, and raises the first issue at
-the declared name or at the statement's gate or measurement name. So a
-program that parses is one that `checker.validate_program` accepts.
+The parser owns the grammar and declare-before-use; every other rule,
+the reserved names (`KEYWORDS` among them) included, lives in `checker`,
+the one home of the rules of a well-formed program. The parser runs the
+checker's declaration check as it finishes each declaration and its
+statement check as it finishes each gate application, `if` and `while`,
+and raises the first issue at the declared name or at the statement's
+gate or measurement name. So a program that parses is one that
+`checker.validate_program` accepts, and `parse` returns it marked
+`checked`: no later layer checks it again.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..errors import ParseError, UndeclaredName
 from ..core.gates import STANDARD_LIBRARY
-from .checker import ERRORS, Scope
+from .checker import ERRORS, QW_KEYWORDS, Scope, mark_checked
 from .syntax import (
     Case,
     GateDecl,
@@ -63,8 +64,8 @@ from .syntax import (
 
 BUILTIN_MEASUREMENTS = ("computational", "plusminus")
 
-# Words the grammar reads as keywords; a declaration may not bind them.
-KEYWORDS = frozenset({"skip", "if", "fi", "while", "do", "od", "gate", "measure", "qubit"})
+# Words the grammar reads as keywords; the checker reserves them.
+KEYWORDS = QW_KEYWORDS
 
 _TOKEN_RE = re.compile(
     r"""
@@ -232,12 +233,12 @@ class _Parser(TokenParser):
             raise self.error(f"unexpected {self.cur.text!r}")
         if not self.registers:
             raise self.error("program declares no quantum registers")
-        return SourceProgram(
+        return mark_checked(SourceProgram(
             registers=tuple(self.registers),
             gates=tuple(self.gates),
             measurements=tuple(self.measurements),
             body=body,
-        )
+        ))
 
     def _at_declaration(self) -> bool:
         if self.at_keyword("gate") or self.at_keyword("measure"):
@@ -246,14 +247,12 @@ class _Parser(TokenParser):
                 and self.tokens[self.pos + 1].kind == ":")
 
     def _declare(self, tok: Token, kind: str, decl, into: list) -> None:
-        if tok.text in KEYWORDS:
-            raise self.error(f"keyword {tok.text!r} cannot be declared as a name", tok)
         self.require(self.scope.declare(decl), tok)
         self.names[tok.text] = kind
         into.append(decl)
 
     def parse_decl(self) -> None:
-        # `gate : qubit;` is a register declaration, rejected by _declare
+        # `gate : qubit;` declares a register, which the checker rejects by its name
         register = self.tokens[self.pos + 1].kind == ":"
         if self.at_keyword("gate") and not register:
             self.advance()
@@ -409,7 +408,7 @@ class _Parser(TokenParser):
 
 def parse(text: str) -> SourceProgram:
     """Parse `.qw` source text into a SourceProgram that
-    `checker.validate_program` accepts.
+    `checker.validate_program` accepts, marked checked.
 
     Every error carries its 1-based line and column: a ParseError or
     UndeclaredName from the grammar and the name table, else the error

@@ -12,6 +12,7 @@ while guard is a yes-no measurement: outcome 1 continues, 0 exits.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +59,21 @@ class While(Stmt):
     body: Stmt
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only copy of `a`, so a checked declaration stays as checked."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GateDecl:
     name: str
     matrix: np.ndarray
     library_ref: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(self.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, GateDecl):
@@ -79,6 +90,10 @@ class MeasDecl:
     name: str
     builtin: str | None = None           # "computational" | "plusminus"
     operators: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.operators is not None:
+            object.__setattr__(self, "operators", tuple(map(_read_only, self.operators)))
 
     def __eq__(self, other):
         if not isinstance(other, MeasDecl):
@@ -112,16 +127,21 @@ class MeasDecl:
 
 
 @dataclass(frozen=True)
-class SourceProgram:
-    """Declarations plus a body statement.
+class Declarations:
+    """The quantum registers, gates and measurements a program declares:
+    the part a `.qw` and an f-QASM program share. Each kind also has a
+    `statements()` view, the statements the checker checks.
 
     Register order fixes the global qubit layout: the first-declared
-    register holds the most significant qubits.
+    register holds the most significant qubits. `checked` is True once
+    `lang.checker` has accepted the program, which it marks in place; it
+    is never copied (`dataclasses.replace` gives an unchecked program)
+    and takes no part in equality.
     """
     registers: tuple[tuple[str, int], ...]   # (name, qubit count), in order
-    gates: tuple[GateDecl, ...]
+    gates: tuple[GateDecl, ...]              # declared non-library gates
     measurements: tuple[MeasDecl, ...]
-    body: Stmt
+    checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def register_width(self, name: str) -> int:
         for reg, width in self.registers:
@@ -144,6 +164,24 @@ class SourceProgram:
     @property
     def n_qubits(self) -> int:
         return sum(w for _, w in self.registers)
+
+
+@dataclass(frozen=True)
+class SourceProgram(Declarations):
+    """Declarations plus a body statement."""
+    body: Stmt
+
+    def statements(self) -> Iterator[Stmt]:
+        """Every statement of the body, each after the statements it
+        contains: the order in which the parser finishes them."""
+        def post_order(s: Stmt) -> Iterator[Stmt]:
+            inner = (s.stmts if isinstance(s, Seq) else (s.body,) if isinstance(s, While)
+                     else [body for _, body in s.branches] if isinstance(s, Case) else ())
+            for sub in inner:
+                yield from post_order(sub)
+            yield s
+
+        return post_order(self.body)
 
 
 # --- canonical printing -----------------------------------------------------

@@ -2,13 +2,16 @@
 position, stable distribution output and synthesis input checks."""
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qwhile.cli
+import qwhile.lang.checker
 from qwhile.experiments import program_names, program_source
+from qwhile.lang.parser import KEYWORDS
 
 
 def cli(capsys, *argv) -> tuple[int, str, str]:
@@ -125,3 +128,45 @@ def test_qw_errors_exit_1_with_a_position(command, source, line, col, tmp_path, 
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: line {line}, col {col}: ")
     assert not (tmp_path / "bad.out").exists()
+
+
+# A word either text form reads as syntax, declared as a `.qw` gate, would
+# compile to f-QASM that reads differently; it is rejected where declared.
+RESERVED_WORDS = sorted(KEYWORDS) + [
+    "QREG", "CREG", "GATE", "MEASURE", "INIT", "MOV", "CMP", "JMP", "JE", "APPLY",
+    "hGate", "xGate", "zGate", "iGate", "tGate", "sGate", "cnotGate",
+]
+
+
+@pytest.mark.parametrize("word", RESERVED_WORDS)
+def test_reserved_gate_name_exits_1_at_its_declaration(word, tmp_path, capsys):
+    path = tmp_path / "bad.qw"
+    path.write_text(f"q : qubit;\ngate {word} = X;\n{word}[q];\n")
+    code, out, err = cli(capsys, "compile", str(path), "--check",
+                         "--out", str(tmp_path / "bad.fqasm"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: line 2, col 6: BadName at gate {word}: ")
+
+
+# --- each program is checked once ----------------------------------------------------
+
+
+@pytest.mark.parametrize("command, residuals, passes", [
+    (("compile", "{qw}", "--check", "--out", "{fqasm}"), 6, 1),
+    (("run", "{qw}"), 3, 0),
+])
+def test_grover8_is_checked_once(command, residuals, passes, tmp_path, capsys, monkeypatch):
+    """`parse` checks the program's 3 gates; `compile --check` checks them
+    once more, in the f-QASM text it reads back (`parse_fqasm` does not
+    check, so `prepare_vm` does)."""
+    path = tmp_path / "grover8.qw"
+    path.write_text(program_source("grover8"))
+    calls = Counter()
+    for name in ("unitary_residual", "validate_program"):
+        def wrapper(*args, _fn=getattr(qwhile.lang.checker, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qwhile.lang.checker, name, wrapper)
+    argv = [arg.format(qw=path, fqasm=tmp_path / "grover8.fqasm") for arg in command]
+    assert cli(capsys, *argv)[0] == 0
+    assert (calls["unitary_residual"], calls["validate_program"]) == (residuals, passes)

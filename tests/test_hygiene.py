@@ -137,3 +137,44 @@ def test_no_unreferenced_definitions():
                for path in sorted(PACKAGE.rglob("*.py"))}
     others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
     assert unreferenced(package, others) == []
+
+
+def _exports(tree: ast.Module) -> list[ast.Assign]:
+    return [node for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+
+
+def unread_exports(package_sources: dict[str, str], other_sources: list[str]) -> list[str]:
+    """`file: name` of every `__all__` entry in package_sources that no
+    source reads outside the `__init__.py` files, the `__all__` lists and
+    the entry's own definition: being listed or re-exported is no use."""
+    trees = {path: ast.parse(text) for path, text in package_sources.items()}
+    total, own = Counter(), Counter()
+    for path, tree in trees.items():
+        if Path(path).name == "__init__.py":
+            continue
+        total += references(tree)
+        for node in _exports(tree):
+            total -= references(node)
+        for name, node in definitions(tree):
+            if not isinstance(node, ast.Assign):
+                own[name] += references(node)[name]
+    for text in other_sources:
+        total += references(ast.parse(text))
+    return [f"{path}: {entry}" for path, tree in trees.items() for node in _exports(tree)
+            for entry in ast.literal_eval(node.value) if total[entry] <= own[entry]]
+
+
+def test_scan_finds_unread_exports():
+    package = {"p/__init__.py": "from .m import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n",
+               "p/m.py": ("__all__ = ['g']\ndef f(): return g()\ndef g(): return 1\n"
+                          "def h(n): return h(n - 1)\ndef k(): pass\n")}
+    other = ["import p\np.f()\n"]
+    assert unread_exports(package, other) == ["p/__init__.py: h", "p/__init__.py: k"]
+
+
+def test_every_export_is_read():
+    package = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
+    assert unread_exports(package, others) == []

@@ -1,16 +1,22 @@
 """Parser, validator, and pretty-printer round trips."""
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import qwhile.engine.runtime
 import qwhile.fqasm.vm
+import qwhile.lang.checker
 from qwhile.engine import prepare
 from qwhile.errors import (
     CapacityExceeded, DimensionError, DuplicateName, ParseError, QwhileError, UndeclaredName,
 )
 from qwhile.experiments import program_names, program_source
-from qwhile.fqasm import parse_fqasm, prepare_vm
+from qwhile.fqasm import (
+    compile_program, parse_fqasm, prepare_vm, serialize, vm_distribution, vm_run,
+)
 from qwhile.lang import (
     Case, Init, Seq, Skip, SourceProgram, Unitary, While,
     parse, pretty_print, seq_of, validate_program,
@@ -333,6 +339,8 @@ MUTATIONS = {
         p, None, gates=(GateDecl("MutNU", np.array([[1.0, 1.0], [0.0, 1.0]])),)),
     "incomplete measurement": lambda p: _then(
         p, None, measurements=(MeasDecl("MutInc", operators=(np.diag([1.0, 0.0]),)),)),
+    "register named skip": lambda p: _then(p, None, registers=(("skip", 1),)),
+    "gate named JMP": lambda p: _then(p, None, gates=(GateDecl("JMP", X_MATRIX),)),
 }
 
 
@@ -398,3 +406,100 @@ class TestParserAgreesWithChecker:
     def test_fqasm_duplicates_and_widths_rejected(self, text, error):
         with pytest.raises(error):
             prepare_vm(parse_fqasm(text + "INIT(q);\n"))
+
+
+class TestReservedNames:
+    """A declared name of any kind is an identifier that neither text form
+    reads as syntax."""
+
+    @pytest.mark.parametrize("name", ["a b", "1q", "q-1", "", "q\u00e9", "skip", "qubit",
+                                      "JMP", "MEASURE", "hGate", "cnotGate"])
+    def test_bad_name_of_each_kind(self, name):
+        for p in (SourceProgram(((name, 1),), (), (), Skip()),
+                  SourceProgram((("q", 1),), (GateDecl(name, X_MATRIX),), (), Skip()),
+                  SourceProgram((("q", 1),), (), (MeasDecl(name, builtin="computational"),),
+                                Skip())):
+            assert [issue.kind for issue in validate_program(p).issues] == ["BadName"]
+            with pytest.raises(ParseError):
+                prepare(p)
+
+    def test_names_that_contain_reserved_words_allowed(self):
+        regs = tuple((name, 1) for name in ("_q1", "skipped", "JMPS", "hgate", "Init"))
+        assert validate_program(SourceProgram(regs, (), (), Skip())).ok
+
+    def test_fqasm_gate_may_not_take_a_listing_spelling(self):
+        prog = parse_fqasm("QREG q 1;\nGATE hGate [[0.0, 1.0], [1.0, 0.0]];\n"
+                           "INIT(q);\nhGate(q,1);\n")
+        with pytest.raises(ParseError, match="BadName at gate hGate"):
+            vm_run(prog, seed=0)
+
+
+def _counting(monkeypatch, *names: str) -> Counter:
+    """Count the calls of each `qwhile.lang.checker.<name>`."""
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, _fn=getattr(qwhile.lang.checker, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(qwhile.lang.checker, name, wrapper)
+    return calls
+
+
+class TestCheckedOnce:
+    """A program is checked where it enters and never again: `checked`
+    marks it, takes no part in equality and is never copied."""
+
+    def test_parse_returns_a_checked_program(self):
+        assert parse(QLOOP_SRC).checked
+
+    def test_built_program_is_checked_once(self, monkeypatch):
+        p = dataclasses.replace(parse(QLOOP_SRC))
+        calls = _counting(monkeypatch, "validate_program")
+        assert not p.checked
+        prepare(p)
+        assert p.checked
+        compile_program(p)
+        assert calls["validate_program"] == 1
+
+    def test_replaced_program_is_unchecked(self):
+        p = dataclasses.replace(parse(QLOOP_SRC), body=Unitary("CNOT", ("q",)))
+        assert not p.checked
+        with pytest.raises(DimensionError):
+            prepare(p)
+
+    def test_checked_program_equals_its_unchecked_twin(self):
+        p = parse(QLOOP_SRC)
+        twin = SourceProgram(p.registers, p.gates, p.measurements, p.body)
+        assert p.checked and not twin.checked
+        assert p == twin and repr(p) == repr(twin)
+        compiled = compile_program(p)
+        reparsed = parse_fqasm(serialize(compiled))
+        assert compiled.checked and not reparsed.checked
+        assert compiled == reparsed
+
+    def test_compiled_program_runs_without_a_check(self, monkeypatch):
+        compiled = compile_program(parse(QLOOP_SRC))
+        calls = _counting(monkeypatch, "validate_program", "unitary_residual")
+        vm_run(compiled, seed=0)
+        vm_distribution(compiled)
+        assert calls == Counter()
+
+    def test_declared_operators_cannot_change_after_the_check(self):
+        matrix, op = X_MATRIX.copy(), np.diag([1.0, 0.0])
+        gate = GateDecl("G", matrix)
+        meas = MeasDecl("M", operators=(op, np.diag([0.0, 1.0])))
+        matrix[0, 0] = op[0, 0] = 2.0  # the declarations hold copies
+        assert gate.matrix[0, 0] == 0.0 and meas.operators[0][0, 0] == 1.0
+        p = parse(QLOOP_SRC)
+        with pytest.raises(ValueError):
+            p.gates[0].matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            meas.operators[1][0, 0] = 1.0
+
+    def test_parsed_fqasm_is_checked_by_its_first_prepare_vm(self, monkeypatch):
+        prog = parse_fqasm(serialize(compile_program(parse(QLOOP_SRC))))
+        calls = _counting(monkeypatch, "validate_program")
+        prepare_vm(prog)
+        prepare_vm(prog)
+        assert prog.checked and calls["validate_program"] == 1
