@@ -74,6 +74,7 @@ def cmd_run(args) -> int:
             "terminals": [{"weight": round(w, 12), "state": _state_summary(s.matrix)}
                           for w, s in dist.terminals],
             "residual": round(dist.residual, 12),
+            "node_limited": round(dist.node_limited, 12),
         }
         if args.format == "json":
             _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -125,6 +126,10 @@ def cmd_compile(args) -> int:
                 return _fail("inconclusive: step limit reached (step-limited mass: "
                              f"program {lhs.step_limited:.6g}, "
                              f"compiled {rhs.step_limited:.6g})")
+            if lhs.node_limited > 0 or rhs.node_limited > 0:
+                return _fail("inconclusive: node budget reached (node-limited mass: "
+                             f"program {lhs.node_limited:.6g}, "
+                             f"compiled {rhs.node_limited:.6g})")
             return _fail("cross-engine check failed: program and compiled "
                          "distributions disagree")
         print("check: program and compiled f-QASM agree in distribution mode")

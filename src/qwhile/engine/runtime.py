@@ -34,6 +34,10 @@ Truncation rules, the same for both executors:
   while its weight is below mass_threshold (its weight is added to
   `residual`). A branch that does not measure again runs on until it
   terminates or reaches the step limit.
+* Distribution mode expands at most node_limit configurations (100,000
+  by default). When the next one would exceed it, its weight and that
+  of every queued configuration that has not terminated are added to
+  `residual` and to `node_limited`; queued terminated ones are kept.
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
 
@@ -78,6 +82,7 @@ from .sampler import PROB_FLOOR, SamplerState, sample_outcome
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_MASS_THRESHOLD = 1e-6
 DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000
+DEFAULT_NODE_LIMIT = 100_000
 
 
 # --- kernels -----------------------------------------------------------------
@@ -442,14 +447,15 @@ def run_sampled(c, advance: Callable, seed: int, step_limit: int,
 
 
 def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
-            step_limit: int) -> DistributionResult:
+            step_limit: int, node_limit: int = DEFAULT_NODE_LIMIT) -> DistributionResult:
     """Every branch from c0, breadth-first, truncated by the rules in the
     module docstring. Configurations expose `terminated`,
     `at_measurement`, `weight` and `state`; `step_fn(c)` lists c's
     successors with their weights."""
     queue: deque[tuple[Any, int]] = deque([(c0, 0)])
     terminals: list[tuple[float, DensityOperator]] = []
-    residual = step_limited = 0.0
+    residual = step_limited = node_limited = 0.0
+    expanded = 0
     while queue:
         c, steps = queue.popleft()
         if c.terminated:
@@ -462,9 +468,19 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
         if c.at_measurement and c.weight < mass_threshold:
             residual += c.weight
             continue
+        if expanded >= node_limit:
+            node_limited = c.weight
+            for queued, _ in queue:
+                if queued.terminated:
+                    terminals.append((queued.weight, queued.state))
+                else:
+                    node_limited += queued.weight
+            residual += node_limited
+            break
+        expanded += 1
         for succ in step_fn(c):
             queue.append((succ, steps + 1))
-    return DistributionResult(terminals, residual, step_limited).merged()
+    return DistributionResult(terminals, residual, step_limited, node_limited).merged()
 
 
 # --- the AST interpreter -----------------------------------------------------
@@ -687,11 +703,13 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
 @dataclass
 class DistributionResult:
     """Weighted terminal states plus unexplored (truncated) mass;
-    `step_limited` is the part of `residual` cut by the step limit."""
+    `step_limited` and `node_limited` are the parts of `residual` cut by
+    the step limit and by the node budget."""
 
     terminals: list[tuple[float, DensityOperator]]
     residual: float
     step_limited: float = 0.0
+    node_limited: float = 0.0
 
     def total_weight(self) -> float:
         return sum(w for w, _ in self.terminals)
@@ -718,7 +736,7 @@ class DistributionResult:
         order = sorted(range(len(weights)), key=lambda i: -weights[i])
         return DistributionResult(
             [(weights[i], DensityOperator(index.states[i], validate=False)) for i in order],
-            self.residual, self.step_limited)
+            self.residual, self.step_limited, self.node_limited)
 
 
 class _StateIndex:
@@ -797,7 +815,9 @@ def match_distributions(a: DistributionResult, b: DistributionResult,
 def run_distribution(program: SourceProgram | PreparedProgram,
                      mass_threshold: float = DEFAULT_MASS_THRESHOLD,
                      step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
-                     state: DensityOperator | None = None) -> DistributionResult:
+                     state: DensityOperator | None = None,
+                     node_limit: int = DEFAULT_NODE_LIMIT) -> DistributionResult:
     """Explore every measurement branch breadth-first, truncated by the
     rules in the module docstring."""
-    return explore(initial_configuration(program, state), step, mass_threshold, step_limit)
+    return explore(initial_configuration(program, state), step, mass_threshold, step_limit,
+                   node_limit)

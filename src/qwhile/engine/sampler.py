@@ -7,11 +7,19 @@ probabilities; draw x uniform on (0,1); pick the first index whose
 cumulative bound reaches x (first index when x falls below the first
 bound, last when it exceeds the second-to-last).
 
+`Outcomes(p)` prepares the steps that do not depend on x once: it checks
+p, finds the certain outcome or the kept indices and their cumulative
+bounds, and its `sample(rng)` does the draw and the search. A caller that
+samples one vector many times (BB84 samples 8 per channel) prepares it
+once; `sample_outcome` prepares and samples in one call.
+
 Reproducibility contract: the same seed and the same draw sequence give
 identical outputs. Multi-shot runs derive per-shot seeds with the
 splitmix64 mix, so shot k of seed s is the same everywhere.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,29 +67,52 @@ class SamplerState:
         return SamplerState(splitmix64(self.seed, k))
 
 
+class Outcomes:
+    """A probability vector prepared for sampling: checked once, then
+    either a certain outcome (p_i >= PROB_CEIL; no draw consumed) or the
+    indices above PROB_FLOOR with their cumulative bounds."""
+
+    __slots__ = ("certain", "kept", "bounds")
+
+    def __init__(self, p):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise MalformedDistribution(f"expected a probability vector, got shape {p.shape}")
+        if float(p.min()) < -PROB_FLOOR:
+            raise MalformedDistribution(f"negative probability {p.min():.3e}")
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise MalformedDistribution(f"probabilities sum to {total}, expected 1")
+
+        # Python floats from here: most measured vectors are short, where a
+        # numpy call costs more than the work; running sums in index order
+        # are the floats np.cumsum gives
+        values = p.tolist()
+        for i, v in enumerate(values):
+            if v >= PROB_CEIL:
+                self.certain, self.kept, self.bounds = i, [], []
+                return
+        self.certain = None
+        self.kept = [i for i, v in enumerate(values) if v > PROB_FLOOR]
+        self.bounds = list(accumulate(values[i] for i in self.kept))
+
+    def sample(self, rng: SamplerState) -> int:
+        """The certain outcome, else the first kept index whose bound
+        reaches a fresh draw x (the last kept index when x is beyond
+        every bound, which float slack allows)."""
+        if self.certain is not None:
+            return self.certain
+        x = rng.draw()
+        for i, bound in zip(self.kept, self.bounds):
+            if bound >= x:
+                return i
+        return self.kept[-1]
+
+
 def sample_outcome(p, rng: SamplerState) -> int:
     """Sample an outcome index from probability vector p.
 
     Zero-probability indices are never returned; a certain outcome is
     returned without consuming a random draw.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise MalformedDistribution(f"expected a probability vector, got shape {p.shape}")
-    if float(p.min()) < -PROB_FLOOR:
-        raise MalformedDistribution(f"negative probability {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise MalformedDistribution(f"probabilities sum to {total}, expected 1")
-
-    certain = np.nonzero(p >= PROB_CEIL)[0]
-    if certain.size:
-        return int(certain[0])
-
-    kept = np.nonzero(p > PROB_FLOOR)[0]
-    cumulative = np.cumsum(p[kept])
-    x = rng.draw()
-    i = int(np.searchsorted(cumulative, x, side="left"))
-    if i >= kept.size:  # x beyond the last bound (float slack): take the last index
-        i = kept.size - 1
-    return int(kept[i])
+    return Outcomes(p).sample(rng)

@@ -9,6 +9,16 @@ match. With a sampling fraction s, Alice additionally reveals
 ceil(s * L) random sifted positions and the session verdict is success
 iff every revealed bit matches (the noisy-channel check).
 
+A qubit is one of 4 prepared kets measured in one of 2 bases, so a
+channel gives Bob just 8 outcome distributions. `outcome_table` computes
+them once per channel value, through the same `core.ops` calls a single
+qubit would make (so every probability is the same float), as prepared
+`Outcomes`; each qubit then costs one lookup and at most one draw, and
+transcripts are those of simulating every qubit on its own. Tables are
+cached by the bytes of the channel's Kraus operators, never by object
+identity. A channel that loses trace on any of the 4 kets is refused
+when its table is built, whichever kets a session sends.
+
 Channels ship with the exact Kraus families used in the sweep:
 bit flip for p in {0.25, 0.5, 0.75} ({sqrt(p) I, sqrt(1-p) X}; larger p
 keeps more information), depolarizing p = 0.5, amplitude damping
@@ -17,13 +27,16 @@ gamma = 0.5, and the identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from ..core import ops
 from ..core.types import Ket, MeasurementSet, SuperOperator
-from ..engine.sampler import SamplerState, sample_outcome, splitmix64
+from ..engine.sampler import Outcomes, SamplerState, splitmix64
 from ..errors import QwhileError
 
 _SQ2 = np.sqrt(2.0)
@@ -103,6 +116,27 @@ def _random_bits(rng: SamplerState, n: int) -> list[int]:
 _BASES = {0: MeasurementSet.computational(2), 1: MeasurementSet.plus_minus()}
 
 
+def outcome_table(channel: SuperOperator) -> Mapping[tuple[int, int, int], Outcomes]:
+    """Bob's outcome distribution for each (Alice's basis, bit, Bob's
+    basis) after `channel`, cached by the channel's Kraus operators and
+    shared read-only."""
+    return _outcome_table(tuple((e.dtype.str, e.shape, e.tobytes()) for e in channel.kraus))
+
+
+@lru_cache(maxsize=32)
+def _outcome_table(kraus: tuple[tuple[str, tuple[int, ...], bytes], ...]
+                   ) -> Mapping[tuple[int, int, int], Outcomes]:
+    channel = SuperOperator([np.frombuffer(data, dtype=dtype).reshape(shape)
+                             for dtype, shape, data in kraus])
+    table = {}
+    for (basis, bit), amplitudes in _KETS.items():
+        received = ops.apply_superoperator(Ket(amplitudes).to_density(), channel)
+        for bob_basis, measurement in _BASES.items():
+            p = ops.measurement_probabilities(received, measurement)
+            table[basis, bit, bob_basis] = Outcomes(p)
+    return MappingProxyType(table)
+
+
 def bb84_run(session: BB84Session) -> BB84Transcript:
     """One full protocol session, deterministic for a given seed."""
     n = session.raw_key_length
@@ -114,12 +148,9 @@ def bb84_run(session: BB84Session) -> BB84Transcript:
     alice_bases = _random_bits(alice, n)
     bob_bases = _random_bits(bob, n)
 
-    bob_results: list[int] = []
-    for i in range(n):
-        ket = Ket(_KETS[(alice_bases[i], raw_key[i])])
-        received = ops.apply_superoperator(ket.to_density(), session.channel)
-        p = ops.measurement_probabilities(received, _BASES[bob_bases[i]])
-        bob_results.append(sample_outcome(p, quantum))
+    table = outcome_table(session.channel)
+    bob_results = [table[a, b, c].sample(quantum)
+                   for a, b, c in zip(alice_bases, raw_key, bob_bases)]
 
     agreement = [1 if alice_bases[i] == bob_bases[i] else 0 for i in range(n)]
     alice_key = [raw_key[i] for i in range(n) if agreement[i]]

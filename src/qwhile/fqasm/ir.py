@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import DuplicateLabel, DuplicateName, UnknownLabel, UnknownRegister
+from ..lang.checker import ERRORS, bad_name
 from ..lang.syntax import Case, Declarations, Stmt, Unitary
 
 
@@ -97,16 +98,26 @@ class FqasmProgram(Declarations):
                 yield Case(ins.meas, ins.qregs, ())
 
 
+def _require_name(noun: str, name: str) -> None:
+    if (bad := bad_name(noun, name)) is not None:
+        raise ERRORS[bad.kind](str(bad))
+
+
 def check_wellformed(prog: FqasmProgram) -> None:
     """Labels unique and resolvable, registers declared, classical
-    register names unique. Classical names form their own namespace: the
+    register names unique. Labels and classical registers follow the
+    checker's name rule (`checker.bad_name`), so the text form can read
+    them back. Classical names form their own namespace: the
     compiler names them r1, r2, ..., which a quantum register may also be
     called. The quantum declarations, APPLYs and MEAS_MOVs are checked by
     `lang.checker`, which `prepare_vm` runs unless the program is `checked`."""
     labels = prog.labels()
+    for name in labels:
+        _require_name("label", name)
     qnames = {name for name, _ in prog.registers}
     cnames: set[str] = set()
     for r in prog.cregs:
+        _require_name("classical register", r)
         if r in cnames:
             raise DuplicateName(f"classical register {r!r} declared twice")
         cnames.add(r)

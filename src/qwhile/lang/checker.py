@@ -1,10 +1,11 @@
 """The one home of the rules of a well-formed program, for `.qw` text,
 built ASTs and f-QASM alike; gate names resolve against STANDARD_LIBRARY.
 
-`Scope.declare` is the declaration check and `Scope.check` the statement
-check. `validate_program` runs both over the `Declarations` and the
-`statements()` of a `SourceProgram` or an `FqasmProgram` and reports
-every issue; an issue raises the error class `ERRORS` maps its kind to.
+`Scope.declare` is the declaration check, `Scope.check` the statement
+check and `Scope.close` the check of the whole program. `validate_program`
+runs them over the `Declarations` and the `statements()` of a
+`SourceProgram` or an `FqasmProgram` and reports every issue; an issue
+raises the error class `ERRORS` maps its kind to.
 
 Each program is checked once, where it enters, and then carries
 `checked`, which only `mark_checked` sets: `parse` runs the checks as it
@@ -37,6 +38,7 @@ ERRORS: dict[str, type[QwhileError]] = {
     "BadBranch": DimensionError,
     "BadNode": QwhileError,
     "BadName": ParseError,
+    "NoRegisters": ParseError,
 }
 
 # The words of the `.qw` grammar.
@@ -78,6 +80,20 @@ class ProgramReport:
         return "ok" if self.ok else "\n".join(str(i) for i in self.issues)
 
 
+def bad_name(noun: str, name: str) -> Issue | None:
+    """The BadName issue of a `noun` called `name`, or None: a name is an
+    ASCII identifier (the lexers' name token) that neither text form
+    reads as syntax. Declarations and f-QASM labels and classical
+    registers share this rule."""
+    if not (name.isascii() and name.isidentifier()):
+        detail = f"name {name!r} is not an identifier"
+    elif name in _RESERVED:
+        detail = f"name {name!r} is {_RESERVED[name]}"
+    else:
+        return None
+    return Issue("BadName", f"{noun} {name}", detail)
+
+
 def _site(s: Unitary | Case | While) -> str:
     regs = ", ".join(s.regs)
     if isinstance(s, Unitary):
@@ -94,6 +110,7 @@ class Scope:
         self.gate_dims: dict[str, int] = dict(_LIBRARY_DIMS)
         self.measurements: dict[str, MeasDecl] = {}
         self.n_qubits = 0
+        self.n_registers = 0
 
     def declare(self, decl: tuple[str, int] | GateDecl | MeasDecl) -> list[Issue]:
         """The declaration check of `decl`, a (name, width) quantum
@@ -113,10 +130,8 @@ class Scope:
         def issue(kind: str, detail: str) -> None:
             issues.append(Issue(kind, f"{noun} {name}", detail))
 
-        if not (name.isascii() and name.isidentifier()):  # the lexers' name token
-            issue("BadName", f"name {name!r} is not an identifier")
-        elif name in _RESERVED:
-            issue("BadName", f"name {name!r} is {_RESERVED[name]}")
+        if (bad := bad_name(noun, name)) is not None:
+            issues.append(bad)
         taken = name in self.widths or name in self.gate_dims or name in self.measurements
         if taken:
             issue("DuplicateName", f"name {name!r} " + ("shadows a standard-library gate"
@@ -129,6 +144,7 @@ class Scope:
                       f"the dense cap of {MAX_QUBITS}")
             width = max(width, 0)
             self.n_qubits += width
+            self.n_registers += 1
             if not taken:
                 self.widths[name] = width
         elif noun == "gate":
@@ -144,6 +160,13 @@ class Scope:
             if not taken:
                 self.measurements[name] = decl
         return issues
+
+    def close(self) -> list[Issue]:
+        """The check of the whole program, once everything is declared:
+        it declares at least one quantum register."""
+        if self.n_registers:
+            return []
+        return [Issue("NoRegisters", "program", "program declares no quantum registers")]
 
     def check(self, s: Stmt) -> list[Issue]:
         """The statement check of the node `s`, without the statements it
@@ -206,6 +229,7 @@ def validate_program(program: Declarations) -> ProgramReport:
     issues = [issue for decl in (*program.registers, *program.gates, *program.measurements)
               for issue in scope.declare(decl)]
     issues += [issue for s in program.statements() for issue in scope.check(s)]
+    issues += scope.close()
     return ProgramReport(tuple(issues))
 
 

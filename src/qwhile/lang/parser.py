@@ -20,8 +20,7 @@ Grammar (comments run `//` to end of line; statements end with `;`):
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
 only: a declaration inside an `if` branch or a `while` body is a
-ParseError. A program declares at least one quantum register.
-`pretty_print` lists all declarations first, so the canonical form of
+ParseError. `pretty_print` lists all declarations first, so the canonical form of
 an interleaved program is the program with its declarations moved to
 the front.
 
@@ -34,8 +33,9 @@ the reserved names (`KEYWORDS` among them) included, lives in `checker`,
 the one home of the rules of a well-formed program. The parser runs the
 checker's declaration check as it finishes each declaration and its
 statement check as it finishes each gate application, `if` and `while`,
-and raises the first issue at the declared name or at the statement's
-gate or measurement name. So a program that parses is one that
+and its whole-program check (at least one quantum register) at the end,
+and raises the first issue at the declared name, at the statement's
+gate or measurement name, or at the end of the input. So a program that parses is one that
 `checker.validate_program` accepts, and `parse` returns it marked
 `checked`: no later layer checks it again.
 """
@@ -231,8 +231,7 @@ class _Parser(TokenParser):
         body = seq_of(stmts)
         if self.cur.kind != "eof":
             raise self.error(f"unexpected {self.cur.text!r}")
-        if not self.registers:
-            raise self.error("program declares no quantum registers")
+        self.require(self.scope.close(), self.cur)
         return mark_checked(SourceProgram(
             registers=tuple(self.registers),
             gates=tuple(self.gates),

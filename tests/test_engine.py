@@ -1,9 +1,10 @@
 """Sampler procedure, small-step semantics, shot runs, and distribution mode."""
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qwhile.cli
 from qwhile.core.linalg import ATOL_ALGEBRA, embed
@@ -33,6 +34,7 @@ from qwhile.engine.runtime import (
     sandwich_kernel,
     site_kernel,
 )
+from qwhile.engine.sampler import PROB_CEIL, PROB_FLOOR, Outcomes
 from qwhile.errors import MalformedDistribution, StepLimitExceeded
 from qwhile.experiments import (
     grover_source,
@@ -46,6 +48,71 @@ from qwhile.lang import Seq, parse
 from qwhile.lang.syntax import format_matrix
 
 from genprog import random_program
+
+
+def reference_sample_outcome(p, rng: SamplerState) -> int:
+    """`sample_outcome` as it was before `Outcomes`: the oracle the
+    prepared form must reproduce index for index and draw for draw."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise MalformedDistribution(f"expected a probability vector, got shape {p.shape}")
+    if float(p.min()) < -PROB_FLOOR:
+        raise MalformedDistribution(f"negative probability {p.min():.3e}")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise MalformedDistribution(f"probabilities sum to {total}, expected 1")
+
+    certain = np.nonzero(p >= PROB_CEIL)[0]
+    if certain.size:
+        return int(certain[0])
+
+    kept = np.nonzero(p > PROB_FLOOR)[0]
+    cumulative = np.cumsum(p[kept])
+    x = rng.draw()
+    i = int(np.searchsorted(cumulative, x, side="left"))
+    if i >= kept.size:
+        i = kept.size - 1
+    return int(kept[i])
+
+
+class FixedDraws:
+    """Stands in for a SamplerState, returning the given draws in turn."""
+
+    def __init__(self, xs):
+        self.xs = list(xs)
+        self.draw_count = 0
+
+    def draw(self) -> float:
+        x = self.xs[self.draw_count]
+        self.draw_count += 1
+        return x
+
+
+# entries at, just below and around PROB_FLOOR, including the tiny
+# negative ones the sampler forgives
+_TINY = st.one_of(
+    st.sampled_from([0.0, -0.0, PROB_FLOOR, -PROB_FLOOR, 5e-13, -5e-13, 5e-324, 2 * PROB_FLOOR]),
+    st.floats(-PROB_FLOOR, 2 * PROB_FLOOR))
+
+
+@st.composite
+def probability_vectors(draw) -> list[float]:
+    """Vectors summing to 1 within the sampler's 1e-9 tolerance: ordinary
+    entries mixed with zeros and entries near PROB_FLOOR; one ordinary
+    entry makes an outcome at or near PROB_CEIL."""
+    tiny = draw(st.lists(_TINY, max_size=3))
+    big = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+    slack = draw(st.one_of(st.just(0.0), st.floats(-9e-10, 9e-10)))
+    mass = 1.0 - sum(tiny) + slack
+    entries = [w * mass / sum(big) for w in big] + tiny
+    return [entries[i] for i in draw(st.permutations(range(len(entries))))]
+
+
+def outcome_or_error(sample, p, rng):
+    try:
+        return sample(p, rng), rng.draw_count
+    except MalformedDistribution as exc:
+        return "error", str(exc)
 
 
 class TestSampler:
@@ -89,6 +156,62 @@ class TestSampler:
         p = np.array(weights) / sum(weights)
         i = sample_outcome(p, SamplerState(seed))
         assert 0 <= i < len(p) and p[i] > 0
+
+    @given(probability_vectors(), st.integers(0, 2**64 - 1))
+    @example([1.0, 0.0], 0)
+    @example([PROB_FLOOR, PROB_CEIL], 0)
+    @example([0.5, PROB_FLOOR, 0.5 - PROB_FLOOR], 0)
+    def test_outcomes_sample_as_the_frozen_sampler(self, p, seed):
+        prepared = Outcomes(p)
+        ours, theirs = SamplerState(seed), SamplerState(seed)
+        for _ in range(6):
+            assert prepared.sample(ours) == reference_sample_outcome(p, theirs)
+            assert ours.draw_count == theirs.draw_count
+        assert sample_outcome(p, SamplerState(seed)) == reference_sample_outcome(p, SamplerState(seed))
+
+    @staticmethod
+    def assert_same_search(p, xs):
+        prepared = Outcomes(p)
+        ours, theirs = FixedDraws(xs), FixedDraws(xs)
+        for _ in xs:
+            assert prepared.sample(ours) == reference_sample_outcome(p, theirs)
+            assert ours.draw_count == theirs.draw_count
+
+    @pytest.mark.parametrize("p, xs", [
+        ([0.3, 0.7 - 5e-10], [1.0 - 2.0**-53, 0.9999999999]),  # x past the last bound
+        ([0.25, 0.75], [0.25, np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)]),
+        ([0.5, 0.0, PROB_FLOOR, 0.5 - PROB_FLOOR], [0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53]),
+    ])
+    def test_outcomes_search_at_the_bounds(self, p, xs):
+        self.assert_same_search(p, xs)
+
+    @given(probability_vectors(), st.data())
+    def test_outcomes_search_as_the_frozen_sampler(self, p, data):
+        """Draws on, just above and just below each bound, and past the
+        last one, which a sum below 1 leaves room for."""
+        arr = np.asarray(p, dtype=float)
+        bounds = np.cumsum(arr[arr > PROB_FLOOR]).tolist()
+        near = [y for b in bounds for y in (b, np.nextafter(b, 0.0), np.nextafter(b, 2.0))
+                if 0.0 < y < 1.0] + [1.0 - 2.0**-53]
+        xs = data.draw(st.lists(st.one_of(st.sampled_from(near), st.floats(
+            0.0, 1.0, exclude_min=True, exclude_max=True)), min_size=3, max_size=3))
+        self.assert_same_search(p, xs)
+
+    @given(st.one_of(st.lists(st.floats(-2.0, 2.0), max_size=5),
+                     st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+                              min_size=1, max_size=2)),
+           st.integers(0, 2**64 - 1))
+    @example([], 0)
+    @example([[0.5, 0.5]], 0)
+    @example([0.5, 0.2], 0)
+    @example([1.5, -0.5], 0)
+    @example([1.0 + 2e-12, -2e-12], 0)
+    def test_outcomes_refuse_as_the_frozen_sampler(self, p, seed):
+        want = outcome_or_error(reference_sample_outcome, p, SamplerState(seed))
+        assert outcome_or_error(sample_outcome, p, SamplerState(seed)) == want
+        if want[0] == "error":
+            with pytest.raises(MalformedDistribution, match=re.escape(want[1])):
+                Outcomes(p)
 
 
 class TestStep:

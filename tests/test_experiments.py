@@ -1,16 +1,24 @@
-"""BB84: pinned seeded output, and sifted-bit error rates against the
-channels' analytic values. Grover: the success rate against its analytic
-value, and the second round after a wrong find."""
+"""BB84: pinned seeded output, transcripts against a frozen per-qubit
+simulation, and sifted-bit error rates against the channels' analytic
+values. Grover: the success rate against its analytic value, and the
+second round after a wrong find."""
 import math
 
+import numpy as np
 import pytest
 
 import qwhile.cli
-from qwhile.engine.sampler import splitmix64
+import qwhile.experiments.bb84
+from qwhile.core import ops
+from qwhile.core.types import Ket, MeasurementSet, SuperOperator
+from qwhile.engine.sampler import SamplerState, splitmix64
 from qwhile.experiments import (
-    BB84Session, GroverSpec, bb84_run, degradation_probe, grover_run, paper_channels,
-    success_probability,
+    BB84Session, BB84Transcript, GroverSpec, bb84_channel_sweep, bb84_multi_client, bb84_run,
+    degradation_probe, grover_run, paper_channels, success_probability, sweep_csv,
 )
+from qwhile.experiments.bb84 import outcome_table
+
+from test_engine import reference_sample_outcome
 
 # Error rate of a sifted bit, worked out by hand from each channel's Kraus
 # operators; Alice's and Bob's common basis is Z or X with probability 1/2.
@@ -84,6 +92,91 @@ def test_bb84_output_pinned(capsys):
 def test_bb84_sweep_output_pinned(capsys):
     out = cli_output(capsys, "experiment", "bb84-sweep", "--sessions", "2", "--seed", "3")
     assert out == SWEEP_SEED_3
+
+
+_REFERENCE_KETS = {
+    (0, 0): np.array([1, 0], dtype=complex),
+    (0, 1): np.array([0, 1], dtype=complex),
+    (1, 0): np.array([1, 1], dtype=complex) / np.sqrt(2.0),
+    (1, 1): np.array([1, -1], dtype=complex) / np.sqrt(2.0),
+}
+_REFERENCE_BASES = {0: MeasurementSet.computational(2), 1: MeasurementSet.plus_minus()}
+
+
+def reference_bb84_run(session: BB84Session) -> BB84Transcript:
+    """`bb84_run` as it was before the outcome table: every qubit built,
+    sent through the channel, measured and sampled on its own."""
+    n = session.raw_key_length
+    alice = SamplerState(splitmix64(session.seed, 1))
+    bob = SamplerState(splitmix64(session.seed, 2))
+    quantum = SamplerState(splitmix64(session.seed, 3))
+
+    def bits(rng, k):
+        return [1 if rng.draw() >= 0.5 else 0 for _ in range(k)]
+
+    raw_key = bits(alice, n)
+    alice_bases = bits(alice, n)
+    bob_bases = bits(bob, n)
+
+    bob_results = []
+    for i in range(n):
+        ket = Ket(_REFERENCE_KETS[(alice_bases[i], raw_key[i])])
+        received = ops.apply_superoperator(ket.to_density(), session.channel)
+        p = ops.measurement_probabilities(received, _REFERENCE_BASES[bob_bases[i]])
+        bob_results.append(reference_sample_outcome(p, quantum))
+
+    agreement = [1 if alice_bases[i] == bob_bases[i] else 0 for i in range(n)]
+    alice_key = [raw_key[i] for i in range(n) if agreement[i]]
+    bob_key = [bob_results[i] for i in range(n) if agreement[i]]
+    keys_match = alice_key == bob_key
+
+    sample_positions = []
+    verdict = keys_match
+    if session.sampling_fraction is not None and alice_key:
+        k = math.ceil(session.sampling_fraction * len(alice_key))
+        pool = list(range(len(alice_key)))
+        for _ in range(k):
+            idx = int(alice.draw() * len(pool))
+            idx = min(idx, len(pool) - 1)
+            sample_positions.append(pool.pop(idx))
+        sample_positions.sort()
+        verdict = all(alice_key[i] == bob_key[i] for i in sample_positions)
+
+    return BB84Transcript(raw_key, alice_bases, bob_bases, bob_results, agreement,
+                          alice_key, bob_key, sample_positions, keys_match, verdict)
+
+
+@pytest.mark.parametrize("name", sorted(SIFTED_ERROR_RATE))
+def test_transcripts_equal_the_per_qubit_simulation(name):
+    channel = paper_channels()[name]
+    for fraction in (None, 0.2, 0.5):
+        for length in range(1, 71):  # one seed per length
+            session = BB84Session(length, channel, fraction, seed=splitmix64(29, length))
+            got = bb84_run(session)
+            assert got == reference_bb84_run(session), (fraction, length)
+            assert all(type(b) is int for b in got.bob_results)
+
+
+def test_sweep_and_clients_equal_the_per_qubit_simulation(monkeypatch):
+    csv = sweep_csv(bb84_channel_sweep(sessions=4, seed=17))
+    clients = bb84_multi_client(4, 40, seed=17, channel=paper_channels()["depolarizing_p05"],
+                                sampling_fraction=0.5)
+    monkeypatch.setattr(qwhile.experiments.bb84, "bb84_run", reference_bb84_run)
+    assert csv == sweep_csv(bb84_channel_sweep(sessions=4, seed=17))
+    assert clients == bb84_multi_client(4, 40, seed=17,
+                                        channel=paper_channels()["depolarizing_p05"],
+                                        sampling_fraction=0.5)
+
+
+def test_outcome_tables_follow_the_kraus_values_not_the_object():
+    first, second = paper_channels(), paper_channels()
+    assert first["bit_flip_p05"] is not second["bit_flip_p05"]
+    assert outcome_table(first["bit_flip_p05"]) is outcome_table(second["bit_flip_p05"])
+    assert outcome_table(first["bit_flip_p05"]) is not outcome_table(first["bit_flip_p025"])
+    custom = SuperOperator([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.array([[0, 1], [1, 0]])])
+    assert outcome_table(custom) is outcome_table(first["bit_flip_p05"])
+    with pytest.raises(TypeError):
+        outcome_table(custom)[0, 0, 0] = None
 
 
 def test_every_session_over_the_identity_channel_agrees():

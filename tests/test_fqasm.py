@@ -2,6 +2,8 @@
 the f-QASM parser and VM, and agreement of the two executors."""
 import json
 import math
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from qwhile.errors import (
     StepLimitExceeded,
 )
 from qwhile.experiments import program_names, program_source
-from qwhile.fqasm import compile_program, parse_fqasm, serialize, vm_distribution, vm_run
+from qwhile.fqasm import (
+    FqasmProgram, Jmp, Label, check_wellformed, compile_program, parse_fqasm, serialize,
+    vm_distribution, vm_run,
+)
 from qwhile.lang import parse
 
 from genprog import random_program
@@ -181,7 +186,7 @@ def test_distribution_json_has_no_step_limited_field(tmp_path, capsys):
     assert qwhile.cli.main(["run", str(path), "--mode", "distribution",
                             "--format", "json", "--step-limit", "100"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert sorted(payload) == ["file", "mode", "residual", "terminals"]
+    assert sorted(payload) == ["file", "mode", "node_limited", "residual", "terminals"]
 
 
 def test_run_distribution_uses_the_distribution_step_limit(tmp_path, capsys):
@@ -195,6 +200,54 @@ def test_run_distribution_uses_the_distribution_step_limit(tmp_path, capsys):
     expected = run_distribution(parse(SLOW_LOOP))
     assert expected.step_limited > 0.5
     assert payload["residual"] == round(expected.residual, 12)  # printed to 12 digits
+
+
+# --- the node budget of distribution mode ----------------------------------------
+
+
+def test_node_budget_ends_a_frontier_that_keeps_growing():
+    # The 17th generated program nests `while M[q] = 1` loops behind H and
+    # ends in a loop that cannot exit once q2 is |1>: its frontier grows
+    # until the budget of 100,000 expanded configurations cuts it.
+    rng = np.random.default_rng(5)
+    program = [random_program(rng) for _ in range(17)][-1]
+    start = time.perf_counter()
+    dist = run_distribution(program)
+    assert time.perf_counter() - start < 30.0
+    assert dist.node_limited > 0
+    assert dist.residual >= dist.node_limited
+    assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 10, 40])
+def test_node_budget_in_both_executors(limit):
+    program = parse(program_source("qloop"))
+    for dist in (run_distribution(program, node_limit=limit),
+                 vm_distribution(compile_program(program), node_limit=limit)):
+        assert dist.node_limited > 0
+        assert dist.step_limited == 0.0
+        assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-12)
+    unlimited = run_distribution(program)
+    assert unlimited.node_limited == 0.0
+    assert match_distributions(run_distribution(program, node_limit=10**6), unlimited)
+
+
+def test_node_budget_makes_compile_check_inconclusive(tmp_path, capsys, monkeypatch):
+    # the executors count steps differently, so a small budget cuts them
+    # at different points and the distributions disagree
+    monkeypatch.setattr(qwhile.cli, "run_distribution", partial(run_distribution, node_limit=8))
+    monkeypatch.setattr(qwhile.cli, "vm_distribution", partial(vm_distribution, node_limit=8))
+    path = tmp_path / "qloop.qw"
+    path.write_text(program_source("qloop"))
+    assert qwhile.cli.main(["compile", str(path), "--check",
+                            "--out", str(tmp_path / "qloop.fqasm")]) == 1
+    err = capsys.readouterr().err
+    assert "inconclusive: node budget reached (node-limited mass: program " in err
+    assert "cross-engine check failed" not in err
+    assert qwhile.cli.main(["run", str(path), "--mode", "distribution", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = run_distribution(parse(program_source("qloop")), node_limit=8)
+    assert payload["node_limited"] == round(expected.node_limited, 12) > 0
 
 
 # --- the two executors agree shot for shot ----------------------------------------
@@ -252,3 +305,27 @@ def test_classical_names_are_their_own_namespace():
         assert a.outcome_sequence() == b.outcome_sequence()
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
     assert match_distributions(run_distribution(program), vm_distribution(parse_fqasm(text)))
+
+
+@pytest.mark.parametrize("prog, message", [
+    (FqasmProgram((("q", 1),), (), (), (Label("QREG"), Jmp("QREG")), ()),
+     "BadName at label QREG: name 'QREG' is an f-QASM command"),
+    (FqasmProgram((("q", 1),), (), (), (), ("a b",)),
+     "BadName at classical register a b: name 'a b' is not an identifier"),
+    (FqasmProgram((("q", 1),), (), (), (), ("skip",)),
+     "BadName at classical register skip: name 'skip' is a .qw keyword"),
+])
+def test_labels_and_classical_registers_follow_the_name_rule(prog, message):
+    # serialize would write text that parse_fqasm cannot read back
+    for use in (check_wellformed, serialize, partial(vm_run, seed=0), vm_distribution):
+        with pytest.raises(ParseError, match=message):
+            use(prog)
+
+
+def test_compiler_labels_and_registers_pass_the_name_rule():
+    compiled = compile_program(parse(program_source("paper_loop")))
+    labels = [ins.name for ins in compiled.instructions if isinstance(ins, Label)]
+    assert labels and compiled.cregs
+    assert all(name[0] in "Lr" and name[1:].isdigit() for name in labels + list(compiled.cregs))
+    check_wellformed(compiled)
+    assert parse_fqasm(serialize(compiled)) == compiled

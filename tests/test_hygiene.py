@@ -1,5 +1,6 @@
-"""Source hygiene of the package: every imported name is used, and every
-module-level and class-level definition is referenced somewhere."""
+"""Source hygiene of the package: every imported name is used, every
+module-level and class-level definition is referenced somewhere, and
+nothing is keyed on object identity."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -178,3 +179,24 @@ def test_every_export_is_read():
                for path in sorted(PACKAGE.rglob("*.py"))}
     others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
     assert unread_exports(package, others) == []
+
+
+def identity_reads(source: str) -> list[int]:
+    """Lines that read the builtin `id`, by calling it or otherwise: an
+    identity is reused once its object is gone and stays the same when
+    the object changes, so no cache or table may be keyed on it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "id"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_scan_finds_identity_keys():
+    source = ("cache = {}\ndef f(x):\n    return cache.setdefault(id(x), x)\n"
+              "key = id\nrecord.id = 3\nprint(record.id, 'id')\n")
+    assert identity_reads(source) == [3, 4]
+
+
+def test_nothing_is_keyed_on_id():
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted(PACKAGE.rglob("*.py")) for line in identity_reads(path.read_text())]
+    assert found == []

@@ -341,6 +341,7 @@ MUTATIONS = {
         p, None, measurements=(MeasDecl("MutInc", operators=(np.diag([1.0, 0.0]),)),)),
     "register named skip": lambda p: _then(p, None, registers=(("skip", 1),)),
     "gate named JMP": lambda p: _then(p, None, gates=(GateDecl("JMP", X_MATRIX),)),
+    "no registers": lambda p: SourceProgram((), p.gates, p.measurements, Skip()),
 }
 
 
@@ -378,10 +379,22 @@ class TestParserAgreesWithChecker:
         ("13 qubits", "CapacityExceeded"),
         ("register and gate share a name", "DuplicateName"),
         ("declared gate named H", "DuplicateName"),
+        ("no registers", "NoRegisters"),
     ])
     def test_rules_the_parser_alone_had(self, rule, kind):
         report = validate_program(MUTATIONS[rule](parse(QLOOP_SRC)))
         assert [issue.kind for issue in report.issues] == [kind]
+
+    def test_the_empty_program_is_one_issue_in_both(self):
+        empty = SourceProgram((), (), (), Skip())
+        report = validate_program(empty)
+        assert [str(issue) for issue in report.issues] == [
+            "NoRegisters at program: program declares no quantum registers"]
+        with pytest.raises(ParseError) as err:
+            parse(pretty_print(empty))
+        assert str(err.value) == f"line 2, col 1: {report.issues[0]}"
+        with pytest.raises(ParseError, match="program declares no quantum registers"):
+            prepare(empty)
 
     def test_capacity_is_checked_before_any_state(self, monkeypatch):
         def no_table(*args):
