@@ -34,10 +34,13 @@ Truncation rules, the same for both executors:
   while its weight is below mass_threshold (its weight is added to
   `residual`). A branch that does not measure again runs on until it
   terminates or reaches the step limit.
-* Distribution mode expands at most node_limit configurations (100,000
-  by default). When the next one would exceed it, its weight and that
-  of every queued configuration that has not terminated are added to
-  `residual` and to `node_limited`; queued terminated ones are kept.
+* Distribution mode expands at most BRANCH_BUDGET * step_limit
+  configurations (100,000 at the default step limit): the work of ten
+  branches that each run to the step limit, so a run that does not
+  branch is cut by the step limit alone. Once the budget is spent, each
+  configuration still queued is classified by the rules above, and one
+  that would have been expanded has its weight added to `residual` and
+  to `node_limited`.
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
 
@@ -82,7 +85,7 @@ from .sampler import PROB_FLOOR, SamplerState, sample_outcome
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_MASS_THRESHOLD = 1e-6
 DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000
-DEFAULT_NODE_LIMIT = 100_000
+BRANCH_BUDGET = 10
 
 
 # --- kernels -----------------------------------------------------------------
@@ -447,7 +450,7 @@ def run_sampled(c, advance: Callable, seed: int, step_limit: int,
 
 
 def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
-            step_limit: int, node_limit: int = DEFAULT_NODE_LIMIT) -> DistributionResult:
+            step_limit: int) -> DistributionResult:
     """Every branch from c0, breadth-first, truncated by the rules in the
     module docstring. Configurations expose `terminated`,
     `at_measurement`, `weight` and `state`; `step_fn(c)` lists c's
@@ -455,6 +458,7 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
     queue: deque[tuple[Any, int]] = deque([(c0, 0)])
     terminals: list[tuple[float, DensityOperator]] = []
     residual = step_limited = node_limited = 0.0
+    budget = BRANCH_BUDGET * step_limit
     expanded = 0
     while queue:
         c, steps = queue.popleft()
@@ -468,15 +472,10 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
         if c.at_measurement and c.weight < mass_threshold:
             residual += c.weight
             continue
-        if expanded >= node_limit:
-            node_limited = c.weight
-            for queued, _ in queue:
-                if queued.terminated:
-                    terminals.append((queued.weight, queued.state))
-                else:
-                    node_limited += queued.weight
-            residual += node_limited
-            break
+        if expanded >= budget:
+            residual += c.weight
+            node_limited += c.weight
+            continue
         expanded += 1
         for succ in step_fn(c):
             queue.append((succ, steps + 1))
@@ -815,9 +814,7 @@ def match_distributions(a: DistributionResult, b: DistributionResult,
 def run_distribution(program: SourceProgram | PreparedProgram,
                      mass_threshold: float = DEFAULT_MASS_THRESHOLD,
                      step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
-                     state: DensityOperator | None = None,
-                     node_limit: int = DEFAULT_NODE_LIMIT) -> DistributionResult:
+                     state: DensityOperator | None = None) -> DistributionResult:
     """Explore every measurement branch breadth-first, truncated by the
     rules in the module docstring."""
-    return explore(initial_configuration(program, state), step, mass_threshold, step_limit,
-                   node_limit)
+    return explore(initial_configuration(program, state), step, mass_threshold, step_limit)

@@ -90,11 +90,11 @@ class Outcomes:
         values = p.tolist()
         for i, v in enumerate(values):
             if v >= PROB_CEIL:
-                self.certain, self.kept, self.bounds = i, [], []
+                self.certain, self.kept, self.bounds = i, (), ()
                 return
         self.certain = None
-        self.kept = [i for i, v in enumerate(values) if v > PROB_FLOOR]
-        self.bounds = list(accumulate(values[i] for i in self.kept))
+        self.kept = tuple(i for i, v in enumerate(values) if v > PROB_FLOOR)
+        self.bounds = tuple(accumulate(values[i] for i in self.kept))
 
     def sample(self, rng: SamplerState) -> int:
         """The certain outcome, else the first kept index whose bound

@@ -26,7 +26,6 @@ from ..lang.checker import require_valid
 from ..engine.runtime import (
     DEFAULT_DISTRIBUTION_STEP_LIMIT,
     DEFAULT_MASS_THRESHOLD,
-    DEFAULT_NODE_LIMIT,
     DEFAULT_STEP_LIMIT,
     DistributionResult,
     Fork,
@@ -168,9 +167,8 @@ def vm_run(prog: FqasmProgram | PreparedVm, seed: int,
 
 def vm_distribution(prog: FqasmProgram | PreparedVm,
                     mass_threshold: float = DEFAULT_MASS_THRESHOLD,
-                    step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
-                    node_limit: int = DEFAULT_NODE_LIMIT) -> DistributionResult:
+                    step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT) -> DistributionResult:
     """Exhaustive branch exploration."""
     plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog)
     return explore(_Config.start(plan), partial(successors, _advance),
-                   mass_threshold, step_limit, node_limit)
+                   mass_threshold, step_limit)

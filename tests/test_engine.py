@@ -1,6 +1,7 @@
 """Sampler procedure, small-step semantics, shot runs, and distribution mode."""
 import re
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qwhile.engine import (
     step,
 )
 from qwhile.engine.runtime import (
+    BRANCH_BUDGET,
     KernelTable,
     _Diagonal,
     _DiagonalSite,
@@ -31,6 +33,7 @@ from qwhile.engine.runtime import (
     _GeneralSite,
     _Monomial,
     _Reset,
+    explore,
     sandwich_kernel,
     site_kernel,
 )
@@ -415,6 +418,61 @@ class TestDistribution:
         assert weight == pytest.approx(success_probability(128, 1, iteration_count(128, 1)),
                                        abs=1e-9)
         assert match_distributions(dist, vm_distribution(compile_program(program)))
+
+
+# --- the node budget of explore, on hand-built configurations --------------------
+
+ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+
+
+class Node(NamedTuple):
+    """A configuration for `explore`: 'run' steps on, 'low' is at a
+    measurement, 'done' has terminated."""
+
+    kind: str
+    depth: int
+    weight: float
+    state: DensityOperator = ZERO
+
+    @property
+    def terminated(self) -> bool:
+        return self.kind == "done"
+
+    @property
+    def at_measurement(self) -> bool:
+        return self.kind == "low"
+
+
+class TestNodeBudget:
+    def test_a_run_that_does_not_branch_is_cut_by_the_step_limit_alone(self):
+        step_limit = 200_000  # twice the budget at the default step limit
+        dist = explore(Node("run", 0, 1.0), lambda c: [c._replace(depth=c.depth + 1)],
+                       mass_threshold=0.5, step_limit=step_limit)
+        assert dist.step_limited == dist.residual == 1.0
+        assert dist.node_limited == 0.0
+
+    def test_mass_queued_at_the_cut_is_classified_by_the_other_rules(self):
+        # 12 branches with a step limit of 10: the budget of 100 expansions
+        # runs out after the root, 8 levels of 12 and the first 3 branches of
+        # level 9. Level 9 also holds 12 configurations at a measurement below
+        # the mass threshold, and the 3 expanded branches queue a terminated
+        # and a step-limited configuration each.
+        def step_fn(c: Node) -> list[Node]:
+            w = c.weight
+            if c.depth == 0:
+                return [Node("run", 1, w / 12) for _ in range(12)]
+            if c.depth == 8:
+                return [Node("run", 9, w * 3 / 4), Node("low", 9, w / 4)]
+            if c.depth == 9:
+                return [Node("done", 10, w / 2), Node("run", 10, w / 2)]
+            return [c._replace(depth=c.depth + 1)]
+
+        dist = explore(Node("run", 0, 1.0), step_fn, mass_threshold=0.05,
+                       step_limit=100 // BRANCH_BUDGET)
+        assert dist.node_limited == pytest.approx(9 / 16)
+        assert dist.step_limited == pytest.approx(3 / 32)
+        assert dist.residual == pytest.approx(9 / 16 + 3 / 32 + 12 / 48)
+        assert [w for w, _ in dist.terminals] == [pytest.approx(3 / 32)]
 
 
 # --- kernels against dense references -------------------------------------------

@@ -177,6 +177,11 @@ def test_outcome_tables_follow_the_kraus_values_not_the_object():
     assert outcome_table(custom) is outcome_table(first["bit_flip_p05"])
     with pytest.raises(TypeError):
         outcome_table(custom)[0, 0, 0] = None
+    for outcomes in outcome_table(custom).values():
+        with pytest.raises(TypeError):
+            outcomes.bounds[0] = 0.0
+        with pytest.raises(TypeError):
+            outcomes.kept[0] = 0
 
 
 def test_every_session_over_the_identity_channel_agrees():

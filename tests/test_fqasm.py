@@ -10,6 +10,8 @@ import pytest
 
 import qwhile.cli
 from qwhile.engine import DistributionResult, match_distributions, run_distribution, run_shot
+from qwhile.engine import runtime
+from qwhile.engine.runtime import DEFAULT_DISTRIBUTION_STEP_LIMIT
 from qwhile.errors import (
     DuplicateName,
     FqasmSyntaxError,
@@ -208,7 +210,8 @@ def test_run_distribution_uses_the_distribution_step_limit(tmp_path, capsys):
 def test_node_budget_ends_a_frontier_that_keeps_growing():
     # The 17th generated program nests `while M[q] = 1` loops behind H and
     # ends in a loop that cannot exit once q2 is |1>: its frontier grows
-    # until the budget of 100,000 expanded configurations cuts it.
+    # until the budget (100,000 expanded configurations at the default step
+    # limit) cuts it.
     rng = np.random.default_rng(5)
     program = [random_program(rng) for _ in range(17)][-1]
     start = time.perf_counter()
@@ -219,24 +222,43 @@ def test_node_budget_ends_a_frontier_that_keeps_growing():
     assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("limit", [1, 3, 10, 40])
-def test_node_budget_in_both_executors(limit):
-    program = parse(program_source("qloop"))
-    for dist in (run_distribution(program, node_limit=limit),
-                 vm_distribution(compile_program(program), node_limit=limit)):
+def test_a_long_loop_is_cut_by_the_step_limit_it_was_given(tmp_path, capsys):
+    # SLOW_LOOP does not branch except to exit, so however many steps it is
+    # given, the step limit and not the node budget ends it
+    path = tmp_path / "slow.qw"
+    path.write_text(SLOW_LOOP)
+    assert qwhile.cli.main(["run", str(path), "--mode", "distribution", "--format", "json",
+                            "--step-limit", "110000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["node_limited"] == 0.0
+    assert payload["residual"] == pytest.approx(math.cos(0.01) ** (2 * 54998), rel=1e-9)
+
+
+# eight rounds of H and a measurement: 256 branches of one length
+FORKS = ("q : qubit;\nmeasure M = computational;\nq := |0>;\n"
+         + "H[q];\nif M[q] = 0 -> skip; [] 1 -> skip; fi;\n" * 8)
+
+
+@pytest.mark.parametrize("step_limit", [60, 80, 100])
+def test_node_budget_in_both_executors(step_limit):
+    # every branch ends within 60 steps in both executors, but the tree
+    # needs more than ten branches' worth of expansions
+    program = parse(FORKS)
+    for dist in (run_distribution(program, step_limit=step_limit),
+                 vm_distribution(compile_program(program), step_limit=step_limit)):
         assert dist.node_limited > 0
         assert dist.step_limited == 0.0
         assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-12)
     unlimited = run_distribution(program)
-    assert unlimited.node_limited == 0.0
-    assert match_distributions(run_distribution(program, node_limit=10**6), unlimited)
+    assert unlimited.node_limited == unlimited.residual == 0.0
+    assert match_distributions(unlimited, vm_distribution(compile_program(program)))
 
 
 def test_node_budget_makes_compile_check_inconclusive(tmp_path, capsys, monkeypatch):
-    # the executors count steps differently, so a small budget cuts them
-    # at different points and the distributions disagree
-    monkeypatch.setattr(qwhile.cli, "run_distribution", partial(run_distribution, node_limit=8))
-    monkeypatch.setattr(qwhile.cli, "vm_distribution", partial(vm_distribution, node_limit=8))
+    # a budget of 8 configurations at the default step limit; the executors
+    # count steps differently, so it cuts them at different points and the
+    # distributions disagree
+    monkeypatch.setattr(runtime, "BRANCH_BUDGET", 8 / DEFAULT_DISTRIBUTION_STEP_LIMIT)
     path = tmp_path / "qloop.qw"
     path.write_text(program_source("qloop"))
     assert qwhile.cli.main(["compile", str(path), "--check",
@@ -246,7 +268,7 @@ def test_node_budget_makes_compile_check_inconclusive(tmp_path, capsys, monkeypa
     assert "cross-engine check failed" not in err
     assert qwhile.cli.main(["run", str(path), "--mode", "distribution", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    expected = run_distribution(parse(program_source("qloop")), node_limit=8)
+    expected = run_distribution(parse(program_source("qloop")))
     assert payload["node_limited"] == round(expected.node_limited, 12) > 0
 
 
