@@ -30,6 +30,13 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
+def read_only(a) -> np.ndarray:
+    """A read-only copy of `a`, so a value checked once stays as checked."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 

@@ -244,7 +244,7 @@ class SuperOperator:
     __slots__ = ("_kraus", "_name")
 
     def __init__(self, kraus, *, name: str = "channel"):
-        ops = tuple(linalg.as_matrix(e) for e in kraus)
+        ops = tuple(linalg.read_only(linalg.as_matrix(e)) for e in kraus)
         if not ops:
             raise InvalidState("superoperator needs at least one Kraus operator")
         d = ops[0].shape[0]

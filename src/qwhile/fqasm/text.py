@@ -18,8 +18,13 @@ the commands `QREG CREG GATE MEASURE INIT MOV CMP JMP JE APPLY`, the
 listing spellings `hGate xGate zGate iGate tGate sGate cnotGate` and the
 `.qw` keywords. `prepare_vm` runs the checker, not `parse_fqasm`.
 
-Matrix literals use the `.qw` grammar (`lang.parser.TokenParser`). Every
-syntax error is an FqasmSyntaxError with its line and column.
+Matrix literals use the `.qw` grammar and lexer (`lang.parser`). A
+numeric literal is one lexer span that `TokenParser.parse_matrix`
+converts in bulk. Text the span rule does not accept, and a span the bulk
+conversion leaves undecided, goes through the token path, so each error
+keeps its message, line and column. `serialize` writes matrices with the
+bulk writer `lang.syntax.format_matrix`. Every syntax error is an
+FqasmSyntaxError with its line and column.
 """
 from __future__ import annotations
 

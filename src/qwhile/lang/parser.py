@@ -17,6 +17,25 @@ Grammar (comments run `//` to end of line; statements end with `;`):
     matrix    := '[' row {',' row} ']' ;  row := '[' cnum {',' cnum} ']'
     cnum      := complex literal, e.g. 1, -0.5, 2i, 0.5-0.5i, 1e-3+2i
 
+Matrix literals are lexed at data speed. `tokenize` matches a numeric
+literal with one strict regex and returns it as one `Span` token: the
+span rule is `'[' row {',' row} ']'`, each row `'[' entry {',' entry} ']'`,
+each entry `[+-]? NUM i?` or `[+-]? NUM [+-] NUM i`, with whitespace and
+newlines between tokens. The nesting depth is fixed at 2, so the
+operators of a `{...}` list are separate spans. `parse_matrix` converts a
+span in bulk to the same bytes the token path gives, signed zeros
+included. Everything else falls back to the token path, so every value,
+error message, line and column stays as the token path makes them:
+- Text the regex does not accept is lexed token by token. That covers
+  repeated signs (`- -1`), `2i+1`, `1+2`, comments or unknown characters
+  inside a literal, and missing brackets or commas.
+- A span that `parse_matrix` cannot decide in bulk (rows of unequal
+  length, a number too large for a float) is read token by token.
+- A span read by anything but `parse_matrix` is read token by token.
+A span read token by token expands in place into the tokens its text
+lexes to, at their lines and columns. Line and column counting carries
+across spans.
+
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
 only: a declaration inside an `if` branch or a `while` body is a
@@ -42,7 +61,7 @@ gate or measurement name, or at the end of the input. So a program that parses i
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,17 +86,28 @@ BUILTIN_MEASUREMENTS = ("computational", "plusminus")
 # Words the grammar reads as keywords; the checker reserves them.
 KEYWORDS = QW_KEYWORDS
 
-_TOKEN_RE = re.compile(
-    r"""
+_NUM = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
+_TOKENS = r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
   | (?P<ket0>\|0>)
   | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?i?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|->|\[\]|[{}\[\]():;,=+-])
-    """,
-    re.VERBOSE,
-)
+"""
+# A numeric matrix literal: rows of entries `[+-]? NUM i?` or
+# `[+-]? NUM [+-] NUM i`, at fixed nesting depth 2. The quantifiers are
+# possessive: the grammar never needs back what one matched, and text that
+# is no literal fails in time linear in its length.
+_ENTRY = rf"[+-]?+\s*+{_NUM}(?:i|\s*+[+-]\s*+{_NUM}i)?+"
+_ROW = rf"\[\s*+{_ENTRY}(?:\s*+,\s*+{_ENTRY})*+\s*+\]"
+_MATRIX = rf"\[\s*+{_ROW}(?:\s*+,\s*+{_ROW})*+\s*+\]"
+
+_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
+_SPAN_TOKEN_RE = re.compile(rf"(?P<matrix>{_MATRIX})|{_TOKENS}", re.VERBOSE)
+# An entry's parts: sign, number, 'i' or '', then the sign and number of
+# an imaginary second part, if any.
+_PARTS_RE = re.compile(rf"([+-]?)({_NUM})(i?)(?:([+-])({_NUM})i)?")
 
 
 @dataclass(frozen=True)
@@ -88,17 +118,74 @@ class Token:
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
+@dataclass(frozen=True)
+class Span(Token):
+    """A numeric matrix literal lexed as one token. It reads as the
+    literal's opening '[' token; `tokens()` gives the tokens the literal
+    lexes to on its own, at their positions in the source."""
+    literal: str = field(repr=False)
+
+    def tokens(self) -> list[Token]:
+        return _lex(_TOKEN_RE, self.literal, self.line, self.col)[0]
+
+    def matrix(self) -> np.ndarray | None:
+        """The literal's value, bit for bit the value `TokenParser` reads
+        token by token, or None where that path must decide: rows of
+        unequal length, or a number too large for a float in a literal
+        with imaginary parts."""
+        # split at each ']': a row's text follows the last '[' of its piece
+        rows = [piece[piece.rindex("[") + 1:] for piece in self.literal.split("]")[:-2]]
+        width = rows[0].count(",") + 1
+        if any(row.count(",") + 1 != width for row in rows):
+            return None
+        shape = (len(rows), width)
+        entries = ",".join(rows)
+        if "i" not in entries:
+            try:  # complex(s * x) of a real entry is (float(entry), 0.0)
+                x = np.fromiter(map(float, entries.split(",")), float, shape[0] * shape[1])
+                return x.reshape(shape).astype(complex)
+            except ValueError:  # a sign apart from its number, as in "- 1"
+                pass
+        signs, nums, imag, signs2, nums2 = zip(*_PARTS_RE.findall("".join(entries.split())))
+        x = np.fromiter(map(float, nums), float, len(nums))
+        y = np.fromiter(map(float, filter(None, nums2)), float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            return None
+        # `_signed_part` and `parse_complex`, over all entries at once:
+        #   real NUM          complex(s*x)               = (s*x, 0)
+        #   imaginary NUM i   s * complex(0.0, x)        = (s*0 - 0*x, s*x + 0*0)
+        #   NUM + NUM i       complex(s*x) + t * complex(0.0, y)
+        # where a float times a complex multiplies as complex(s, 0.0).
+        # The terms are kept as written so zeros keep the token path's signs.
+        s = np.where(np.array(signs) == "-", -1.0, 1.0)
+        is_imag = np.array(imag) == "i"
+        re_ = np.where(is_imag, s * 0.0 - 0.0 * x, s * x)
+        im = np.where(is_imag, s * x + 0.0 * 0.0, 0.0)
+        signs2 = np.array(signs2)
+        second = signs2 != ""
+        t = np.where(signs2[second] == "-", -1.0, 1.0)
+        re_[second] += t * 0.0 - 0.0 * y
+        im[second] += t * y + 0.0 * 0.0
+        m = np.empty(shape, dtype=complex)
+        m.real = re_.reshape(shape)
+        m.imag = im.reshape(shape)
+        return m
+
+
+def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Token], int, int]:
+    """The tokens of `text`, which starts at (line, col), and the
+    position just past its end."""
     tokens: list[Token] = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         lexeme = m.group()
-        if kind not in ("ws", "comment"):
+        if kind == "matrix":
+            tokens.append(Span("[", "[", line, col, lexeme))
+        elif kind not in ("ws", "comment"):
             k = lexeme if kind == "op" else kind
             tokens.append(Token(k, lexeme, line, col))
         newlines = lexeme.count("\n")
@@ -108,13 +195,23 @@ def tokenize(text: str) -> list[Token]:
         else:
             col += len(lexeme)
         pos = m.end()
+    return tokens, line, col
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending in an 'eof' token. Each numeric matrix
+    literal is one `Span`; the rest are the tokens of the grammar."""
+    tokens, line, col = _lex(_SPAN_TOKEN_RE, text, 1, 1)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
 
 class TokenParser:
     """Token plumbing and the matrix-literal grammar, shared by the `.qw`
-    parser and the `.fqasm` parser. Errors are ParseErrors at a token."""
+    parser and the `.fqasm` parser. Errors are ParseErrors at a token.
+
+    A `Span` reads as its opening '[' token: `parse_matrix` takes it
+    whole, and advancing past it any other way reads it token by token."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -126,6 +223,9 @@ class TokenParser:
 
     def advance(self) -> Token:
         tok = self.cur
+        if isinstance(tok, Span):  # read token by token: splice in its tokens
+            self.tokens[self.pos:self.pos + 1] = tok.tokens()
+            tok = self.cur
         self.pos += 1
         return tok
 
@@ -143,6 +243,11 @@ class TokenParser:
     # --- matrix literals ---
 
     def parse_matrix(self) -> np.ndarray:
+        if isinstance(self.cur, Span):
+            m = self.cur.matrix()
+            if m is not None:
+                self.pos += 1
+                return m
         tok = self.expect("[", "matrix")
         rows = [self.parse_row()]
         while self.cur.kind == ",":

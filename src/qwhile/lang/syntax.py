@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.linalg import read_only
+
 
 class Stmt:
     """Base class for statements."""
@@ -59,13 +61,6 @@ class While(Stmt):
     body: Stmt
 
 
-def _read_only(a) -> np.ndarray:
-    """A read-only copy of `a`, so a checked declaration stays as checked."""
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class GateDecl:
     name: str
@@ -73,7 +68,7 @@ class GateDecl:
     library_ref: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(self.matrix))
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, GateDecl):
@@ -93,7 +88,7 @@ class MeasDecl:
 
     def __post_init__(self):
         if self.operators is not None:
-            object.__setattr__(self, "operators", tuple(map(_read_only, self.operators)))
+            object.__setattr__(self, "operators", tuple(map(read_only, self.operators)))
 
     def __eq__(self, other):
         if not isinstance(other, MeasDecl):
@@ -198,9 +193,26 @@ def format_complex(z: complex) -> str:
     return f"{repr(re)}{sign}{repr(abs(im))}i"
 
 
+def _reprs(a: np.ndarray) -> np.ndarray:
+    """`repr` of each float of the 1-D array `a`, as an object array; each
+    distinct value is written once."""
+    values, index = np.unique(a, return_inverse=True)
+    return np.array(list(map(repr, values.tolist())), dtype=object)[index.ravel()]
+
+
 def format_matrix(m: np.ndarray) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(format_complex(z) for z in row) + "]" for row in m)
+    """`format_complex` of every entry, written over whole arrays."""
+    m = np.asarray(m)
+    re = np.real(m).astype(float).ravel() + 0.0  # normalize -0.0
+    im = np.imag(m).astype(float).ravel() + 0.0
+    real = im == 0.0
+    imag = ~real & (re == 0.0)
+    mixed = ~(real | imag)
+    text = _reprs(re)
+    text[imag] = _reprs(im[imag]) + "i"
+    sign = np.where(im[mixed] > 0, "+", "-").astype(object)
+    text[mixed] += sign + _reprs(np.abs(im[mixed])) + "i"
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in text.reshape(m.shape).tolist())
     return f"[{rows}]"
 
 

@@ -184,6 +184,21 @@ def test_outcome_tables_follow_the_kraus_values_not_the_object():
             outcomes.kept[0] = 0
 
 
+def test_a_channel_keeps_its_kraus_operators_when_the_caller_writes_to_them():
+    k0 = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    k1 = np.sqrt(0.5) * np.array([[0, 1], [1, 0]], dtype=complex)
+    channel = SuperOperator([k0, k1])
+    sessions = [BB84Session(64, channel, 0.5, seed=splitmix64(31, k)) for k in range(5)]
+    before = [bb84_run(s) for s in sessions]
+    k0[:] = np.eye(2)
+    k1[:] = 0.0
+    assert [bb84_run(s) for s in sessions] == before
+    copies = channel.kraus
+    assert all(e.flags.writeable for e in copies)
+    copies[0][:] = 0.0
+    np.testing.assert_array_equal(channel.kraus[0], np.sqrt(0.5) * np.eye(2))
+
+
 def test_every_session_over_the_identity_channel_agrees():
     channel = paper_channels()["identity"]
     for k in range(20):

@@ -20,8 +20,9 @@ from qwhile.errors import (
     ParseError,
     QwhileError,
     StepLimitExceeded,
+    UndeclaredName,
 )
-from qwhile.experiments import program_names, program_source
+from qwhile.experiments import grover_source, program_names, program_source
 from qwhile.fqasm import (
     FqasmProgram, Jmp, Label, check_wellformed, compile_program, parse_fqasm, serialize,
     vm_distribution, vm_run,
@@ -103,6 +104,41 @@ def test_measure_operators_of_unequal_shape_rejected():
     with pytest.raises(ParseError) as qw:
         parse(f"q : qubit;\nmeasure M = {ops};\n")
     assert (qw.value.line, qw.value.column, qw.value.message) == (2, 13, exc.value.message)
+
+
+MULTILINE_GATE = "[[0.0, 1.0],\n          [1.0, 0.0]]"
+MULTILINE_OPS = "{[[1, 0],\n   [0, 0]],\n  [[0, 0],\n   [0, 1]]}"
+
+
+@pytest.mark.parametrize("text, error, line, col, message", [
+    (f"q : qubit;\ngate G = {MULTILINE_GATE} junk;\nG[q];\n",
+     ParseError, 3, 23, "expected ';', found 'junk'"),
+    (f"q : qubit;\ngate G = {MULTILINE_GATE};\nmeasure M = {MULTILINE_OPS};\nG[q];\nq := |0>; @\n",
+     ParseError, 9, 11, "unexpected character '@'"),
+    (f"q : qubit;\nmeasure M = {MULTILINE_OPS};\nif M[q] = 0 -> skip; fi\n",
+     ParseError, 7, 1, "expected ';', found 'end of input'"),
+    ("q : qubit;\ngate G = [[0.0, 1.0],\n   [1.0 0.0]];\n",
+     ParseError, 3, 9, "expected ']', found '0.0'"),
+    ("q : qubit;\ngate G = [[0.0, 1.0], // X\n   [1.0, 0.0]];\nG[q]; G[r];\n",
+     UndeclaredName, 4, 9, "undeclared register 'r'"),
+    (f"QREG q1 1;\nGATE G {MULTILINE_GATE} junk;\n",
+     FqasmSyntaxError, 3, 23, "expected ';', found 'junk'"),
+    (f"QREG q1 1;\nGATE G {MULTILINE_GATE};\nMEASURE M {MULTILINE_OPS};\n\nhGate(q1,0);\nG(q1,1) ;;\n",
+     FqasmSyntaxError, 10, 10, "expected a command, found ';'"),
+    (f"QREG q1 1;\nMEASURE M {MULTILINE_OPS}\nINIT(q1);\n",
+     FqasmSyntaxError, 6, 1, "expected ';', found 'INIT'"),
+])
+def test_errors_after_multiline_literals_keep_their_position(text, error, line, col, message):
+    # positions as the token-by-token lexer gave them before literals were spans
+    with pytest.raises(error) as exc:
+        (parse_fqasm if text.startswith("QREG") else parse)(text)
+    assert type(exc.value) is error
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, col, message)
+
+
+def test_nine_qubit_grover_text_round_trip():
+    text = serialize(compile_program(parse(grover_source(9, (5,)))))
+    assert serialize(parse_fqasm(text)) == text
 
 
 # --- the shared kernel table ----------------------------------------------------

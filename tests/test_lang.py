@@ -22,8 +22,8 @@ from qwhile.lang import (
     parse, pretty_print, seq_of, validate_program,
 )
 from qwhile.lang.checker import ERRORS
-from qwhile.lang.parser import KEYWORDS
-from qwhile.lang.syntax import GateDecl, MeasDecl, format_complex
+from qwhile.lang.parser import KEYWORDS, _TOKEN_RE, Span, Token, TokenParser, _lex, tokenize
+from qwhile.lang.syntax import GateDecl, MeasDecl, format_complex, format_matrix
 
 from genprog import random_program
 
@@ -516,3 +516,195 @@ class TestCheckedOnce:
         prepare_vm(prog)
         prepare_vm(prog)
         assert prog.checked and calls["validate_program"] == 1
+
+
+# --- matrix literals: one lexer span, converted and written in bulk -------------
+
+def plain_tokens(text: str) -> list[Token]:
+    """`text` lexed token by token, with no spans."""
+    tokens, line, col = _lex(_TOKEN_RE, text, 1, 1)
+    return tokens + [Token("eof", "", line, col)]
+
+
+def expanded_tokens(text: str) -> list[Token]:
+    """The tokens of `text` with every span read token by token."""
+    return [t for tok in tokenize(text)
+            for t in (tok.tokens() if isinstance(tok, Span) else [tok])]
+
+
+def matrix_outcome(lex, text: str):
+    """What `parse_matrix` makes of `text` lexed by `lex`: the array's
+    bytes and the token it stops at, or the error with its position."""
+    try:
+        parser = TokenParser(lex(text))
+        m = parser.parse_matrix()
+    except QwhileError as exc:
+        return type(exc), exc.message, exc.line, exc.column
+    end = parser.cur
+    return m.dtype.str, m.shape, m.tobytes(), (end.kind, end.text, end.line, end.col)
+
+
+def outcome_both_ways(text: str):
+    """`matrix_outcome` through the lexer's spans and token by token."""
+    return [matrix_outcome(tokenize, text), matrix_outcome(plain_tokens, text)]
+
+
+WS = st.sampled_from(["", " ", "  ", "\n", "\n  ", "\t"])
+DIGITS = st.text("0123456789", min_size=1, max_size=3)
+
+
+@st.composite
+def numbers(draw) -> str:
+    """A NUM lexeme: zeros in every spelling, decimals with and without
+    digits on either side of the point, and exponents, some past a float."""
+    zero = st.sampled_from(["0", "0.0", "0.", ".0", "00"])
+    decimal = st.builds("{}.{}".format, DIGITS, st.text("0123456789", max_size=3))
+    lead = st.builds(".{}".format, DIGITS)
+    mantissa = draw(st.one_of(zero, DIGITS, decimal, lead))
+    exponent = draw(st.one_of(st.just(""), st.builds(
+        "{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), DIGITS)))
+    return mantissa + exponent
+
+
+@st.composite
+def entries(draw) -> str:
+    """`[+-]? NUM i?` or `[+-]? NUM [+-] NUM i`, whitespace between tokens."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    head = sign + (draw(WS) if sign else "") + draw(numbers())
+    form = draw(st.sampled_from(["real", "imaginary", "mixed"]))
+    if form == "imaginary":
+        return head + "i"
+    if form == "mixed":
+        return head + draw(WS) + draw(st.sampled_from("+-")) + draw(WS) + draw(numbers()) + "i"
+    return head
+
+
+@st.composite
+def literals(draw) -> str:
+    """A numeric matrix literal with equal rows and whitespace, newlines
+    included, around every token."""
+    n_rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def sep() -> str:
+        return draw(WS) + "," + draw(WS)
+
+    rows = ["[" + draw(WS) + sep().join(draw(entries()) for _ in range(width)) + draw(WS) + "]"
+            for _ in range(n_rows)]
+    return "[" + draw(WS) + sep().join(rows) + draw(WS) + "]"
+
+
+# Text the span rule does not accept, or a span the token path must decide.
+BREAKS = [
+    ("repeated sign", lambda t: t.replace("[[", "[[- -1, ", 1)),
+    ("imaginary first", lambda t: t.replace("[[", "[[2i+1, ", 1)),
+    ("real sum", lambda t: t.replace("[[", "[[1+2, ", 1)),
+    ("comment", lambda t: t.replace(",", ", // note\n", 1)),
+    ("unknown character", lambda t: t.replace("[[", "[[@", 1)),
+    ("unequal rows", lambda t: t[:-1] + ", [1]]"),
+    ("missing bracket", lambda t: t[:-1]),
+    ("doubled comma", lambda t: t.replace("[[", "[[0,, ", 1)),
+    ("missing comma", lambda t: t.replace("[[", "[[1 ", 1)),
+    ("name", lambda t: t.replace("[[", "[[x, ", 1)),
+    ("overflow", lambda t: t.replace("[[", "[[1e999i, ", 1)),
+    ("trailing i", lambda t: t.replace("[[", "[[1ii, ", 1)),
+]
+
+
+class TestMatrixSpans:
+    """The lexer makes each numeric matrix literal one `Span`, which
+    `parse_matrix` converts in bulk; the token-by-token path stays the
+    reference for values, errors and positions."""
+
+    @given(literals())
+    def test_fast_path_equals_token_path(self, text):
+        tokens = tokenize(text)
+        assert isinstance(tokens[0], Span) and len(tokens) == 2
+        fast, slow = outcome_both_ways(text)
+        assert fast == slow
+        if np.isfinite(np.frombuffer(slow[2], dtype=complex).view(float)).all():
+            assert tokens[0].matrix() is not None  # the bulk conversion decided
+
+    @given(literals(), st.sampled_from(BREAKS))
+    def test_fallbacks_equal_token_path(self, text, brk):
+        fast, slow = outcome_both_ways(brk[1](text))
+        assert fast == slow
+
+    @given(literals(), literals())
+    def test_positions_carry_across_spans(self, a, b):
+        text = f"gate G = {a};\nmeasure M = {{{a},\n{b}}};\n  @"
+        assert sum(isinstance(t, Span) for t in tokenize(text[:-1])) == 3
+        plain = plain_tokens(text[:-1])
+        assert expanded_tokens(text[:-1]) == plain
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert (err.value.line, err.value.column) == (plain[-1].line, plain[-1].col)
+
+    @pytest.mark.parametrize("entry, real, imag", [
+        ("-0.0+1i", 0.0, 1.0),
+        ("-2i", -0.0, -2.0),
+        ("0.0-0.0i", 0.0, 0.0),
+        ("1-0.0i", 1.0, 0.0),
+        ("-0.0-0.0i", -0.0, 0.0),
+    ], ids=["-0.0+1i", "-2i", "0.0-0.0i", "1-0.0i", "-0.0-0.0i"])
+    def test_signed_zeros_follow_the_token_path(self, entry, real, imag):
+        span = tokenize(f"[[{entry}]]")[0]
+        expected = np.empty((1, 1), dtype=complex)
+        expected.real, expected.imag = real, imag
+        assert span.matrix().tobytes() == expected.tobytes()
+        assert outcome_both_ways(f"[[{entry}]]")[1][2] == expected.tobytes()
+        # reading the entry as a Python complex literal gives other zeros
+        assert np.array([[complex(entry.replace("i", "j"))]]).tobytes() != expected.tobytes()
+
+    def test_each_operator_is_its_own_span(self):
+        kinds = [type(t).__name__ + t.kind for t in tokenize("{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}")]
+        assert kinds == ["Token{", "Span[", "Token,", "Span[", "Token}", "Tokeneof"]
+
+    def test_a_span_read_as_tokens_expands_in_place(self):
+        # a literal where register names belong reads as the tokens it lexes to
+        with pytest.raises(ParseError) as err:
+            parse("q : qubit;\nH[[0, 1]];\n")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            2, 3, "expected register name, found '['")
+
+
+FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-300, 1e300, 5e-324, 0.1, 2.0 / 3.0,
+          0.7071067811865476, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def matrices(draw) -> np.ndarray:
+    """Complex matrices whose entries are real-only, imaginary-only or
+    mixed, zeros of either sign included."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    part = st.one_of(st.sampled_from(FLOATS), st.floats(allow_nan=False, width=64))
+    m = np.empty(shape, dtype=complex)
+    for index in np.ndindex(shape):
+        form = draw(st.sampled_from(["real", "imaginary", "mixed"]))
+        m.real[index] = draw(part) if form != "imaginary" else draw(st.sampled_from([0.0, -0.0]))
+        m.imag[index] = draw(part) if form != "real" else draw(st.sampled_from([0.0, -0.0]))
+    return m
+
+
+def format_entries(m: np.ndarray) -> str:
+    """`format_matrix` entry by entry, as `format_complex` writes each."""
+    rows = ", ".join("[" + ", ".join(format_complex(z) for z in row) + "]" for row in m)
+    return f"[{rows}]"
+
+
+class TestFormatMatrix:
+    @given(matrices())
+    def test_bulk_writer_equals_format_complex(self, m):
+        assert format_matrix(m) == format_entries(m)
+
+    def test_random_matrices(self, rng):
+        for shape in [(1, 1), (2, 2), (3, 5), (16, 16)]:
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            m.real[rng.random(shape) < 0.3] = -0.0
+            m.imag[rng.random(shape) < 0.3] = -0.0
+            assert format_matrix(m) == format_entries(m)
+
+    def test_real_and_integer_input(self):
+        assert format_matrix(np.eye(2)) == "[[1.0, 0.0], [0.0, 1.0]]"
+        assert format_matrix([[1, -2]]) == "[[1.0, -2.0]]"
+        assert format_matrix(np.array([[-0.0, -0.0j, 1 - 0.5j, -2j]])) == (
+            "[[0.0, 0.0, 1.0-0.5i, -2.0i]]")
