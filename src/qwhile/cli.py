@@ -4,13 +4,30 @@ unitaries, and reproduce the experiments.
 Every randomized command prints the seed it used, so published numbers
 are reproducible; identical command lines with identical seeds produce
 byte-identical primary outputs. Exit code 0 means no error was
-reported.
+reported. Input the toolchain refuses is one `error:` line and exit code
+1; a command line argparse refuses exits with code 2.
+
+`qwhile experiment <name>` has one subcommand per experiment, and each
+accepts exactly the options it reads (defaults in brackets):
+
+    qloop       --shots [100000] --seed [0]
+    bb84        --n [1024] --channel [identity] --fraction [0.2]
+                --sessions [100] --seed [0]
+    bb84-multi  --clients [8] --n [1024] --seed [0]
+    bb84-sweep  --sessions [100] --seed [0] --out [stdout]
+    grover      --n [3] --targets [5] --mode [single] --seed [0]
+
+`--n` is the raw key length for BB84 and the qubit count for Grover. A
+`--channel` is one of `experiments.paper_channels()`. `bb84` is one cell
+of `bb84-sweep`, so its session seeds are those of the sweep's first
+cell.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +46,15 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_program(path: str):
+def _load(path: str, decode):
+    """decode(text of the file at path); a file that cannot be read or
+    decoded is a QwhileError that names the path."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise QwhileError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QwhileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
-        return parse(text)
+        return decode(text)
     except QwhileError as exc:
         raise QwhileError(f"{path}: {exc}") from exc
 
@@ -59,7 +78,10 @@ def _state_summary(mat: np.ndarray, limit: int = 16) -> list:
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.file)
+    if args.mode == "distribution" and args.format == "csv":
+        raise QwhileError("--format csv needs --mode sampled; "
+                          "distribution mode writes text or json")
+    program = _load(args.file, parse)
     plan = prepare(program)
     step_limit = args.step_limit
     if step_limit is None:
@@ -113,7 +135,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    program = _load_program(args.file)
+    program = _load(args.file, parse)
     compiled = compile_program(program)
     text = serialize(compiled)
     if args.check:
@@ -141,18 +163,20 @@ def cmd_compile(args) -> int:
 # --- synthesize -----------------------------------------------------------------
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _decode_matrix(text: str) -> np.ndarray:
     """JSON 2-D array of [re, im] pairs."""
-    data = json.loads(Path(path).read_text())
     try:
-        mat = np.array([[complex(re, im) for re, im in row] for row in data])
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise QwhileError(f"not JSON: {exc}") from exc
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError) as exc:
-        raise QwhileError(f"{path}: expected a 2-D array of [re, im] pairs") from exc
-    return mat
+        raise QwhileError("expected a 2-D array of [re, im] pairs") from exc
 
 
 def cmd_synthesize(args) -> int:
-    u = _load_matrix(args.matrix)
+    u = _load(args.matrix, _decode_matrix)
     seq = synthesize(u, method=args.method, epsilon=args.epsilon)
     n = int(np.log2(u.shape[0]))
     err = phase_dist(reconstruct(seq, max(n, 1)), u)
@@ -179,58 +203,91 @@ def cmd_synthesize(args) -> int:
 # --- experiment -----------------------------------------------------------------
 
 
-def cmd_experiment(args) -> int:
-    name = args.name
-    if name == "qloop":
-        result = experiments.qloop_run(args.shots, args.seed)
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-        return 0
-    if name == "bb84":
-        from .engine.sampler import splitmix64
-        channel = experiments.paper_channels()[args.channel]
-        wins = 0
-        for k in range(args.sessions):
-            t = experiments.bb84_run(experiments.BB84Session(
-                args.n, channel, args.fraction, seed=splitmix64(args.seed, k)))
-            wins += 1 if t.verdict else 0
-        print(json.dumps({"channel": args.channel, "n": args.n,
-                          "fraction": args.fraction, "sessions": args.sessions,
-                          "seed": args.seed, "successes": wins},
-                         indent=2, sort_keys=True))
-        return 0
-    if name == "bb84-multi":
-        transcripts = experiments.bb84_multi_client(args.clients, args.n, args.seed)
-        print(json.dumps({
-            "clients": args.clients, "n": args.n, "seed": args.seed,
-            "verdicts": [t.verdict for t in transcripts],
-            "sifted_lengths": [t.sifted_length for t in transcripts],
-        }, indent=2, sort_keys=True))
-        return 0
-    if name == "bb84-sweep":
-        cells = experiments.bb84_channel_sweep(sessions=args.sessions, seed=args.seed)
-        csv = experiments.sweep_csv(cells)
-        _write_or_print(csv, args.out)
-        return 0
-    if name == "grover":
-        spec = experiments.GroverSpec(args.n, tuple(args.targets))
-        result = experiments.grover_run(spec, args.mode, seed=args.seed)
-        print(json.dumps({
-            "n_qubits": args.n, "targets": sorted(args.targets),
-            "mode": args.mode, "seed": args.seed,
-            "rounds": [{"oracle_calls": r.oracle_calls, "measured": r.measured,
-                        "correct": r.correct,
-                        "success_probability": round(r.success_probability, 9)}
-                       for r in result.rounds],
-            "found": result.found,
-            "oracle_calls_total": result.oracle_calls_total,
-        }, indent=2, sort_keys=True))
-        return 0
-    return _fail(f"unknown experiment {name!r}")
+def exp_qloop(args) -> int:
+    result = experiments.qloop_run(args.shots, args.seed)
+    print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    return 0
+
+
+def exp_bb84(args) -> int:
+    channels = experiments.paper_channels()
+    if args.channel not in channels:
+        raise QwhileError(f"unknown channel {args.channel!r}; "
+                          f"choose from {', '.join(channels)}")
+    [cell] = experiments.bb84_channel_sweep({args.channel: channels[args.channel]},
+                                            (args.n,), (args.fraction,),
+                                            args.sessions, args.seed)
+    print(json.dumps({"channel": args.channel, "n": args.n,
+                      "fraction": args.fraction, "sessions": args.sessions,
+                      "seed": args.seed, "successes": cell.successes},
+                     indent=2, sort_keys=True))
+    return 0
+
+
+def exp_bb84_multi(args) -> int:
+    transcripts = experiments.bb84_multi_client(args.clients, args.n, args.seed)
+    print(json.dumps({
+        "clients": args.clients, "n": args.n, "seed": args.seed,
+        "verdicts": [t.verdict for t in transcripts],
+        "sifted_lengths": [t.sifted_length for t in transcripts],
+    }, indent=2, sort_keys=True))
+    return 0
+
+
+def exp_bb84_sweep(args) -> int:
+    cells = experiments.bb84_channel_sweep(sessions=args.sessions, seed=args.seed)
+    _write_or_print(experiments.sweep_csv(cells), args.out)
+    return 0
+
+
+def exp_grover(args) -> int:
+    spec = experiments.GroverSpec(args.n, tuple(args.targets))
+    result = experiments.grover_run(spec, args.mode, seed=args.seed)
+    print(json.dumps({
+        "n_qubits": args.n, "targets": sorted(args.targets),
+        "mode": args.mode, "seed": args.seed,
+        "rounds": [{"oracle_calls": r.oracle_calls, "measured": r.measured,
+                    "correct": r.correct,
+                    "success_probability": round(r.success_probability, 9)}
+                   for r in result.rounds],
+        "found": result.found,
+        "oracle_calls_total": result.oracle_calls_total,
+    }, indent=2, sort_keys=True))
+    return 0
+
+
+_SEED = ("--seed", dict(type=int, default=0))
+_SESSIONS = ("--sessions", dict(type=int, default=100))
+_KEY_LENGTH = ("--n", dict(type=int, default=1024, help="raw key length"))
+
+# name -> (handler, summary, (flag, add_argument keywords) of each option the
+# handler reads); the experiment's subcommand accepts exactly these options.
+_EXPERIMENTS = {
+    "qloop": (exp_qloop, "Qloop: the measured loop behind a decaying channel", (
+        ("--shots", dict(type=int, default=100_000)), _SEED)),
+    "bb84": (exp_bb84, "BB84 sessions over one channel", (
+        _KEY_LENGTH,
+        ("--channel", dict(default="identity", help="a channel of the sweep")),
+        ("--fraction", dict(type=float, default=0.2, help="sampling fraction")),
+        _SESSIONS, _SEED)),
+    "bb84-multi": (exp_bb84_multi, "one Alice against several Bobs", (
+        ("--clients", dict(type=int, default=8)), _KEY_LENGTH, _SEED)),
+    "bb84-sweep": (exp_bb84_sweep, "BB84 success counts over channels, key lengths "
+                   "and fractions", (
+        _SESSIONS, _SEED, ("--out", dict(help="CSV file (default: stdout)")))),
+    "grover": (exp_grover, "Grover search, single or multi round", (
+        # 3 qubits is the smallest register that holds the default target
+        ("--n", dict(type=int, default=3, help="qubit count")),
+        ("--targets", dict(type=int, nargs="+", default=[5])),
+        ("--mode", dict(choices=("single", "multi"), default="single")),
+        _SEED)),
+}
 
 
 # --- argument wiring --------------------------------------------------------------
 
 
+@cache  # once per process, however often main runs; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qwhile",
                                   description="quantum while-language toolchain")
@@ -265,18 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     syn.set_defaults(func=cmd_synthesize)
 
     exp = sub.add_parser("experiment", help="run a built-in experiment")
-    exp.add_argument("name", choices=("qloop", "bb84", "bb84-multi", "bb84-sweep", "grover"))
-    exp.add_argument("--shots", type=int, default=100_000)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--n", type=int, default=1024, help="raw key length / qubit count")
-    exp.add_argument("--channel", default="identity")
-    exp.add_argument("--fraction", type=float, default=0.2)
-    exp.add_argument("--sessions", type=int, default=100)
-    exp.add_argument("--clients", type=int, default=8)
-    exp.add_argument("--targets", type=int, nargs="+", default=[5])
-    exp.add_argument("--mode", choices=("single", "multi"), default="single")
-    exp.add_argument("--out")
-    exp.set_defaults(func=cmd_experiment)
+    names = exp.add_subparsers(dest="name", required=True)
+    for name, (handler, summary, options) in _EXPERIMENTS.items():
+        cmd = names.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=handler)
     return top
 
 

@@ -181,12 +181,13 @@ for _p in PLUS_MINUS:
 
 class MeasurementSet:
     """Operators {M_i} with sum_i M_i†M_i = I; outcome labels are 0..m-1.
-    Completeness is decided once, when the set is built."""
+    Completeness is decided once, when the set is built, over read-only
+    copies of the operators, so the verdict stays true of them."""
 
     __slots__ = ("_ops", "_name", "_report")
 
     def __init__(self, operators, *, name: str = "measurement", require_complete: bool = True):
-        ops = tuple(linalg.as_matrix(m) for m in operators)
+        ops = tuple(linalg.read_only(linalg.as_matrix(m)) for m in operators)
         if not ops:
             raise IncompleteMeasurement("measurement needs at least one operator")
         d = ops[0].shape[0]

@@ -1,7 +1,9 @@
 """The command line: byte-identical output for a fixed seed, errors with a
-position, stable distribution output and synthesis input checks."""
+position, stable distribution output, input checks, and the options each
+experiment accepts."""
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -63,6 +65,31 @@ def test_synthesize_accepts_a_unitary_matrix(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["sequence"] == [["H", [0]]]
     assert payload["reconstruction_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    (b"[[1, 0], [0, 1]", "not JSON: "),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_synthesize_refuses_an_unreadable_or_non_json_file(content, message, tmp_path, capsys):
+    path = tmp_path / "u.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = cli(capsys, "synthesize", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1
+
+
+def test_distribution_mode_refuses_csv(tmp_path, capsys):
+    path = tmp_path / "coin.qw"
+    path.write_text(program_source("coin"))
+    code, out, err = cli(capsys, "run", str(path), "--mode", "distribution",
+                         "--format", "csv", "--out", str(tmp_path / "coin.csv"))
+    assert (code, out) == (1, "")
+    assert err == "error: --format csv needs --mode sampled; distribution mode writes text or json\n"
+    assert not (tmp_path / "coin.csv").exists()
 
 
 # --- the same seed gives the same bytes --------------------------------------------
@@ -170,3 +197,55 @@ def test_grover8_is_checked_once(command, residuals, passes, tmp_path, capsys, m
     argv = [arg.format(qw=path, fqasm=tmp_path / "grover8.fqasm") for arg in command]
     assert cli(capsys, *argv)[0] == 0
     assert (calls["unitary_residual"], calls["validate_program"]) == (residuals, passes)
+
+
+# --- each experiment accepts exactly the options it reads ------------------------------
+
+
+EXPERIMENT_OPTIONS = {
+    "qloop": {"--shots", "--seed"},
+    "bb84": {"--n", "--channel", "--fraction", "--sessions", "--seed"},
+    "bb84-multi": {"--clients", "--n", "--seed"},
+    "bb84-sweep": {"--sessions", "--seed", "--out"},
+    "grover": {"--n", "--targets", "--mode", "--seed"},
+}
+# a value each option parses, so a refusal is about the option, not its value
+OPTION_VALUES = {"--shots": "10", "--seed": "1", "--n": "3", "--channel": "identity",
+                 "--fraction": "0.5", "--sessions": "1", "--clients": "2",
+                 "--targets": "5", "--mode": "single", "--out": "out.csv"}
+REFUSED_SLOTS = [(name, option) for name in EXPERIMENT_OPTIONS for option in OPTION_VALUES
+                 if option not in EXPERIMENT_OPTIONS[name]]
+
+
+@pytest.mark.parametrize("name, option", REFUSED_SLOTS)
+def test_an_option_the_experiment_does_not_read_is_refused(name, option, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        qwhile.cli.main(["experiment", name, option, OPTION_VALUES[option]])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {option} " in err
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_OPTIONS)
+def test_help_lists_exactly_the_options_the_experiment_reads(name, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        qwhile.cli.main(["experiment", name, "--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == EXPERIMENT_OPTIONS[name] | {"--help"}
+
+
+def test_grover_runs_with_its_defaults(capsys):
+    code, out, _ = cli(capsys, "experiment", "grover")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n_qubits"], payload["targets"], payload["mode"]) == (3, [5], "single")
+    assert payload["found"] == [5]
+
+
+def test_an_unknown_channel_is_refused_with_the_channel_names(capsys):
+    code, out, err = cli(capsys, "experiment", "bb84", "--channel", "nope")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown channel 'nope'; choose from identity, bit_flip_p025, "
+                   "bit_flip_p05, bit_flip_p075, depolarizing_p05, amplitude_damping_g05\n")

@@ -222,6 +222,21 @@ class TestMeasurement:
         assert validate(m).ok
         assert calls == [2]
 
+    def test_a_set_keeps_its_operators_when_the_caller_writes_to_them(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        m = MeasurementSet([a, b])
+        a[:] = 0.0
+        b[:] = np.eye(2)
+        np.testing.assert_array_equal(m.operators[0], np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(m.operators[1], np.diag([0.0, 1.0]))
+        assert m.validate().ok
+        np.testing.assert_allclose(measurement_probabilities(Ket([1, 0]), m), [1.0, 0.0])
+        copies = m.operators
+        assert all(op.flags.writeable for op in copies)
+        copies[0][:] = 0.0
+        np.testing.assert_array_equal(m.operators[0], np.diag([1.0, 0.0]))
+
     def test_incomplete_set_is_refused_when_measured(self):
         m = MeasurementSet([np.diag([1.0, 0.0])], require_complete=False)
         for measure in (lambda: measurement_probabilities(Ket([1, 0]), m),

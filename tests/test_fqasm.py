@@ -13,6 +13,7 @@ from qwhile.engine import DistributionResult, match_distributions, run_distribut
 from qwhile.engine import runtime
 from qwhile.engine.runtime import DEFAULT_DISTRIBUTION_STEP_LIMIT
 from qwhile.errors import (
+    DuplicateLabel,
     DuplicateName,
     FqasmSyntaxError,
     IncompleteMeasurement,
@@ -21,6 +22,9 @@ from qwhile.errors import (
     QwhileError,
     StepLimitExceeded,
     UndeclaredName,
+    UninitializedRegisterRead,
+    UnknownLabel,
+    UnknownRegister,
 )
 from qwhile.experiments import grover_source, program_names, program_source
 from qwhile.fqasm import (
@@ -387,3 +391,63 @@ def test_compiler_labels_and_registers_pass_the_name_rule():
     assert all(name[0] in "Lr" and name[1:].isdigit() for name in labels + list(compiled.cregs))
     check_wellformed(compiled)
     assert parse_fqasm(serialize(compiled)) == compiled
+
+
+# --- input-only forms, register reads and well-formedness ------------------------------
+
+
+HEADER = ("QREG q1 1;\nQREG q2 1;\nCREG r1;\nCREG r2;\nCREG r3;\n"
+          "MEASURE M computational;\n\n")
+
+
+def test_input_forms_read_as_their_canonical_form():
+    # q1 := H|0> is measured into r1 and moved to r2; q2 := X|0> measures 1
+    # into r3. CMP of two registers skips the final X iff r2 = 1, so q1
+    # ends in |1> on every run.
+    text = HEADER + ("APPLY H q1 0;\nAPPLY X q2 0;\nr1 := {M}(q1);\nMOV(r2,r1);\n"
+                     "r3 := {M}(q2);\nCMP(r2,r3);\nJE L1;\nAPPLY X q1 0;\nL1:\n")
+    canonical = HEADER + ("hGate(q1,0);\nxGate(q2,0);\nMOV(r1,{M}(q1));\nMOV(r2,r1);\n"
+                          "MOV(r3,{M}(q2));\nCMP(r2,r3);\nJE L1;\nxGate(q1,0);\nL1:\n")
+    prog = parse_fqasm(text)
+    assert serialize(prog) == canonical
+    assert prog == parse_fqasm(canonical)
+    seen = set()
+    for seed in range(8):
+        a, b = vm_run(prog, seed), vm_run(parse_fqasm(canonical), seed)
+        assert a.outcomes == b.outcomes
+        np.testing.assert_array_equal(a.final_state.matrix, b.final_state.matrix)
+        assert [site for site, _ in a.outcomes] == [2, 4] and a.outcomes[1][1] == 1
+        np.testing.assert_allclose(a.final_state.matrix, np.diag([0, 0, 0, 1]), atol=1e-12)
+        seen.add(a.outcomes[0][1])
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("body, message", [
+    ("CMP(r1,0);\n", "register 'r1' is empty"),
+    ("MOV(r1,{M}(q1));\nMOV(r2,r1);\nCMP(r1,0);\n", "register 'r1' is empty"),  # MOV empties
+    ("CMP(r2,r1);\n", "register 'r2' is empty"),
+    ("JE L1;\nL1:\n", "JE before any CMP"),
+])
+def test_reading_an_empty_register_is_an_error(body, message):
+    prog = parse_fqasm(HEADER + body)
+    for use in (partial(vm_run, seed=0), vm_distribution):
+        with pytest.raises(UninitializedRegisterRead, match=message):
+            use(prog)
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("L1:\nL1:\n", DuplicateLabel, "label 'L1' defined twice"),
+    ("JMP L9;\n", UnknownLabel, "jump target 'L9' does not exist"),
+    ("JE L9;\n", UnknownLabel, "jump target 'L9' does not exist"),
+    ("INIT(e);\n", UnknownRegister, "quantum register 'e' not declared"),
+    ("hGate(e,0);\n", UnknownRegister, "quantum register 'e' not declared"),
+    ("MOV(r1,{M}(e));\n", UnknownRegister, "quantum register 'e' not declared"),
+    ("MOV(r9,{M}(q1));\n", UnknownRegister, "classical register 'r9' not declared"),
+    ("MOV(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared"),
+    ("MOV(r9,r1);\n", UnknownRegister, "classical register 'r9' not declared"),
+    ("CMP(r9,0);\n", UnknownRegister, "classical register 'r9' not declared"),
+    ("CMP(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared"),
+])
+def test_ill_formed_programs_are_refused(body, error, message):
+    with pytest.raises(error, match=message):
+        parse_fqasm(HEADER + body)

@@ -13,6 +13,7 @@ from qwhile.synth import (
     reconstruct,
     synthesize,
     two_level_decompose,
+    two_qubit_ops,
     two_level_to_circuit,
 )
 
@@ -82,3 +83,26 @@ def test_synthesis_stays_within_its_error_budget(method, n):
     assert phase_dist(reconstruct(seq, n), u) <= seq.eps_total * (1 + 1e-9)
     if n > 1 or method == "qr":
         assert phase_dist(reconstruct(exact_factors(u, method), n), u) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_qr_exact_factors_at_three_and_four_qubits(n):
+    # factors here are controlled on 2 and 3 qubits, which runs the
+    # multi-controlled square-root recursion
+    u = haar_unitary(np.random.default_rng(60 + n), 1 << n)
+    assert phase_dist(reconstruct(exact_factors(u, "qr"), n), u) <= 1e-12
+
+
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+@pytest.mark.parametrize("swapped, gates", [(False, ["u2", "u2"]),
+                                            (True, ["u2", "u2", "CNOT", "CNOT", "CNOT"])])
+def test_two_qubit_ops_on_a_tensor_product_and_a_swapped_one(swapped, gates):
+    rng = np.random.default_rng(5)
+    u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    if swapped:
+        u = SWAP @ u
+    ops = two_qubit_ops(u, 0, 1)
+    assert [op.name for op in ops] == gates
+    assert phase_dist(reconstruct(GateSequence(tuple(ops)), 2), u) <= 1e-12
