@@ -28,7 +28,6 @@ from .ops import (
 )
 from .types import (
     DensityOperator,
-    Ensemble,
     Ket,
     MeasurementSet,
     SuperOperator,
@@ -46,6 +45,6 @@ __all__ = [
     "apply_superoperator", "apply_unitary", "inner_product",
     "measurement_probabilities", "normalize", "post_measurement_state",
     "tensor", "validate",
-    "DensityOperator", "Ensemble", "Ket", "MeasurementSet", "SuperOperator",
+    "DensityOperator", "Ket", "MeasurementSet", "SuperOperator",
     "ValidationReport", "Violation",
 ]

@@ -44,15 +44,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def unitary_residual(m: np.ndarray) -> float:
     """Spectral-norm distance of m†m from the identity."""
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return float("inf")
-    return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0]), ord=2))
+    return completeness_residual([m]) if m.shape[0] == m.shape[1] else float("inf")
 
 
 def completeness_residual(operators) -> float:
-    """Spectral-norm distance of sum_i M_i†M_i from the identity."""
+    """Spectral-norm distance of sum_i M_i†M_i from the identity: the
+    largest |eigenvalue| of that Hermitian difference (inf if not finite)."""
     acc = sum(dagger(m) @ m for m in operators)
-    return float(np.linalg.norm(acc - np.eye(acc.shape[0]), ord=2))
+    r = float(np.abs(np.linalg.eigvalsh(acc - np.eye(acc.shape[0]))).max())
+    return r if np.isfinite(r) else float("inf")
 
 
 def require_unitary(m: np.ndarray, atol: float = ATOL_UNITARY, what: str = "matrix") -> np.ndarray:

@@ -137,37 +137,6 @@ def validate_density_matrix(m: np.ndarray) -> ValidationReport:
     return ValidationReport("DensityOperator", tuple(violations))
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Probability-weighted mixture of states; probabilities must sum to 1."""
-
-    entries: tuple[tuple[float, "Ket | DensityOperator"], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise InvalidState("ensemble must have at least one entry")
-        total = sum(p for p, _ in self.entries)
-        if abs(total - 1.0) > ATOL_PHYSICAL:
-            raise InvalidState(f"ensemble probabilities sum to {total}, expected 1")
-        if any(p < -ATOL_PHYSICAL for p, _ in self.entries):
-            raise InvalidState("ensemble probabilities must be nonnegative")
-        dims = {s.dim for _, s in self.entries}
-        if len(dims) != 1:
-            raise DimMismatch(f"mixed dimensions in ensemble: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries[0][1].dim
-
-    def materialize(self) -> DensityOperator:
-        """Sum p_k rho_k. The ensemble itself is not observable afterwards."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, state in self.entries:
-            rho = state.to_density() if isinstance(state, Ket) else state
-            acc += p * rho._mat
-        return DensityOperator(acc, validate=False)
-
-
 _SQRT2 = np.sqrt(2.0)
 
 

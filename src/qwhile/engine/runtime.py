@@ -44,6 +44,21 @@ Truncation rules, the same for both executors:
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
 
+Merge rule, shared by `DistributionResult.merged` and
+`match_distributions`; the groups depend on the set of terminals, never
+on their order:
+
+* Two states are equal when they have the same shape and
+  max|a - b| <= atol (entrywise modulus: symmetric, no relative part).
+* Canonical order: by shape, then by the real diagonal projected on
+  linspace(0, 1, d), then by the bits (64-bit words, in order). Equal
+  states' projections differ by at most d * atol, so each state is
+  compared only with the group leaders that close behind it.
+* In that order, a state joins the first earlier leader it equals, or
+  else leads a new group. A merged terminal has its leader's state and
+  the `math.fsum` of its group's weights; merged terminals are sorted by
+  decreasing weight, ties in canonical order.
+
 Kernels. `KernelTable` classifies each operator once, when it is added,
 by its exact zero pattern and never by the size of the space, and
 applies it through the cheapest exact kernel for that structure; no
@@ -69,7 +84,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cmp_to_key
+from itertools import count, groupby
+from math import fsum
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -714,101 +731,67 @@ class DistributionResult:
         return sum(w for w, _ in self.terminals)
 
     def merged(self, atol: float = 1e-10) -> "DistributionResult":
-        """Coalesce terminals with equal states.
+        """Coalesce terminals with equal states by the merge rule in the
+        module docstring."""
+        groups = _groups([s._mat for _, s in self.terminals], atol)
+        weights = [fsum(self.terminals[i][0] for i in g) for g in groups]
+        order = sorted(range(len(groups)), key=lambda k: -weights[k])
+        return DistributionResult([(weights[k], self.terminals[groups[k][0]][1]) for k in order],
+                                  self.residual, self.step_limited, self.node_limited)
 
-        Each terminal's weight is added to the first kept terminal, in
-        terminal order, whose state has the same shape and passes
-        ``np.allclose(state, kept, atol=atol)``, i.e. entrywise
-        ``|state - kept| <= atol + 1e-5 * |kept|``; a terminal with no such
-        match is kept. Kept terminals are then sorted by decreasing weight
-        (stable, so ties keep terminal order).
-        """
-        index = _StateIndex(atol)
-        weights: list[float] = []
-        for w, state in self.terminals:
-            i = index.find(state._mat)
-            if i is None:
-                index.add(state._mat)
-                weights.append(w)
+
+def _groups(mats: list[np.ndarray], atol: float) -> list[list[int]]:
+    """Indices into mats grouped by the merge rule in the module docstring,
+    groups in canonical order, each led by its first member."""
+    ramps = {d: np.linspace(0.0, 1.0, d) for d in {len(m) for m in mats}}
+    keys = [(m.shape, float(m.diagonal().real @ ramps[len(m)])) for m in mats]
+    bits = [np.ascontiguousarray(m).view(np.uint64).ravel() for m in mats]
+    groups: list[list[int]] = []
+    reach: deque[list[int]] = deque()  # groups whose leader's key is within d*atol
+    for (shape, p), tied in groupby(sorted(range(len(mats)), key=keys.__getitem__),
+                                    keys.__getitem__):
+        copies: list[list[int]] = []  # the states with this key, bit-identical ones together
+        for i in tied:
+            same = next((c for c in copies if np.array_equal(bits[i], bits[c[0]])), None)
+            if same is None:
+                copies.append([i])
             else:
-                weights[i] += w
-        order = sorted(range(len(weights)), key=lambda i: -weights[i])
-        return DistributionResult(
-            [(weights[i], DensityOperator(index.states[i], validate=False)) for i in order],
-            self.residual, self.step_limited, self.node_limited)
+                same.append(i)
+        if len(copies) > 1:
+            copies.sort(key=cmp_to_key(lambda c, e: _word_order(bits[c[0]], bits[e[0]])))
+        while reach and keys[reach[0][0]] < (shape, p - shape[0] * atol):
+            reach.popleft()
+        for c in copies:
+            m = mats[c[0]]
+            group = next((g for g in reach if np.abs(m - mats[g[0]]).max() <= atol), None)
+            if group is None:
+                groups.append(c)
+                reach.append(c)
+            else:
+                group += c
+    return groups
 
 
-class _StateIndex:
-    """Kept states in insertion order, searched by the merge rule
-    ``np.allclose(m, kept, atol=atol)``.
-
-    Passing that rule on the diagonal is necessary for passing it on the
-    whole matrix, so a lookup first compares the new diagonal with every
-    kept diagonal of the same shape in one ``np.isclose`` call, then runs
-    the full test only on the rows that pass, lowest index first. Only
-    diagonals are stacked (one array per shape, grown by doubling); the
-    states themselves are never copied.
-    """
-
-    def __init__(self, atol: float):
-        self.atol = atol
-        self.states: list[np.ndarray] = []
-        self._diags: dict[tuple[int, ...], np.ndarray] = {}  # shape -> rows of diagonals
-        self._ids: dict[tuple[int, ...], list[int]] = {}     # shape -> state index per row
-
-    def add(self, m: np.ndarray) -> None:
-        diag = np.diagonal(m)
-        ids = self._ids.setdefault(m.shape, [])
-        rows = self._diags.get(m.shape)
-        if rows is None or len(ids) == len(rows):
-            grown = np.empty((max(8, 2 * len(ids)), len(diag)), dtype=complex)
-            if rows is not None:
-                grown[:len(ids)] = rows
-            self._diags[m.shape] = rows = grown
-        rows[len(ids)] = diag
-        ids.append(len(self.states))
-        self.states.append(m)
-
-    def find(self, m: np.ndarray, accept=None) -> int | None:
-        """Index of the first kept state that m matches and that
-        ``accept(index)`` (when given) allows, or None."""
-        ids = self._ids.get(m.shape)
-        if not ids:
-            return None
-        rows = self._diags[m.shape][:len(ids)]
-        near = np.isclose(np.diagonal(m), rows, atol=self.atol).all(axis=1)
-        for row in np.flatnonzero(near):
-            i = ids[row]
-            if (accept is None or accept(i)) and np.allclose(m, self.states[i], atol=self.atol):
-                return i
-        return None
+def _word_order(a: np.ndarray, b: np.ndarray) -> int:
+    """-1 if the words of a come before those of b, read in order, else 1
+    (a and b differ)."""
+    i = (a != b).argmax()
+    return -1 if a[i] < b[i] else 1
 
 
 def match_distributions(a: DistributionResult, b: DistributionResult,
                         atol: float = 1e-9) -> bool:
-    """True iff the residuals agree within atol and the merged terminals
-    of a and b pair up one to one.
-
-    Both sides are merged with this atol first. Each terminal of a, in
-    order, pairs with the first unpaired terminal of b whose weight is
-    within atol and whose state passes ``np.allclose(state_a, state_b,
-    atol=atol)``, i.e. entrywise ``|a - b| <= atol + 1e-5 * |b|``.
-    """
+    """True iff the residuals agree within atol and, after merging each
+    side with this atol, every group of their terminals taken together
+    (the merge rule in the module docstring) holds one terminal of each
+    side, with weights within atol."""
     if abs(a.residual - b.residual) > atol:
         return False
-    am, bm = a.merged(atol), b.merged(atol)
-    if len(am.terminals) != len(bm.terminals):
-        return False
-    index = _StateIndex(atol)
-    for _, s in bm.terminals:
-        index.add(s._mat)
-    used: set[int] = set()
-    for w, s in am.terminals:
-        j = index.find(s._mat, lambda j: j not in used and abs(w - bm.terminals[j][0]) <= atol)
-        if j is None:
-            return False
-        used.add(j)
-    return True
+    ours = a.merged(atol).terminals
+    terminals = ours + b.merged(atol).terminals
+    return all(len(g) == 2 and (g[0] < len(ours)) != (g[1] < len(ours))
+               and abs(terminals[g[0]][0] - terminals[g[1]][0]) <= atol
+               for g in _groups([s._mat for _, s in terminals], atol))
 
 
 def run_distribution(program: SourceProgram | PreparedProgram,

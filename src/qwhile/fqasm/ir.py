@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..errors import DuplicateLabel, DuplicateName, UnknownLabel, UnknownRegister
+from ..errors import DuplicateLabel, DuplicateName, QwhileError, UnknownLabel, UnknownRegister
 from ..lang.checker import ERRORS, bad_name
 from ..lang.syntax import Case, Declarations, Stmt, Unitary
 
@@ -80,13 +81,8 @@ class FqasmProgram(Declarations):
     cregs: tuple[str, ...]
 
     def labels(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        for i, ins in enumerate(self.instructions):
-            if isinstance(ins, Label):
-                if ins.name in table:
-                    raise DuplicateLabel(f"label {ins.name!r} defined twice")
-                table[ins.name] = i
-        return table
+        """Label name -> instruction index, for a well-formed program."""
+        return {ins.name: i for i, ins in enumerate(self.instructions) if isinstance(ins, Label)}
 
     def statements(self) -> Iterator[Stmt]:
         """Each APPLY as its gate application and each MEAS_MOV as a
@@ -98,9 +94,59 @@ class FqasmProgram(Declarations):
                 yield Case(ins.meas, ins.qregs, ())
 
 
-def _require_name(noun: str, name: str) -> None:
-    if (bad := bad_name(noun, name)) is not None:
-        raise ERRORS[bad.kind](str(bad))
+class Fault(NamedTuple):
+    """A well-formedness fault: the error it raises, the offending name,
+    and the index of the instruction that uses or defines the name or,
+    when `creg`, of its classical register declaration."""
+    error: QwhileError
+    name: str
+    index: int
+    creg: bool = False
+
+
+def _names_used(ins: Instruction) -> list[tuple[str, str]]:
+    """(namespace, name) of each label or register an instruction reads or
+    writes, in the order they are checked."""
+    if isinstance(ins, (Jmp, Je)):
+        return [("label", ins.label)]
+    if isinstance(ins, InitQ):
+        return [("quantum", ins.qreg)]
+    if isinstance(ins, (Apply, MeasMov)):
+        used = [("quantum", q) for q in ins.qregs]
+        return used + [("classical", ins.creg)] if isinstance(ins, MeasMov) else used
+    if isinstance(ins, Mov):
+        return [("classical", ins.dst), ("classical", ins.src)]
+    if isinstance(ins, Cmp):
+        operand = [("classical", ins.operand)] if isinstance(ins.operand, str) else []
+        return [("classical", ins.creg)] + operand
+    return []
+
+
+def first_fault(prog: FqasmProgram) -> Fault | None:
+    """The first fault `check_wellformed` finds, or None."""
+    labels: set[str] = set()
+    for i, ins in enumerate(prog.instructions):
+        if isinstance(ins, Label):
+            if ins.name in labels:
+                return Fault(DuplicateLabel(f"label {ins.name!r} defined twice"), ins.name, i)
+            if (bad := bad_name("label", ins.name)) is not None:
+                return Fault(ERRORS[bad.kind](str(bad)), ins.name, i)
+            labels.add(ins.name)
+    cregs: set[str] = set()
+    for j, r in enumerate(prog.cregs):
+        if (bad := bad_name("classical register", r)) is not None:
+            return Fault(ERRORS[bad.kind](str(bad)), r, j, creg=True)
+        if r in cregs:
+            return Fault(DuplicateName(f"classical register {r!r} declared twice"), r, j, creg=True)
+        cregs.add(r)
+    known = {"label": labels, "quantum": {name for name, _ in prog.registers}, "classical": cregs}
+    for i, ins in enumerate(prog.instructions):
+        for space, name in _names_used(ins):
+            if name not in known[space]:
+                error = (UnknownLabel(f"jump target {name!r} does not exist") if space == "label"
+                         else UnknownRegister(f"{space} register {name!r} not declared"))
+                return Fault(error, name, i)
+    return None
 
 
 def check_wellformed(prog: FqasmProgram) -> None:
@@ -111,33 +157,5 @@ def check_wellformed(prog: FqasmProgram) -> None:
     compiler names them r1, r2, ..., which a quantum register may also be
     called. The quantum declarations, APPLYs and MEAS_MOVs are checked by
     `lang.checker`, which `prepare_vm` runs unless the program is `checked`."""
-    labels = prog.labels()
-    for name in labels:
-        _require_name("label", name)
-    qnames = {name for name, _ in prog.registers}
-    cnames: set[str] = set()
-    for r in prog.cregs:
-        _require_name("classical register", r)
-        if r in cnames:
-            raise DuplicateName(f"classical register {r!r} declared twice")
-        cnames.add(r)
-    for ins in prog.instructions:
-        if isinstance(ins, (Jmp, Je)) and ins.label not in labels:
-            raise UnknownLabel(f"jump target {ins.label!r} does not exist")
-        if isinstance(ins, InitQ) and ins.qreg not in qnames:
-            raise UnknownRegister(f"quantum register {ins.qreg!r} not declared")
-        if isinstance(ins, (Apply, MeasMov)):
-            for q in ins.qregs:
-                if q not in qnames:
-                    raise UnknownRegister(f"quantum register {q!r} not declared")
-        if isinstance(ins, MeasMov) and ins.creg not in cnames:
-            raise UnknownRegister(f"classical register {ins.creg!r} not declared")
-        if isinstance(ins, Mov):
-            for r in (ins.dst, ins.src):
-                if r not in cnames:
-                    raise UnknownRegister(f"classical register {r!r} not declared")
-        if isinstance(ins, Cmp):
-            if ins.creg not in cnames:
-                raise UnknownRegister(f"classical register {ins.creg!r} not declared")
-            if isinstance(ins.operand, str) and ins.operand not in cnames:
-                raise UnknownRegister(f"classical register {ins.operand!r} not declared")
+    if (fault := first_fault(prog)) is not None:
+        raise fault.error

@@ -24,7 +24,9 @@ converts in bulk. Text the span rule does not accept, and a span the bulk
 conversion leaves undecided, goes through the token path, so each error
 keeps its message, line and column. `serialize` writes matrices with the
 bulk writer `lang.syntax.format_matrix`. Every syntax error is an
-FqasmSyntaxError with its line and column.
+FqasmSyntaxError with its line and column, and so is a well-formedness
+fault (`ir.first_fault`), at the offending name; one that is already a
+ParseError (a reserved or twice-declared name) keeps its class.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from ..lang.syntax import GateDecl, MeasDecl, format_matrix
 from .ir import (
     Apply,
     Cmp,
+    Fault,
     FqasmProgram,
     InitQ,
     Instruction,
@@ -44,6 +47,7 @@ from .ir import (
     MeasMov,
     Mov,
     check_wellformed,
+    first_fault,
 )
 
 # Input accepts either spelling of a library gate.
@@ -99,10 +103,11 @@ class _FqasmParser(TokenParser):
     def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
         self.registers: list[tuple[str, int]] = []
-        self.cregs: list[str] = []
         self.gates: list[GateDecl] = []
         self.measurements: list[MeasDecl] = []
         self.instructions: list[Instruction] = []
+        self.spans: list[tuple[int, int]] = []  # token range of each instruction
+        self.creg_names: list[Token] = []       # name token of each CREG
 
     def expect_int(self) -> int:
         tok = self.expect("num")
@@ -120,16 +125,30 @@ class _FqasmParser(TokenParser):
 
     def parse(self) -> FqasmProgram:
         while self.cur.kind != "eof":
-            self.parse_line()
+            start = self.pos
+            if (ins := self.parse_line()) is not None:
+                self.instructions.append(ins)
+                self.spans.append((start, self.pos))
         return FqasmProgram(
             instructions=tuple(self.instructions),
             registers=tuple(self.registers),
-            cregs=tuple(self.cregs),
+            cregs=tuple(t.text for t in self.creg_names),
             gates=tuple(self.gates),
             measurements=tuple(self.measurements),
         )
 
-    def parse_line(self) -> None:
+    def locate(self, fault: Fault) -> Token:
+        """The token of the name a well-formedness fault is about."""
+        if fault.creg:
+            return self.creg_names[fault.index]
+        start, end = self.spans[fault.index]
+        # the name is an operand, or else the line's first token: a label
+        # or the register of an unfused measure-assign
+        return next((t for t in self.tokens[start + 1:end] if t.text == fault.name),
+                    self.tokens[start])
+
+    def parse_line(self) -> Instruction | None:
+        """One line: its instruction, or None for a declaration."""
         tok = self.cur
         if tok.kind != "name":
             raise self.error(f"expected a command, found {tok.text!r}")
@@ -138,25 +157,24 @@ class _FqasmParser(TokenParser):
         if word in ("QREG", "CREG", "GATE", "MEASURE"):
             self.advance()
             self.parse_declaration(word)
-            return
+            return None
 
         # label line: NAME ':'
         if self.tokens[self.pos + 1].kind == ":":
             self.advance()
             self.advance()
-            self.instructions.append(Label(word))
-            return
+            return Label(word)
 
         self.advance()
         if word == "INIT":
             self.expect("(")
             qreg = self.expect("name").text
             self.expect(")")
-            self.instructions.append(InitQ(qreg))
+            ins: Instruction = InitQ(qreg)
         elif word == "JMP":
-            self.instructions.append(Jmp(self.expect("name").text))
+            ins = Jmp(self.expect("name").text)
         elif word == "JE":
-            self.instructions.append(Je(self.expect("name").text))
+            ins = Je(self.expect("name").text)
         elif word == "CMP":
             self.expect("(")
             creg = self.expect("name").text
@@ -166,7 +184,7 @@ class _FqasmParser(TokenParser):
             else:
                 operand = self.expect("name").text
             self.expect(")")
-            self.instructions.append(Cmp(creg, operand))
+            ins = Cmp(creg, operand)
         elif word == "MOV":
             self.expect("(")
             dst = self.expect("name").text
@@ -179,11 +197,11 @@ class _FqasmParser(TokenParser):
                 qregs = self._name_list()
                 self.expect(")")
                 self.expect(")")
-                self.instructions.append(MeasMov(dst, meas, qregs))
+                ins = MeasMov(dst, meas, qregs)
             else:
                 src = self.expect("name").text
                 self.expect(")")
-                self.instructions.append(Mov(dst, src))
+                ins = Mov(dst, src)
         elif word == "APPLY":
             # spelled-out compatibility form: APPLY <gate> <q...> <num>
             gate = self.expect("name").text
@@ -191,7 +209,7 @@ class _FqasmParser(TokenParser):
             while self.cur.kind == "name":
                 names.append(self.advance().text)
             num = self.expect_int()
-            self.instructions.append(Apply(_TEXT_TO_GATE.get(gate, gate), tuple(names), num))
+            ins = Apply(_TEXT_TO_GATE.get(gate, gate), tuple(names), num)
         else:
             # unfused measure-assign: r := {M}(q...)
             if self.cur.kind == ":=":
@@ -202,7 +220,7 @@ class _FqasmParser(TokenParser):
                 self.expect("(")
                 qregs = self._name_list()
                 self.expect(")")
-                self.instructions.append(MeasMov(word, meas, qregs))
+                ins = MeasMov(word, meas, qregs)
             else:
                 # listing-style gate application: name(q...,num)
                 self.expect("(")
@@ -216,16 +234,18 @@ class _FqasmParser(TokenParser):
                     names.append(self.expect("name").text)
                 self.expect(")")
                 gate = _TEXT_TO_GATE.get(word, word)
-                self.instructions.append(Apply(gate, tuple(names), num))
+                ins = Apply(gate, tuple(names), num)
         self.expect(";")
+        return ins
 
     def parse_declaration(self, word: str) -> None:
-        name = self.expect("name").text
+        tok = self.expect("name")
+        name = tok.text
         if word == "QREG":
             width = self.expect_int()
             self.registers.append((name, width))
         elif word == "CREG":
-            self.cregs.append(name)
+            self.creg_names.append(tok)
         elif word == "GATE":
             self.gates.append(GateDecl(name, self.parse_matrix()))
         else:  # MEASURE
@@ -242,8 +262,12 @@ class _FqasmParser(TokenParser):
 def parse_fqasm(text: str) -> FqasmProgram:
     """Parse `.fqasm` text; serialize(parse_fqasm(t)) is a fixpoint."""
     try:
-        prog = _FqasmParser(tokenize(text)).parse()
+        parser = _FqasmParser(tokenize(text))
+        prog = parser.parse()
     except ParseError as exc:  # re-brand lexer and parser errors, keeping the position
         raise FqasmSyntaxError(exc.message, exc.line, exc.column) from exc
-    check_wellformed(prog)
+    if (fault := first_fault(prog)) is not None:
+        tok = parser.locate(fault)
+        error = type(fault.error) if isinstance(fault.error, ParseError) else FqasmSyntaxError
+        raise error(fault.error.message, tok.line, tok.col)
     return prog

@@ -4,7 +4,7 @@ import pytest
 
 from qwhile.core import (
     CNOT, H, I2, S, T, X, Z,
-    DensityOperator, Ensemble, Ket, MeasurementSet, SuperOperator,
+    DensityOperator, Ket, MeasurementSet, SuperOperator,
     STANDARD_LIBRARY,
     apply_superoperator, apply_unitary, basis_ket, embed, inner_product,
     measurement_probabilities, normalize, partial_trace,
@@ -297,6 +297,27 @@ class TestValidate:
         assert validate(H).ok
         assert not validate(np.array([[1, 0], [0, 2]])).ok
 
+    def test_residuals_are_the_spectral_norm(self, rng):
+        def spectral(gram):
+            return np.linalg.norm(gram - np.eye(len(gram)), ord=2)
+
+        for dim in (1, 2, 5, 16, 64):
+            u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            for scale in (1e-6, 1e-2, 1.0):
+                m = u + scale * rng.normal(size=(dim, dim))
+                assert linalg.unitary_residual(m) == pytest.approx(
+                    spectral(m.conj().T @ m), rel=1e-12)
+                ops = [m / 2, u / 2, np.sqrt(0.5) * u]
+                assert linalg.completeness_residual(ops) == pytest.approx(
+                    spectral(sum(k.conj().T @ k for k in ops)), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_matrix_is_not_unitary(self):
+        for x in (np.nan, np.inf):
+            assert linalg.unitary_residual(np.diag([x, 1.0])) == np.inf
+            with pytest.raises(NotUnitary):
+                linalg.require_unitary(np.diag([1.0, x]))
+
 
 class TestTypes:
     def test_density_invariants_enforced(self):
@@ -304,14 +325,6 @@ class TestTypes:
             DensityOperator(np.diag([0.7, 0.7]))
         with pytest.raises(InvalidState):
             DensityOperator(np.array([[1.5, 0], [0, -0.5]]))
-
-    def test_ensemble_materializes(self):
-        ens = Ensemble(((0.25, Ket([1, 0])), (0.75, Ket([0, 1]))))
-        np.testing.assert_allclose(ens.materialize().matrix, np.diag([0.25, 0.75]), atol=1e-12)
-
-    def test_ensemble_probability_sum(self):
-        with pytest.raises(InvalidState):
-            Ensemble(((0.5, Ket([1, 0])),))
 
     def test_library_gates_unitary(self):
         for name in STANDARD_LIBRARY.names:

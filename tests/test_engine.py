@@ -1,5 +1,8 @@
 """Sampler procedure, small-step semantics, shot runs, and distribution mode."""
+import math
 import re
+import time
+from itertools import permutations
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -628,38 +631,44 @@ class TestKernels:
 # --- merging and matching terminals ---------------------------------------------
 
 
-def reference_merged(dist: DistributionResult, atol: float = 1e-10) -> DistributionResult:
-    """The quadratic merge the indexed one must reproduce exactly."""
-    out = []
-    for w, state in dist.terminals:
-        m = state.matrix
-        for i, (wi, mi) in enumerate(out):
-            if m.shape == mi.shape and np.allclose(m, mi, atol=atol):
-                out[i] = (wi + w, mi)
+def canonical_key(m: np.ndarray) -> tuple:
+    """The merge rule's order: shape, the real diagonal projected on
+    linspace(0, 1, d), then the state's 64-bit words in order."""
+    return (m.shape, float(m.diagonal().real @ np.linspace(0.0, 1.0, len(m))),
+            tuple(np.ascontiguousarray(m).view(np.uint64).flat))
+
+
+def reference_groups(mats: list[np.ndarray], atol: float) -> list[list[int]]:
+    """The merge rule by brute force: in canonical order, each state joins
+    the first earlier leader it equals, compared against every leader."""
+    groups: list[list[int]] = []
+    for i in sorted(range(len(mats)), key=lambda i: canonical_key(mats[i])):
+        for g in groups:
+            lead = mats[g[0]]
+            if lead.shape == mats[i].shape and max(
+                    abs(x - y) for x, y in zip(lead.flat, mats[i].flat)) <= atol:
+                g.append(i)
                 break
         else:
-            out.append((w, m))
+            groups.append([i])
+    return groups
+
+
+def reference_merged(dist: DistributionResult, atol: float = 1e-10) -> DistributionResult:
+    groups = reference_groups([s.matrix for _, s in dist.terminals], atol)
+    out = [(math.fsum(dist.terminals[i][0] for i in g), dist.terminals[g[0]][1]) for g in groups]
     out.sort(key=lambda t: -t[0])
-    return DistributionResult(
-        [(w, DensityOperator(m, validate=False)) for w, m in out], dist.residual)
+    return DistributionResult(out, dist.residual, dist.step_limited, dist.node_limited)
 
 
 def reference_match(a: DistributionResult, b: DistributionResult, atol: float = 1e-9) -> bool:
-    """The quadratic pairing the indexed one must reproduce exactly."""
     if abs(a.residual - b.residual) > atol:
         return False
-    am, bm = reference_merged(a, atol), reference_merged(b, atol)
-    if len(am.terminals) != len(bm.terminals):
-        return False
-    used = set()
-    for w, s in am.terminals:
-        for j, (w2, s2) in enumerate(bm.terminals):
-            if j in used:
-                continue
-            if abs(w - w2) <= atol and np.allclose(s.matrix, s2.matrix, atol=atol):
-                used.add(j)
-                break
-        else:
+    am, bm = reference_merged(a, atol).terminals, reference_merged(b, atol).terminals
+    both = am + bm
+    for g in reference_groups([s.matrix for _, s in both], atol):
+        sides = sorted(i < len(am) for i in g)
+        if sides != [False, True] or abs(both[g[0]][0] - both[g[1]][0]) > atol:
             return False
     return True
 
@@ -689,55 +698,71 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 
+def shuffled(dist: DistributionResult, rng) -> DistributionResult:
+    return replace(dist, terminals=[dist.terminals[i] for i in rng.permutation(len(dist.terminals))])
+
+
 class TestMergeAndMatch:
     @pytest.mark.parametrize("name", program_names())
-    def test_bundled_programs(self, name):
+    def test_bundled_programs(self, name, rng):
         program = parse(program_source(name))
         compiled = compile_program(program)
         runs = [unmerged(run_distribution, program), unmerged(vm_distribution, compiled)]
         for raw in runs:
             for atol in (1e-10, 1e-9):
-                assert_identical(raw.merged(atol), reference_merged(raw, atol))
+                want = reference_merged(raw, atol)
+                assert_identical(raw.merged(atol), want)
+                for _ in range(4):
+                    assert_identical(shuffled(raw, rng).merged(atol), want)
         assert match_distributions(*runs) is reference_match(*runs) is True
+        assert match_distributions(shuffled(runs[0], rng), runs[1])
 
     def test_generated_programs(self, rng):
         results = []
         for _ in range(40):
             program = random_program(rng, max_depth=3, max_block=3)
             raw = unmerged(run_distribution, program)
-            assert_identical(raw.merged(), reference_merged(raw))
-            results.append((program.n_qubits, raw))
-        merges = sum(len(r.merged().terminals) < len(r.terminals) for _, r in results)
+            want = reference_merged(raw)
+            assert_identical(raw.merged(), want)
+            for _ in range(4):
+                assert_identical(shuffled(raw, rng).merged(), want)
+            results.append(raw)
+        merges = sum(len(r.merged().terminals) < len(r.terminals) for r in results)
         assert merges > 0  # the inputs do exercise merging
-        for n, a in results:
-            assert match_distributions(a, a) is reference_match(a, a) is True
-            # the reference cannot compare states of different shapes
-            for m, b in results:
-                if m == n:
-                    assert match_distributions(a, b) is reference_match(a, b)
+        for a in results:
+            assert match_distributions(a, shuffled(a, rng)) is reference_match(a, a) is True
+            for b in results:
+                assert match_distributions(a, b) is reference_match(a, b)
 
     def test_tolerance_boundaries(self, rng):
-        # Perturb one entry of a base state by multiples of atol (entries
-        # near 0) or of rtol*|b| (entries near 1), both sides of the bound.
-        atol, rtol = 1e-10, 1e-5
+        # Perturb one entry of a base state by multiples of atol in modulus,
+        # at any phase, on both sides of the bound.
+        atol = 1e-10
         base = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         states = [base]
         for _ in range(60):
             m = base.copy()
             i, j = (0, 0) if rng.random() < 0.4 else tuple(rng.integers(0, 4, size=2))
-            scale = rtol * abs(base[i, j]) + atol
-            m[i, j] += rng.choice([0.5, 0.99, 1.01, 2.0, 3.0]) * scale * rng.choice([1, -1, 1j])
+            m[i, j] += rng.choice([0.5, 0.99, 1.01, 2.0, 3.0]) * atol * np.exp(2j * np.pi * rng.random())
             states.append(m)
+        first = weighted(*[(1 / 64, m) for m in states]).merged(atol)
         for _ in range(3):
-            raw = weighted(*[(float(w), m) for w, m in
-                             zip(rng.random(len(states)), rng.permutation(states))])
+            raw = weighted(*[(1 / 64, m) for m in rng.permutation(states)])
             got = raw.merged(atol)
             assert_identical(got, reference_merged(raw, atol))
+            assert_identical(got, first)
             assert 1 < len(got.terminals) < len(states)
             other = weighted(*[(w, s.matrix) for w, s in reversed(raw.terminals)])
             assert match_distributions(raw, other, atol) is reference_match(raw, other, atol)
+        # the rule has no relative part: entries near 1 get no wider bound
+        # than entries near 0, unlike np.allclose's atol + rtol*|b|
+        for k in (0.5, 0.99, 1.01, 2.0):
+            near = base.copy()
+            near[0, 0] += k * atol
+            assert len(weighted((0.5, base), (0.5, near)).merged(atol).terminals) == (
+                1 if k < 1 else 2)
 
-    def test_index_grows_past_initial_capacity(self):
+    def test_fifty_states_merge_with_their_copies(self):
         states = [np.diag([1.0 - k / 100, k / 100]) for k in range(50)]
         raw = weighted(*[(0.01, m) for m in states + states[::-1]])
         got = raw.merged()
@@ -745,17 +770,34 @@ class TestMergeAndMatch:
         assert len(got.terminals) == 50
 
     def test_non_transitive_chain(self):
+        # b is within atol of a and of c, but a and c are not: in canonical
+        # order a leads, b joins it and c leads its own group, whatever
+        # order the terminals come in
         atol = 1e-10
-        a = np.diag([1.0, 0.0]).astype(complex)
-        b, c = a.copy(), a.copy()
-        b[1, 1] = 0.8 * atol
-        c[1, 1] = 1.6 * atol
-        raw = weighted((0.25, a), (0.25, b), (0.5, c))
-        got = raw.merged(atol)
-        assert_identical(got, reference_merged(raw, atol))
-        assert [w for w, _ in got.terminals] == [0.5, 0.5]
-        assert np.array_equal(got.terminals[0][1].matrix, a)  # a and b
-        assert np.array_equal(got.terminals[1][1].matrix, c)
+        a, b, c = (np.diag([1.0 - x, x]).astype(complex) for x in (0.0, 0.8 * atol, 1.6 * atol))
+        terminals = [(0.25, a), (0.25, b), (0.5, c)]
+        for order in permutations(terminals):
+            raw = weighted(*order)
+            got = raw.merged(atol)
+            assert_identical(got, reference_merged(raw, atol))
+            assert [w for w, _ in got.terminals] == [0.5, 0.5]
+            assert np.array_equal(got.terminals[0][1].matrix, a)  # a and b
+            assert np.array_equal(got.terminals[1][1].matrix, c)
+            assert match_distributions(raw, weighted(*terminals), atol)
+
+    def test_group_weight_is_the_exactly_rounded_sum(self):
+        # added left to right, 1.0 absorbs each 1e-16 alone but not their sum
+        for order in permutations([1.0, 1e-16, 1e-16]):
+            got = weighted(*[(w, PLUS.copy()) for w in order]).merged()
+            assert [w for w, _ in got.terminals] == [math.fsum(order)] == [1.0000000000000002]
+
+    def test_merging_many_copies_of_one_state_is_fast(self):
+        raw = weighted(*[(1 / 50_000, PLUS.copy()) for _ in range(50_000)])
+        start = time.perf_counter()
+        got = raw.merged()
+        assert time.perf_counter() - start < 2.0
+        assert len(got.terminals) == 1
+        assert got.terminals[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_shapes(self):
         one = np.diag([1.0, 0.0])
@@ -775,6 +817,7 @@ class TestMergeAndMatch:
         # |+><+| and |-><-| have the same diagonal but differ off it
         raw = weighted((0.5, PLUS), (0.5, MINUS))
         assert len(raw.merged().terminals) == 2
+        assert_identical(raw.merged(), weighted((0.5, MINUS), (0.5, PLUS)).merged())
         assert not match_distributions(weighted((1.0, PLUS)), weighted((1.0, MINUS)))
         assert match_distributions(raw, weighted((0.5, MINUS), (0.5, PLUS)))
 

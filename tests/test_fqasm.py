@@ -31,7 +31,9 @@ from qwhile.fqasm import (
     FqasmProgram, Jmp, Label, check_wellformed, compile_program, parse_fqasm, serialize,
     vm_distribution, vm_run,
 )
+from qwhile.fqasm.text import _FqasmParser
 from qwhile.lang import parse
+from qwhile.lang.parser import tokenize
 
 from genprog import random_program
 
@@ -350,8 +352,9 @@ def test_executors_agree_shot_for_shot():
 def test_duplicate_classical_register_rejected():
     text = ("QREG q 1;\nCREG r;\nCREG r;\nMEASURE M computational;\n\n"
             "hGate(q,0);\nMOV(r,{M}(q));\n")
-    with pytest.raises(DuplicateName, match="classical register 'r'"):
+    with pytest.raises(DuplicateName, match="classical register 'r'") as err:
         parse_fqasm(text)
+    assert (err.value.line, err.value.column) == (3, 6)
 
 
 def test_classical_names_are_their_own_namespace():
@@ -382,6 +385,14 @@ def test_labels_and_classical_registers_follow_the_name_rule(prog, message):
     for use in (check_wellformed, serialize, partial(vm_run, seed=0), vm_distribution):
         with pytest.raises(ParseError, match=message):
             use(prog)
+
+
+def test_reserved_names_in_text_are_reported_at_the_name():
+    for text, line, column in [("QREG q 1;\nINIT(q);\nskip:\n", 3, 1),
+                               ("QREG q 1;\nCREG r;\nCREG qubit;\n", 3, 6)]:
+        with pytest.raises(ParseError, match="BadName") as err:
+            parse_fqasm(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_compiler_labels_and_registers_pass_the_name_rule():
@@ -435,19 +446,29 @@ def test_reading_an_empty_register_is_an_error(body, message):
             use(prog)
 
 
-@pytest.mark.parametrize("body, error, message", [
-    ("L1:\nL1:\n", DuplicateLabel, "label 'L1' defined twice"),
-    ("JMP L9;\n", UnknownLabel, "jump target 'L9' does not exist"),
-    ("JE L9;\n", UnknownLabel, "jump target 'L9' does not exist"),
-    ("INIT(e);\n", UnknownRegister, "quantum register 'e' not declared"),
-    ("hGate(e,0);\n", UnknownRegister, "quantum register 'e' not declared"),
-    ("MOV(r1,{M}(e));\n", UnknownRegister, "quantum register 'e' not declared"),
-    ("MOV(r9,{M}(q1));\n", UnknownRegister, "classical register 'r9' not declared"),
-    ("MOV(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared"),
-    ("MOV(r9,r1);\n", UnknownRegister, "classical register 'r9' not declared"),
-    ("CMP(r9,0);\n", UnknownRegister, "classical register 'r9' not declared"),
-    ("CMP(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared"),
+@pytest.mark.parametrize("body, error, message, line, column", [
+    ("L1:\nL1:\n", DuplicateLabel, "label 'L1' defined twice", 9, 1),
+    ("JMP L9;\n", UnknownLabel, "jump target 'L9' does not exist", 8, 5),
+    ("JE L9;\n", UnknownLabel, "jump target 'L9' does not exist", 8, 4),
+    ("INIT(e);\n", UnknownRegister, "quantum register 'e' not declared", 8, 6),
+    ("hGate(e,0);\n", UnknownRegister, "quantum register 'e' not declared", 8, 7),
+    ("APPLY H q1 e 0;\n", UnknownRegister, "quantum register 'e' not declared", 8, 12),
+    ("MOV(r1,{M}(e));\n", UnknownRegister, "quantum register 'e' not declared", 8, 12),
+    ("MOV(r9,{M}(q1));\n", UnknownRegister, "classical register 'r9' not declared", 8, 5),
+    ("r9 := {M}(q1);\n", UnknownRegister, "classical register 'r9' not declared", 8, 1),
+    ("MOV(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared", 8, 8),
+    ("MOV(r9,r1);\n", UnknownRegister, "classical register 'r9' not declared", 8, 5),
+    ("CMP(r9,0);\n", UnknownRegister, "classical register 'r9' not declared", 8, 5),
+    ("CMP(r1,r9);\n", UnknownRegister, "classical register 'r9' not declared", 8, 8),
 ])
-def test_ill_formed_programs_are_refused(body, error, message):
-    with pytest.raises(error, match=message):
+def test_ill_formed_programs_are_refused(body, error, message, line, column):
+    # in text, a syntax error at the offending name
+    with pytest.raises(FqasmSyntaxError, match=message) as err:
         parse_fqasm(HEADER + body)
+    assert (err.value.line, err.value.column) == (line, column)
+    # built in code, the typed error without a position
+    prog = _FqasmParser(tokenize(HEADER + body)).parse()
+    for use in (check_wellformed, serialize, vm_distribution):
+        with pytest.raises(error, match=message) as err:
+            use(prog)
+        assert (err.value.line, err.value.column) == (0, 0)

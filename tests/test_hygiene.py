@@ -200,3 +200,25 @@ def test_nothing_is_keyed_on_id():
     found = [f"{path.relative_to(PACKAGE)}:{line}"
              for path in sorted(PACKAGE.rglob("*.py")) for line in identity_reads(path.read_text())]
     assert found == []
+
+
+def closeness_calls(source: str) -> list[int]:
+    """Lines that read numpy's `allclose` or `isclose`, as an attribute or
+    a name: the engine compares states under its one merge rule instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr in ("allclose", "isclose"))
+                  or (isinstance(node, ast.Name) and node.id in ("allclose", "isclose")))
+
+
+def test_scan_finds_closeness_calls():
+    source = ("import numpy as np\nfrom numpy import isclose\n"
+              "ok = np.allclose(a, b)\nnear = isclose(a, b)\n"
+              "'''np.allclose in a docstring'''\nf = np.abs(a - b).max() <= atol\n")
+    assert closeness_calls(source) == [3, 4]
+
+
+def test_engine_compares_states_under_one_rule():
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted((PACKAGE / "engine").rglob("*.py"))
+             for line in closeness_calls(path.read_text())]
+    assert found == []

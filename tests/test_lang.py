@@ -229,6 +229,14 @@ class TestValidate:
         report = validate_program(p)
         assert any(i.kind == "NotUnitary" for i in report.issues)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_literal_is_not_unitary(self):
+        # 1e999 reads as inf: a NotUnitary at the declaration, not a numpy error
+        with pytest.raises(ERRORS["NotUnitary"]) as err:
+            parse("q : qubit;\ngate G = [[1e999, 0], [0, 1]];\nG[q];\n")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            2, 6, "NotUnitary at gate G: gate 'G' is not unitary (residual inf)")
+
     def test_incomplete_measurement(self):
         p = SourceProgram((("q", 1),), (),
                           (MeasDecl("M", operators=(np.diag([1.0, 0.0]),)),),
