@@ -90,20 +90,24 @@ def cmd_run(args) -> int:
     if args.mode == "distribution":
         dist = run_distribution(plan, mass_threshold=args.mass_threshold,
                                 step_limit=step_limit)
+        # listed by printed weight, then printed state, so that noise below
+        # the printed precision cannot reorder the lines
+        listed = sorted(((round(w, 12), _state_summary(s.matrix), w, s.dim)
+                         for w, s in dist.terminals),
+                        key=lambda t: (-t[0], json.dumps(t[1])))
         payload = {
             "file": args.file,
             "mode": "distribution",
-            "terminals": [{"weight": round(w, 12), "state": _state_summary(s.matrix)}
-                          for w, s in dist.terminals],
+            "terminals": [{"weight": w, "state": state} for w, state, _, _ in listed],
             "residual": round(dist.residual, 12),
             "node_limited": round(dist.node_limited, 12),
         }
         if args.format == "json":
             _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         else:
-            lines = [f"terminals: {len(dist.terminals)}  residual: {dist.residual:.3e}"]
-            for w, s in dist.terminals:
-                lines.append(f"  weight {w:.9f}  dim {s.dim}")
+            lines = [f"terminals: {len(listed)}  residual: {dist.residual:.3e}"]
+            for _, _, w, dim in listed:
+                lines.append(f"  weight {w:.9f}  dim {dim}")
             _write_or_print("\n".join(lines) + "\n", args.out)
         return 0
 

@@ -49,7 +49,11 @@ def unitary_residual(m: np.ndarray) -> float:
 
 def completeness_residual(operators) -> float:
     """Spectral-norm distance of sum_i M_i†M_i from the identity: the
-    largest |eigenvalue| of that Hermitian difference (inf if not finite)."""
+    largest |eigenvalue| of that Hermitian difference (inf if not finite,
+    decided before any product so that an overflowing entry warns of
+    nothing)."""
+    if not all(np.isfinite(m).all() for m in operators):
+        return float("inf")
     acc = sum(dagger(m) @ m for m in operators)
     r = float(np.abs(np.linalg.eigvalsh(acc - np.eye(acc.shape[0]))).max())
     return r if np.isfinite(r) else float("inf")

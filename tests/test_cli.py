@@ -12,6 +12,7 @@ import pytest
 
 import qwhile.cli
 import qwhile.lang.checker
+from qwhile.engine import DistributionResult
 from qwhile.experiments import program_names, program_source
 from qwhile.lang.parser import KEYWORDS
 
@@ -46,6 +47,44 @@ def test_distribution_json_is_rounded_and_has_no_negative_zero(name, tmp_path, c
         for x in numbers(terminal["state"]):
             assert x == round(x, 9)
             assert not (x == 0.0 and math.copysign(1.0, x) < 0.0)  # no -0.0
+
+
+@pytest.mark.parametrize("name", ["grover8", "coin", "qloop"])
+def test_distribution_listing_ignores_terminal_order_and_weight_noise(
+        name, tmp_path, capsys, monkeypatch):
+    # terminals are listed by printed weight, then printed state: neither
+    # their order nor noise below the printed precision moves a line
+    path = tmp_path / f"{name}.qw"
+    path.write_text(program_source(name))
+    argv = ("run", str(path), "--mode", "distribution", "--format", "json")
+    code, want, _ = cli(capsys, *argv)
+    assert code == 0 and len(json.loads(want)["terminals"]) > 1
+    text = cli(capsys, *argv[:-1], "text")[1]
+    run_distribution = qwhile.cli.run_distribution
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        def noisy(*args, **kwargs):
+            dist = run_distribution(*args, **kwargs)
+            terminals = [(w + rng.choice([-1e-15, 0.0, 1e-15]), s)
+                         for w, s in dist.terminals]
+            return DistributionResult([terminals[i] for i in rng.permutation(len(terminals))],
+                                      dist.residual, dist.step_limited, dist.node_limited)
+        monkeypatch.setattr(qwhile.cli, "run_distribution", noisy)
+        assert cli(capsys, *argv) == (0, want, "")
+        assert cli(capsys, *argv[:-1], "text") == (0, text, "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "compile"])
+def test_overflowing_literal_is_one_error_line(command, tmp_path, capsys):
+    # 1e999 reads as inf; the residual is decided without a matrix product,
+    # so numpy warns of nothing
+    path = tmp_path / "bad.qw"
+    path.write_text("q : qubit;\ngate G = [[1e999, 0], [0, 1]];\nG[q];\n")
+    code, out, err = cli(capsys, command, str(path), "--out", str(tmp_path / "bad.out"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: line 2, col 6: NotUnitary at gate G: "
+                   "gate 'G' is not unitary (residual inf)\n")
 
 
 def test_synthesize_rejects_a_non_unitary_matrix(tmp_path, capsys):

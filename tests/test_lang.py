@@ -229,9 +229,10 @@ class TestValidate:
         report = validate_program(p)
         assert any(i.kind == "NotUnitary" for i in report.issues)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_literal_is_not_unitary(self):
-        # 1e999 reads as inf: a NotUnitary at the declaration, not a numpy error
+        # 1e999 reads as inf: a NotUnitary at the declaration, not a numpy
+        # error, and no numpy warning either
         with pytest.raises(ERRORS["NotUnitary"]) as err:
             parse("q : qubit;\ngate G = [[1e999, 0], [0, 1]];\nG[q];\n")
         assert (err.value.line, err.value.column, err.value.message) == (
