@@ -7,7 +7,6 @@ from .linalg import (
     basis_ket,
     check_dim,
     completeness_residual,
-    conjugate_density,
     dagger,
     embed,
     kron,
@@ -40,7 +39,7 @@ __all__ = [
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
     "as_matrix", "basis_ket", "check_dim",
-    "completeness_residual", "conjugate_density", "dagger", "embed", "kron",
+    "completeness_residual", "dagger", "embed", "kron",
     "num_qubits", "partial_trace", "require_unitary", "unitary_residual",
     "apply_superoperator", "apply_unitary", "inner_product",
     "measurement_probabilities", "normalize", "post_measurement_state",

@@ -113,17 +113,6 @@ def _apply_on_axes(tensor: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) 
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def conjugate_density(mat: np.ndarray, op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """Compute E rho E† where E acts on the given qubit positions (E need not be unitary)."""
-    dim = 1 << n
-    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
-    row_axes = tuple(positions)
-    col_axes = tuple(n + p for p in positions)
-    t = _apply_on_axes(t, op, row_axes)
-    t = _apply_on_axes(t, np.conj(op), col_axes)
-    return t.reshape(dim, dim)
-
-
 def embed(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
     """Dense 2^n matrix acting as `op` on `positions` and identity elsewhere."""
     op = as_matrix(op)

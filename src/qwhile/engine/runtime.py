@@ -1,9 +1,10 @@
 """Small-step execution of programs over a global density operator.
 
 A configuration pairs the remaining program with the global state over
-all declared registers. The remaining program is kept as a flat tuple of
-atomic statements (the sequencing rule is transparent, so popping one
-atom is exactly one transition):
+all declared registers, held as a factor (see Kernels below). The
+remaining program is kept as a flat tuple of atomic statements (the
+sequencing rule is transparent, so popping one atom is exactly one
+transition):
 
 * skip        pops.
 * q := |0>    applies, per qubit (least significant first),
@@ -59,26 +60,42 @@ on their order:
   the `math.fsum` of its group's weights; merged terminals are sorted by
   decreasing weight, ties in canonical order.
 
-Kernels. `KernelTable` classifies each operator once, when it is added,
-by its exact zero pattern and never by the size of the space, and
-applies it through the cheapest exact kernel for that structure; no
-operator is ever embedded as a dense 2^n matrix:
+Kernels. Every state is held as a factor V, a 2^n x r complex array
+with rho = V V†, starting from the 2^n x 1 column e0. `KernelTable`
+classifies each operator once, when it is added, by its exact zero
+pattern and never by the size of the space, and applies it to V from the
+left only, so a step costs 2^n * r rather than 4^n; no operator is ever
+embedded as a dense 2^n matrix:
 
-* diagonal    (Z, S, T, phase oracles): rho * (d ⊗ d̄), d the full-space
-              diagonal.
-* monomial    (X, CNOT, permutation oracles): one gather of rho's rows and
-              columns through a precomputed permutation of the basis,
-              times phases unless all are 1.
-* general     (H, dense gates): reshape and matmul on the target axes
-              (tensordot when the targets are not adjacent).
-* reset       (q := |0>): the diagonal blocks of the register's qubits
-              summed into the |0...0> block, in the order above.
+* diagonal    (Z, S, T, phase oracles): V * d, d the full-space diagonal.
+* monomial    (X, CNOT, permutation oracles): one gather of V's rows
+              through a precomputed permutation of the basis, times
+              phases unless all are 1.
+* general     (H, dense gates): one contraction on the target row axes
+              (reshape and matmul when the targets are adjacent, in any
+              order; tensordot over their axes otherwise).
+* reset       (q := |0>): per qubit of the register, least significant
+              first, V -> [P0 V | K V] with P0 = |0><0|, K = |0><1|,
+              keeping only the columns that are not exactly zero (so a
+              qubit in a definite state keeps the column count).
 * diagonal site (every Kraus operator diagonal, `computational`
-              included): probabilities from diag(rho); collapse by one
-              block slice for an operator with one nonzero entry, else the
-              diagonal kernel.
-* general site: probabilities from the reduced state of the measured
-              qubits, collapse through each operator's kernel.
+              included): probabilities from the row norms |V|^2; collapse
+              zeroes the rows outside an operator with one nonzero entry,
+              else applies the diagonal kernel, and rescales to norm 1.
+* general site: p_i = ||M_i V||^2 through each operator's kernel;
+              collapse applies M_i and rescales.
+
+Rank rule: only a reset adds columns. When V then has more columns than
+nonzero rows S, V_S is replaced by R†, where R is the triangular factor
+of a QR decomposition of V_S† (R† R = V_S V_S†), so r never exceeds the
+number of nonzero rows.
+
+A density operator is built in three places only: for a terminal in
+`explore`, for a sampled run's final state, and by the `state` property
+of a configuration (`Configuration` here, the VM's `_Config`). It is the
+zero matrix plus V_S V_S† on the nonzero rows S, so a basis-state
+terminal writes one entry. `initial_configuration(state=rho)` factors rho
+by `eigh`, keeping the positive eigenvalues.
 """
 from __future__ import annotations
 
@@ -92,7 +109,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import STANDARD_LIBRARY
-from ..core.linalg import as_matrix, conjugate_density, partial_trace, trace_inner
+from ..core.linalg import as_matrix
 from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import DimMismatch, QwhileError, StepLimitExceeded
 from ..lang.checker import require_valid
@@ -109,7 +126,8 @@ BRANCH_BUDGET = 10
 #
 # Basis index x of the n-qubit space holds qubit q at bit n-1-q (qubit 0 is
 # the most significant), and an operator on qubits `positions` reads
-# positions[0] as the most significant bit of its local index.
+# positions[0] as the most significant bit of its local index. A factor V
+# has one row per basis index and one column per term of rho = V V†.
 
 def _bit_maps(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(local, spread): local[x] is the local index that basis state x has
@@ -126,88 +144,65 @@ def _bit_maps(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarra
 
 
 class _Diagonal:
-    """E diagonal: E rho E† = rho * (d ⊗ d̄) with d the full-space diagonal."""
+    """E diagonal: E V = V * d with d the full-space diagonal."""
 
-    __slots__ = ("d", "dc")
+    __slots__ = ("d",)
 
     def __init__(self, diagonal: np.ndarray, positions: tuple[int, ...], n: int):
-        self.d = diagonal[_bit_maps(positions, n)[0]]
-        self.dc = self.d.conj()
+        self.d = diagonal[_bit_maps(positions, n)[0]][:, None]
 
-    def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        out = rho * self.d[:, None]
-        out *= self.dc
-        return out
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v * self.d
 
 
 class _Monomial:
     """E with one nonzero per row and column, E[a, s(a)] = e_a:
-    (E rho E†)[a, b] = e_a rho[s(a), s(b)] conj(e_b), one gather through
-    the basis permutation s (2^n entries)."""
+    (E V)[a] = e_a V[s(a)], one gather through the basis permutation s."""
 
-    __slots__ = ("src", "rows", "phases")
+    __slots__ = ("src", "phases")
 
     def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
         local, spread = _bit_maps(positions, n)
         cols = np.argmax(op != 0, axis=1)
         self.src = (np.arange(1 << n) & ~spread[-1]) | spread[cols[local]]
-        self.rows = self.src[:, None]
         phases = op[np.arange(len(op)), cols][local]
-        self.phases = None if (phases == 1).all() else phases
+        self.phases = None if (phases == 1).all() else phases[:, None]
 
-    def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        out = rho[self.rows, self.src]
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        out = v[self.src]
         if self.phases is not None:
-            out *= self.phases[:, None]
-            out *= self.phases.conj()
+            out *= self.phases
         return out
 
 
-def _contraction(op: np.ndarray, a: int, b: int) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> op applied to the middle axis of x viewed as (a, len(op), b).
-
-    The layout is fixed here: one matrix product when b is 1, a batched
-    matmul while the batches are few or wide, else one tensordot (a
-    batched matmul over thousands of narrow batches is several times
-    slower)."""
-    k = len(op)
-    if b == 1:
-        op_t = op.T.copy()
-        return lambda x: x.reshape(a, k) @ op_t
-    if a <= 128 or b >= 64:
-        return lambda x: np.matmul(op, x.reshape(a, k, b))
-    return lambda x: np.tensordot(op, x.reshape(a, k, b), axes=(1, 1)).transpose(1, 0, 2)
-
-
 class _General:
-    """Any other E: E on the row axes, then Ē on the column axes, by
-    reshape and matmul when the targets are adjacent (in any order), by
-    tensordot over their axes otherwise."""
+    """Any other E, contracted with V's target row axes: one matmul on V
+    viewed as (rows above, targets, rows below and columns) when the
+    targets are adjacent (in any order), else one tensordot over them."""
 
-    __slots__ = ("op", "positions", "n", "rows", "cols")
+    __slots__ = ("op", "shape", "axes")
 
     def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
-        self.op, self.positions, self.n = op, positions, n
-        self.rows = self.cols = None
         k, lo = len(positions), min(positions)
         if max(positions) - lo == k - 1:
             order = list(np.argsort(positions))
             op = op.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
-            op = op.reshape(1 << k, 1 << k)
-            below = 1 << (n - lo - k)
-            self.rows = _contraction(op, 1 << lo, below << n)
-            self.cols = _contraction(op.conj(), 1 << (n + lo), below)
+            self.op, self.shape, self.axes = op.reshape(1 << k, 1 << k), (1 << lo, 1 << k, -1), None
+        else:
+            self.op, self.shape, self.axes = op.reshape((2,) * (2 * k)), (2,) * n + (-1,), positions
 
-    def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        if self.rows is None:
-            return conjugate_density(rho, self.op, self.positions, self.n)
-        return self.cols(self.rows(rho)).reshape(rho.shape)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        if self.axes is None:
+            return np.matmul(self.op, v.reshape(self.shape)).reshape(v.shape)
+        k = len(self.axes)
+        out = np.tensordot(self.op, v.reshape(self.shape), axes=(range(k, 2 * k), self.axes))
+        return np.moveaxis(out, range(k), self.axes).reshape(v.shape)
 
 
-def sandwich_kernel(op, positions: tuple[int, ...], n: int) -> _Diagonal | _Monomial | _General:
-    """The kernel applying rho -> E rho E†, where E acts as `op` on the
-    qubits `positions` of an n-qubit space, chosen by op's exact zero
-    pattern (never by size)."""
+def operator_kernel(op, positions: tuple[int, ...], n: int) -> _Diagonal | _Monomial | _General:
+    """The kernel applying V -> E V, where E acts as `op` on the qubits
+    `positions` of an n-qubit space, chosen by op's exact zero pattern
+    (never by size)."""
     op = _fitted(op, positions, n)
     if _is_diagonal(op):
         return _Diagonal(np.diagonal(op), positions, n)
@@ -233,34 +228,61 @@ def _is_diagonal(op: np.ndarray) -> bool:
 
 class _Reset:
     """q := |0> on a register: for each of its qubits, least significant
-    first, the |1><1| block is added to the |0><0| block and the rest of
-    that qubit's blocks dropped; the sum lands in the all-zero block."""
+    first, V -> [P0 V | K V] without the columns that are exactly zero,
+    then the rank rule (module docstring)."""
 
-    __slots__ = ("n", "steps", "block")
+    __slots__ = ("shapes",)
 
     def __init__(self, positions: tuple[int, ...], n: int):
-        self.n = n
-        self.steps: list[tuple[tuple, tuple]] = []  # (|0><0| block, |1><1| block)
-        left = list(range(n))
-        for q in reversed(positions):
-            i, m = left.index(q), len(left)
-            zero, one = [slice(None)] * (2 * m), [slice(None)] * (2 * m)
-            zero[i] = zero[m + i] = 0
-            one[i] = one[m + i] = 1
-            self.steps.append((tuple(zero), tuple(one)))
-            left.remove(q)
-        block: list = [slice(None)] * (2 * n)
-        for q in positions:
-            block[q] = block[n + q] = 0
-        self.block = tuple(block)
+        # V viewed as (rows above, the qubit's bit, rows below, columns)
+        self.shapes = [(1 << q, 2, 1 << (n - 1 - q), -1) for q in reversed(positions)]
 
-    def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        t = rho.reshape((2,) * (2 * self.n))
-        for zero, one in self.steps:
-            t = t[zero] + t[one]
-        out = np.zeros(rho.shape, dtype=complex)
-        out.reshape((2,) * (2 * self.n))[self.block] = t
-        return out
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        for shape in self.shapes:
+            t = v.reshape(shape)
+            ones = t[:, 1].any(axis=(0, 1))  # columns K V keeps
+            if not ones.any():
+                continue  # P0 V = V and K V = 0
+            zeros = t[:, 0].any(axis=(0, 1))  # columns P0 V keeps
+            out = np.zeros(t.shape[:3] + (int(zeros.sum() + ones.sum()),), dtype=complex)
+            out[:, 0] = np.concatenate((t[:, 0][..., zeros], t[:, 1][..., ones]), axis=-1)
+            v = out.reshape(len(v), -1)
+        return _within_rank(v)
+
+
+def _within_rank(v: np.ndarray) -> np.ndarray:
+    """V, or when it has more columns than nonzero rows S, the factor whose
+    block on S is R† for the triangular factor R of a QR of V_S†."""
+    if v.shape[1] == 1:
+        return v
+    rows = np.flatnonzero(v.any(axis=1))
+    if v.shape[1] <= len(rows):
+        return v
+    out = np.zeros((len(v), len(rows)), dtype=complex)
+    out[rows] = np.linalg.qr(v[rows].conj().T, mode="r").conj().T
+    return out
+
+
+def state_of(v: np.ndarray) -> DensityOperator:
+    """The density operator V V† of the factor v: zero except V_S V_S† on
+    v's nonzero rows S."""
+    rows = np.flatnonzero(v.any(axis=1))
+    block = v[rows]
+    rho = np.zeros((len(v), len(v)), dtype=complex)
+    rho[rows[:, None], rows] = block @ block.conj().T
+    return DensityOperator(rho, validate=False)
+
+
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """A factor V with V V† = rho, from rho's positive eigenvalues."""
+    w, u = np.linalg.eigh(rho)
+    keep = w > 0
+    return u[:, keep] * np.sqrt(w[keep])
+
+
+def _norm2(v: np.ndarray) -> float:
+    """tr(V V†), the squared Frobenius norm of V."""
+    return float(np.vdot(v, v).real)
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
@@ -273,15 +295,15 @@ def _normalized(p: np.ndarray) -> np.ndarray:
 
 class _DiagonalSite:
     """A measurement whose Kraus operators are all diagonal. Probabilities
-    come from diag(rho). An outcome whose operator has one nonzero entry,
-    at local index l, collapses to the block of rho on l, renormalized
-    (one slice); any other goes through the diagonal kernel. `diags`
+    come from the row norms of V. An outcome whose operator has one
+    nonzero entry, at local index l, keeps V's rows on l; any other goes
+    through the diagonal kernel; either is rescaled to norm 1. `diags`
     holds one local diagonal per outcome."""
 
-    __slots__ = ("positions", "n", "local", "weights", "outcomes")
+    __slots__ = ("positions", "local", "weights", "outcomes")
 
     def __init__(self, diags: np.ndarray, positions: tuple[int, ...], n: int):
-        self.positions, self.n = positions, n
+        self.positions = positions
         self.local = _bit_maps(positions, n)[0]
         self.weights = np.abs(diags) ** 2
         # per outcome: its one nonzero local index, or the diagonal kernel
@@ -290,47 +312,35 @@ class _DiagonalSite:
             nz = np.flatnonzero(d)
             self.outcomes.append(int(nz[0]) if len(nz) == 1 else _Diagonal(d, positions, n))
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        p = np.bincount(self.local, weights=np.diagonal(rho).real,
-                        minlength=1 << len(self.positions))
+    def probabilities(self, v: np.ndarray) -> np.ndarray:
+        rows = (v * v.conj()).real.sum(axis=1)
+        p = np.bincount(self.local, weights=rows, minlength=1 << len(self.positions))
         return _normalized(self.weights @ p)
 
-    def collapse(self, rho: np.ndarray, outcome: int) -> np.ndarray:
+    def collapse(self, v: np.ndarray, outcome: int) -> np.ndarray:
         basis = self.outcomes[outcome]
         if isinstance(basis, _Diagonal):
-            post = basis.sandwich(rho)
-            return post / post.trace().real
-        n, k = self.n, len(self.positions)
-        pick: list = [slice(None)] * (2 * n)
-        for j, p in enumerate(self.positions):
-            pick[p] = pick[n + p] = (basis >> (k - 1 - j)) & 1
-        pick = tuple(pick)
-        side = 1 << (n - k)
-        block = rho.reshape((2,) * (2 * n))[pick].reshape(side, side)
-        out = np.zeros(rho.shape, dtype=complex)
-        out.reshape((2,) * (2 * n))[pick] = (block / block.trace().real).reshape(
-            (2,) * (2 * (n - k)))
-        return out
+            post = basis.apply(v)
+        else:
+            post = np.where((self.local == basis)[:, None], v, 0.0)
+        return post / np.sqrt(_norm2(post))
 
 
 class _GeneralSite:
-    """Any other measurement: probabilities from the reduced state of the
-    measured qubits, collapse through each operator's sandwich kernel."""
+    """Any other measurement: p_i = ||M_i V||^2 and collapse through each
+    operator's kernel."""
 
-    __slots__ = ("positions", "n", "ops", "poms")
+    __slots__ = ("ops",)
 
     def __init__(self, operators, positions: tuple[int, ...], n: int):
-        self.positions, self.n = positions, n
-        self.ops = [sandwich_kernel(m, positions, n) for m in operators]
-        self.poms = [m.conj().T @ m for m in operators]  # M†M in the local space
+        self.ops = [operator_kernel(m, positions, n) for m in operators]
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        reduced = partial_trace(rho, self.positions, self.n)
-        return _normalized(np.array([trace_inner(a, reduced) for a in self.poms]))
+    def probabilities(self, v: np.ndarray) -> np.ndarray:
+        return _normalized(np.array([_norm2(op.apply(v)) for op in self.ops]))
 
-    def collapse(self, rho: np.ndarray, outcome: int) -> np.ndarray:
-        post = self.ops[outcome].sandwich(rho)
-        return post / post.trace().real
+    def collapse(self, v: np.ndarray, outcome: int) -> np.ndarray:
+        post = self.ops[outcome].apply(v)
+        return post / np.sqrt(_norm2(post))
 
 
 def site_kernel(operators, positions: tuple[int, ...], n: int) -> _DiagonalSite | _GeneralSite:
@@ -373,10 +383,11 @@ class KernelTable:
     def dim(self) -> int:
         return 1 << self.n
 
-    def initial_state(self) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+    def initial_factor(self) -> np.ndarray:
+        """e0 as a one-column factor: the state |0...0><0...0|."""
+        v = np.zeros((self.dim, 1), dtype=complex)
+        v[0, 0] = 1.0
+        return v
 
     def _span(self, regs: tuple[str, ...]) -> tuple[int, ...]:
         out: tuple[int, ...] = ()
@@ -392,7 +403,7 @@ class KernelTable:
         if (gate, regs) not in self.unitaries:
             decl = self.program.gate_decl(gate)
             matrix = STANDARD_LIBRARY[gate] if decl is None else decl.matrix
-            self.unitaries[gate, regs] = sandwich_kernel(matrix, self._span(regs), self.n)
+            self.unitaries[gate, regs] = operator_kernel(matrix, self._span(regs), self.n)
 
     def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
         if (meas, regs) not in self.sites:
@@ -404,20 +415,17 @@ class KernelTable:
                 ops = PLUS_MINUS if decl.builtin == "plusminus" else decl.operators
                 self.sites[meas, regs] = site_kernel(ops, pos, self.n)
 
-    def init(self, reg: str, rho: np.ndarray) -> np.ndarray:
-        return self.inits[reg].sandwich(rho)
-
 
 # --- the two drivers ---------------------------------------------------------
 
 class Fork(NamedTuple):
     """An executor's configuration about to measure. The drivers choose
-    the outcomes; `resume(outcome, post_state, weight)` builds the
+    the outcomes; `resume(outcome, post_factor, weight)` builds the
     executor's successor for each."""
 
     site: int                  # site id logged with the outcome
     kernel: _DiagonalSite | _GeneralSite
-    rho: np.ndarray
+    factor: np.ndarray
     loop: bool                 # outcome 1 enters a loop body
     resume: Callable[[int, np.ndarray, float], Any]
 
@@ -425,12 +433,12 @@ class Fork(NamedTuple):
         """(outcome, successor) pairs: one sampled outcome keeping the
         weight with rng, else every outcome above PROB_FLOOR with the
         weight times its probability."""
-        p = self.kernel.probabilities(self.rho)
+        p = self.kernel.probabilities(self.factor)
         if rng is not None:
             picked = [(sample_outcome(p, rng), weight)]
         else:
             picked = [(i, weight * float(p[i])) for i in range(len(p)) if p[i] > PROB_FLOOR]
-        return [(i, self.resume(i, self.kernel.collapse(self.rho, i), w)) for i, w in picked]
+        return [(i, self.resume(i, self.kernel.collapse(self.factor, i), w)) for i, w in picked]
 
 
 def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
@@ -445,8 +453,9 @@ def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
 def run_sampled(c, advance: Callable, seed: int, step_limit: int,
                 loop_sites: list[int] | tuple[int, ...] = ()) -> RunRecord:
     """Run configuration c to termination with measurements sampled from
-    `seed`. Configurations expose `terminated`, `weight` and `state`;
-    `advance` is the executor's transition (see `successors`)."""
+    `seed`. Configurations expose `terminated`, `weight` and `state` (the
+    final state is built from the last configuration only); `advance` is
+    the executor's transition (see `successors`)."""
     rng = SamplerState(seed)
     outcomes: list[tuple[int, int]] = []
     loop_counts = {sid: 0 for sid in loop_sites}
@@ -470,8 +479,9 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
             step_limit: int) -> DistributionResult:
     """Every branch from c0, breadth-first, truncated by the rules in the
     module docstring. Configurations expose `terminated`,
-    `at_measurement`, `weight` and `state`; `step_fn(c)` lists c's
-    successors with their weights."""
+    `at_measurement`, `weight` and `state` (read once per terminal, where
+    its density operator is built); `step_fn(c)` lists c's successors
+    with their weights."""
     queue: deque[tuple[Any, int]] = deque([(c0, 0)])
     terminals: list[tuple[float, DensityOperator]] = []
     residual = step_limited = node_limited = 0.0
@@ -572,12 +582,18 @@ def prepare(program: SourceProgram) -> PreparedProgram:
 
 @dataclass(frozen=True)
 class Configuration:
-    """<remaining program, state>; weight carries branch mass in distribution mode."""
+    """<remaining program, state>, the state held as its factor V (rho =
+    V V†, module docstring); weight carries branch mass in distribution
+    mode."""
 
     remaining: tuple[Stmt, ...]
-    state: DensityOperator
+    factor: np.ndarray
     weight: float = 1.0
     plan: PreparedProgram | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def state(self) -> DensityOperator:
+        return state_of(self.factor)
 
     @property
     def terminated(self) -> bool:
@@ -591,11 +607,11 @@ class Configuration:
 def initial_configuration(program: SourceProgram | PreparedProgram,
                           state: DensityOperator | None = None) -> Configuration:
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
-    dim = plan.kernels.dim
-    rho = plan.kernels.initial_state() if state is None else state.matrix
-    if rho.shape != (dim, dim):
-        raise QwhileError(f"state dim {rho.shape[0]} != program dim {dim}")
-    return Configuration(plan.body, DensityOperator(rho, validate=False), 1.0, plan)
+    if state is None:
+        return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan)
+    if state.dim != plan.kernels.dim:
+        raise QwhileError(f"state dim {state.dim} != program dim {plan.kernels.dim}")
+    return Configuration(plan.body, _factor(state.matrix), 1.0, plan)
 
 
 def _advance(c: Configuration) -> Configuration | Fork:
@@ -605,20 +621,20 @@ def _advance(c: Configuration) -> Configuration | Fork:
     if plan is None:
         raise QwhileError("configuration was not built by initial_configuration")
     s, rest = c.remaining[0], c.remaining[1:]
-    rho = c.state._mat  # engine-internal fast path; states stay normalized
+    v = c.factor
     kernels = plan.kernels
 
-    def conf(remaining, mat, weight=c.weight) -> Configuration:
-        return Configuration(remaining, DensityOperator(mat, validate=False), weight, plan)
+    def conf(remaining, factor, weight=c.weight) -> Configuration:
+        return Configuration(remaining, factor, weight, plan)
 
     if isinstance(s, Skip):
-        return conf(rest, rho)
+        return conf(rest, v)
     if isinstance(s, Init):
-        return conf(rest, kernels.init(s.target, rho))
+        return conf(rest, kernels.inits[s.target].apply(v))
     if isinstance(s, Unitary):
-        return conf(rest, kernels.unitaries[s.gate, s.regs].sandwich(rho))
+        return conf(rest, kernels.unitaries[s.gate, s.regs].apply(v))
     site = s.site
-    return Fork(site.id, kernels.sites[s.meas, s.regs], rho, site.loop,
+    return Fork(site.id, kernels.sites[s.meas, s.regs], v, site.loop,
                 lambda outcome, post, weight: conf(site.next.get(outcome, ()) + rest,
                                                    post, weight))
 

@@ -1,4 +1,4 @@
-"""Virtual machine executing f-QASM against the dense quantum state.
+"""Virtual machine executing f-QASM against the global quantum state.
 
 Program-counter semantics: INIT/APPLY act on the global state, MEAS_MOV
 samples (or forks, in distribution mode) and stores the outcome index,
@@ -33,6 +33,7 @@ from ..engine.runtime import (
     RunRecord,
     explore,
     run_sampled,
+    state_of,
     successors,
 )
 from .ir import (
@@ -104,13 +105,13 @@ class _Config(NamedTuple):
 
     pc: int
     regs: _Regs
-    rho: np.ndarray
+    factor: np.ndarray         # V, with state V V† (see the engine's docstring)
     weight: float
     plan: PreparedVm
 
     @classmethod
     def start(cls, plan: PreparedVm) -> "_Config":
-        return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_state(), 1.0, plan)
+        return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_factor(), 1.0, plan)
 
     @property
     def terminated(self) -> bool:
@@ -122,37 +123,37 @@ class _Config(NamedTuple):
 
     @property
     def state(self) -> DensityOperator:
-        return DensityOperator(self.rho, validate=False)
+        return state_of(self.factor)
 
 
 def _advance(c: _Config) -> _Config | Fork:
     """Execute the instruction at c.pc; a MEAS_MOV returns a Fork whose
     successors store the outcome in the instruction's register."""
-    pc, regs, rho, weight, plan = c
+    pc, regs, v, weight, plan = c
     ins = plan.prog.instructions[pc]
     if isinstance(ins, Label):
-        return _Config(pc + 1, regs, rho, weight, plan)
+        return _Config(pc + 1, regs, v, weight, plan)
     if isinstance(ins, InitQ):
-        return _Config(pc + 1, regs, plan.kernels.init(ins.qreg, rho), weight, plan)
+        return _Config(pc + 1, regs, plan.kernels.inits[ins.qreg].apply(v), weight, plan)
     if isinstance(ins, Apply):
-        rho = plan.kernels.unitaries[ins.gate, ins.qregs].sandwich(rho)
-        return _Config(pc + 1, regs, rho, weight, plan)
+        v = plan.kernels.unitaries[ins.gate, ins.qregs].apply(v)
+        return _Config(pc + 1, regs, v, weight, plan)
     if isinstance(ins, Mov):
         val = regs.read(ins.src)
-        return _Config(pc + 1, regs.write({ins.dst: val, ins.src: None}), rho, weight, plan)
+        return _Config(pc + 1, regs.write({ins.dst: val, ins.src: None}), v, weight, plan)
     if isinstance(ins, Cmp):
         lhs = regs.read(ins.creg)
         rhs = ins.operand if isinstance(ins.operand, int) else regs.read(ins.operand)
-        return _Config(pc + 1, regs.with_flag(1 if lhs == rhs else 0), rho, weight, plan)
+        return _Config(pc + 1, regs.with_flag(1 if lhs == rhs else 0), v, weight, plan)
     if isinstance(ins, Jmp):
-        return _Config(plan.labels[ins.label], regs, rho, weight, plan)
+        return _Config(plan.labels[ins.label], regs, v, weight, plan)
     if isinstance(ins, Je):
         if regs.flag is None:
             raise UninitializedRegisterRead("JE before any CMP (fr1 is empty)")
         return _Config(plan.labels[ins.label] if regs.flag == 1 else pc + 1,
-                       regs, rho, weight, plan)
+                       regs, v, weight, plan)
     if isinstance(ins, MeasMov):
-        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], rho, False,
+        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], v, False,
                     lambda outcome, post, w: _Config(pc + 1, regs.write({ins.creg: outcome}),
                                                      post, w, plan))
     raise QwhileError(f"cannot execute {type(ins).__name__}")

@@ -78,3 +78,42 @@ def random_program(rng: np.random.Generator, max_depth: int = 4,
 
     body = seq_of([Init(name) for name in reg_names] + [block(max_depth)])
     return SourceProgram(registers, gates, measurements, body)
+
+
+LOCAL_GATES = ("H", "X", "Z", "T", "S", "G")
+ORDER_TWO_GATES = ("H", "X", "Z")
+
+
+def wide_program(rng: np.random.Generator, n_qubits: int, n_gates: int = 12,
+                 tail: int = 4, loop_continue: float = 0.15) -> SourceProgram:
+    """A program on `n_qubits` one-qubit registers q0, q1, ...: all reset,
+    `n_gates` qubit-local gates or CNOTs, one `if` and one `while` whose
+    body does not measure, then `tail` more gates.
+
+    The measured qubits are reset and put in |+> first, so the `if` and
+    the loop entry each fork with weight 1/2. The loop body rotates the
+    guard by R, so each further round continues with probability
+    `loop_continue`; its other gate has order 2."""
+    q = [f"q{i}" for i in range(n_qubits)]
+
+    def gate() -> Unitary:
+        if rng.random() < 0.25:
+            a, b = rng.choice(n_qubits, size=2, replace=False)
+            return Unitary("CNOT", (q[a], q[b]))
+        return Unitary(LOCAL_GATES[rng.integers(len(LOCAL_GATES))], (q[rng.integers(n_qubits)],))
+
+    t = np.arccos(np.sqrt(loop_continue))
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    gates = (GateDecl("G", random_unitary2(rng)), GateDecl("R", rot))
+    body = [Init(name) for name in q] + [gate() for _ in range(n_gates)]
+    a = q[rng.integers(n_qubits)]
+    body += [Init(a), Unitary("H", (a,)),
+             Case("M", (a,), ((0, seq_of([gate(), gate()])), (1, seq_of([gate(), gate()]))))]
+    b = int(rng.integers(n_qubits))
+    c = q[(b + 1 + rng.integers(n_qubits - 1)) % n_qubits]
+    body += [Init(q[b]), Unitary("H", (q[b],)),
+             While("M", (q[b],), seq_of([Unitary("R", (q[b],)),
+                                         Unitary(ORDER_TWO_GATES[rng.integers(3)], (c,))]))]
+    body += [gate() for _ in range(tail)]
+    return SourceProgram(tuple((name, 1) for name in q), gates,
+                         (MeasDecl("M", builtin="computational"),), seq_of(body))

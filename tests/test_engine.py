@@ -2,6 +2,7 @@
 import math
 import re
 import time
+from collections import Counter
 from itertools import permutations
 from dataclasses import replace
 from typing import NamedTuple
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import qwhile.cli
+import qwhile.engine.runtime
+from qwhile.core.gates import STANDARD_LIBRARY
 from qwhile.core.linalg import ATOL_ALGEBRA, embed
 from qwhile.core.ops import measurement_probabilities, post_measurement_state
 from qwhile.core.types import DensityOperator, Ket, MeasurementSet
@@ -37,7 +40,7 @@ from qwhile.engine.runtime import (
     _Monomial,
     _Reset,
     explore,
-    sandwich_kernel,
+    operator_kernel,
     site_kernel,
 )
 from qwhile.engine.sampler import PROB_CEIL, PROB_FLOOR, Outcomes
@@ -50,10 +53,10 @@ from qwhile.experiments import (
     success_probability,
 )
 from qwhile.fqasm import compile_program, vm_distribution
-from qwhile.lang import Seq, parse
+from qwhile.lang import Case, Init, Seq, Unitary, While, parse
 from qwhile.lang.syntax import format_matrix
 
-from genprog import random_program
+from genprog import random_program, wide_program
 
 
 def reference_sample_outcome(p, rng: SamplerState) -> int:
@@ -481,11 +484,14 @@ class TestNodeBudget:
 # --- kernels against dense references -------------------------------------------
 
 
-def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    d = 1 << n
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def random_factor(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    """A random 2^n x r factor V of a density operator V V† (trace 1)."""
+    v = rng.normal(size=(1 << n, r)) + 1j * rng.normal(size=(1 << n, r))
+    return v / np.linalg.norm(v)
+
+
+def outer(v: np.ndarray) -> np.ndarray:
+    return v @ v.conj().T
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -497,6 +503,14 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def dense_sandwich(op: np.ndarray, positions: tuple[int, ...], n: int, rho: np.ndarray):
     full = embed(op, positions, n)
     return full @ rho @ full.conj().T
+
+
+def dense_reset(positions: tuple[int, ...], n: int, rho: np.ndarray) -> np.ndarray:
+    """rho -> P0 rho P0 + K rho K† per qubit, least significant first."""
+    for q in reversed(positions):
+        rho = (dense_sandwich(np.diag([1.0, 0.0]), (q,), n, rho)
+               + dense_sandwich(np.array([[0.0, 1.0], [0.0, 0.0]]), (q,), n, rho))
+    return rho
 
 
 def target_sets(rng: np.random.Generator, n: int) -> list[tuple[int, ...]]:
@@ -532,13 +546,20 @@ def kernel_table(n: int, decls: str = "") -> KernelTable:
     return KernelTable(program.registers, program)
 
 
+def nonzero_rows(v: np.ndarray) -> int:
+    return int(v.any(axis=1).sum())
+
+
 class TestKernels:
+    """Each kernel maps a factor V to a factor W; W W† must be the dense
+    reference applied to V V†, for factors of 1 to 3 columns."""
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_gate_kernels_match_dense_reference(self, n):
         rng = np.random.default_rng(900 + n)
-        rho = random_density(rng, n)
         kinds = set()
-        for positions in target_sets(rng, n):
+        for t, positions in enumerate(target_sets(rng, n)):
+            v = random_factor(rng, n, 1 + t % 3)
             dim = 1 << len(positions)
             phases = np.exp(2j * np.pi * rng.random(dim))
             perm = np.eye(dim)[rng.permutation(dim)] if dim > 2 else np.eye(2)[::-1]
@@ -546,35 +567,34 @@ class TestKernels:
             if dim > 2:
                 ops.append(perm)
             for op in ops:
-                kernel = sandwich_kernel(op, positions, n)
+                kernel = operator_kernel(op, positions, n)
                 kinds.add(type(kernel))
-                np.testing.assert_allclose(kernel.sandwich(rho),
-                                           dense_sandwich(op, positions, n, rho),
+                w = kernel.apply(v)
+                assert w.shape == v.shape
+                np.testing.assert_allclose(outer(w), dense_sandwich(op, positions, n, outer(v)),
                                            rtol=0, atol=ATOL_ALGEBRA)
         assert kinds == {_Diagonal, _Monomial, _General}
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reset_matches_kraus_pairs(self, n):
-        # rho -> P0 rho P0 + K rho K† per qubit, least significant first
         rng = np.random.default_rng(910 + n)
-        rho = random_density(rng, n)
         width = int(rng.integers(1, n + 1))
         lo = int(rng.integers(n - width + 1))
         layout = (("a", lo), ("r", width), ("b", n - lo - width))
         kernels = KernelTable(tuple((name, w) for name, w in layout if w), program=None)
         kernels.add_init("r")
-        want = rho
-        for q in reversed(range(lo, lo + width)):
-            want = (dense_sandwich(np.diag([1.0, 0.0]), (q,), n, want)
-                    + dense_sandwich(np.array([[0.0, 1.0], [0.0, 0.0]]), (q,), n, want))
         assert isinstance(kernels.inits["r"], _Reset)
-        # the 0/1 Kraus products add the same entries in the same order
-        np.testing.assert_array_equal(kernels.init("r", rho), want)
+        for r in (1, 2, 3):
+            v = random_factor(rng, n, r)
+            w = kernels.inits["r"].apply(v)
+            np.testing.assert_allclose(outer(w), dense_reset(kernels.positions["r"], n, outer(v)),
+                                       rtol=0, atol=ATOL_ALGEBRA)
+            assert w.any(axis=0).all()  # no column is exactly zero
+            assert w.shape[1] <= nonzero_rows(w)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_sites_match_measurement_ops(self, n):
         rng = np.random.default_rng(920 + n)
-        rho = random_density(rng, n)
         weak = [np.diag([np.sqrt(0.3), np.sqrt(0.6)]), np.diag([np.sqrt(0.7), np.sqrt(0.4)])]
         split = [np.diag([np.sqrt(0.4), 0.0]), np.diag([np.sqrt(0.6), 0.0]), np.diag([0.0, 1.0])]
         kernels = kernel_table(n, "measure C = computational; measure P = plusminus; "
@@ -596,13 +616,61 @@ class TestKernels:
                  (kernels.sites["B", regs[:1]], split, positions[:1], _DiagonalSite)]
         if k == 2:
             cases.append((site_kernel(half, positions, n), half, positions, _DiagonalSite))
-        for site, operators, where, kind in cases:
+        for c, (site, operators, where, kind) in enumerate(cases):
             assert type(site) is kind
-            p, posts = dense_measurement(operators, where, n, rho)
-            np.testing.assert_allclose(site.probabilities(rho), p, rtol=0, atol=ATOL_ALGEBRA)
+            v = random_factor(rng, n, 1 + c % 3)
+            p, posts = dense_measurement(operators, where, n, outer(v))
+            np.testing.assert_allclose(site.probabilities(v), p, rtol=0, atol=ATOL_ALGEBRA)
             for i, post in enumerate(posts):
-                np.testing.assert_allclose(site.collapse(rho, i), post,
-                                           rtol=0, atol=ATOL_ALGEBRA)
+                w = site.collapse(v, i)
+                assert w.shape == v.shape
+                np.testing.assert_allclose(outer(w), post, rtol=0, atol=ATOL_ALGEBRA)
+
+    def test_reset_of_a_definite_qubit_keeps_the_column_count(self):
+        # q1 is |0> in every column, then |1> in every column
+        rng = np.random.default_rng(940)
+        kernels = kernel_table(3)
+        kernels.add_init("q1")
+        for bit in (0, 1):
+            v = random_factor(rng, 3, 2).reshape(2, 2, 2, 2)
+            v[:, 1 - bit] = 0.0
+            v = v.reshape(8, 2)
+            w = kernels.inits["q1"].apply(v)
+            assert w.shape == (8, 2)
+            np.testing.assert_allclose(outer(w), dense_reset((1,), 3, outer(v)),
+                                       rtol=0, atol=ATOL_ALGEBRA)
+        v = random_factor(rng, 3, 2).reshape(2, 2, 2, 2)
+        v[:, 1] = 0.0
+        assert np.array_equal(kernels.inits["q1"].apply(v.reshape(8, 2)), v.reshape(8, 2))
+
+    def test_reset_of_an_entangled_qubit_doubles_the_column_count(self):
+        kernels = kernel_table(3)
+        kernels.add_init("q0")
+        bell = np.zeros((8, 1), dtype=complex)
+        bell[0b000] = bell[0b110] = np.sqrt(0.5)  # q0 and q1 entangled
+        w = kernels.inits["q0"].apply(bell)
+        assert w.shape == (8, 2)
+        np.testing.assert_allclose(outer(w), np.diag([0.5, 0, 0.5, 0, 0, 0, 0, 0]),
+                                   rtol=0, atol=ATOL_ALGEBRA)
+        v = random_factor(np.random.default_rng(941), 3, 2)
+        assert kernels.inits["q0"].apply(v).shape == (8, 4)
+
+    def test_a_loop_resetting_an_entangled_qubit_stays_within_its_rows(self):
+        # each round entangles a with b and resets a; c stays |1>, so the
+        # loop never exits
+        plan = prepare(parse("a : qubit; b : qubit; c : qubit; measure M = computational; "
+                             "X[c]; while M[c] = 1 do H[a]; CNOT[a, b]; a := |0>; od;"))
+        c = initial_configuration(plan)
+        resets, widths = 0, set()
+        while resets < 50:
+            resets += isinstance(c.remaining[0], Init)
+            [c] = step(c, SamplerState(0))
+            v = c.factor
+            assert v.shape[1] <= nonzero_rows(v)
+            widths.add(v.shape[1])
+        assert widths == {1, 2}
+        np.testing.assert_allclose(c.state.matrix, np.diag([0, 0.5, 0, 0.5, 0, 0, 0, 0]),
+                                   rtol=0, atol=ATOL_ALGEBRA)
 
     def test_classification(self):
         rng = np.random.default_rng(930)
@@ -626,6 +694,93 @@ class TestKernels:
             "H": _General, "G": _General, "DILATE": _General}
         assert type(kernels.sites["C", ("q2", "q0", "q1")]) is _DiagonalSite
         assert type(kernels.sites["P", ("q1",)]) is _GeneralSite
+
+
+# --- the engine stays factored through a whole run --------------------------------
+
+
+def dense_distribution(program, mass_threshold: float) -> DistributionResult:
+    """Every branch of `program`, depth first, each statement through the
+    dense references above; a branch about to measure with weight below
+    mass_threshold is cut, as in `explore` (the program must terminate
+    within its step limit)."""
+    at, positions = 0, {}
+    for name, width in program.registers:
+        positions[name] = tuple(range(at, at + width))
+        at += width
+    n = at
+    terminals, cut = [], []
+
+    def span(regs):
+        return tuple(q for r in regs for q in positions[r])
+
+    def operators(meas: str, k: int):
+        decl = program.meas_decl(meas)
+        if decl.builtin == "computational":
+            return MeasurementSet.computational(1 << k).operators
+        return MeasurementSet.plus_minus().operators if decl.builtin else decl.operators
+
+    def run(todo: list, rho: np.ndarray, weight: float) -> None:
+        while todo:
+            s = todo.pop(0)
+            if isinstance(s, Seq):
+                todo[:0] = s.stmts
+            elif isinstance(s, Init):
+                rho = dense_reset(positions[s.target], n, rho)
+            elif isinstance(s, Unitary):
+                decl = program.gate_decl(s.gate)
+                op = STANDARD_LIBRARY[s.gate] if decl is None else decl.matrix
+                rho = dense_sandwich(op, span(s.regs), n, rho)
+            elif isinstance(s, (Case, While)):
+                if weight < mass_threshold:
+                    cut.append(weight)
+                    return
+                where = span(s.regs)
+                p, posts = dense_measurement(operators(s.meas, len(where)), where, n, rho)
+                nexts = dict(s.branches) if isinstance(s, Case) else {1: Seq((s.body, s))}
+                for i, post in enumerate(posts):
+                    if p[i] > PROB_FLOOR:
+                        run(([nexts[i]] if i in nexts else []) + todo, post, weight * p[i])
+                return
+        terminals.append((weight, DensityOperator(rho, validate=False)))
+
+    rho0 = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho0[0, 0] = 1.0
+    run([program.body], rho0, 1.0)
+    return DistributionResult(terminals, math.fsum(cut))
+
+
+class TestFactoredRun:
+    def test_a_wide_program_never_goes_dense(self, monkeypatch):
+        # shaped like the check benchmark's seeded 9-qubit programs: two
+        # resets of entangled qubits take the factor to 4 columns, never more
+        program = wide_program(np.random.default_rng(4), 9)
+        plan = prepare(program)
+        widths = Counter()
+
+        def expand(c):
+            widths[c.factor.shape[1]] += 1
+            return step(c)
+
+        builds = []
+        state_of = qwhile.engine.runtime.state_of
+
+        def counted(v):
+            builds.append(v.shape)
+            return state_of(v)
+
+        monkeypatch.setattr(DistributionResult, "merged", lambda self, atol=1e-10: self)
+        monkeypatch.setattr(qwhile.engine.runtime, "state_of", counted)
+        raw = explore(initial_configuration(plan), expand, 1e-6, 10_000)
+        assert dict(widths) == {1: 22, 2: 8, 4: 114}
+        assert len(builds) == len(raw.terminals)  # one density operator per terminal
+
+    def test_a_wide_program_matches_the_dense_oracle(self):
+        program = wide_program(np.random.default_rng(4), 9)
+        got = run_distribution(program, mass_threshold=1e-2)
+        want = dense_distribution(program, 1e-2)
+        assert got.residual > 0 and len(got.terminals) > 1
+        assert match_distributions(got, want, atol=1e-12)
 
 
 # --- merging and matching terminals ---------------------------------------------
