@@ -82,18 +82,18 @@ def random_program(rng: np.random.Generator, max_depth: int = 4,
 
 LOCAL_GATES = ("H", "X", "Z", "T", "S", "G")
 ORDER_TWO_GATES = ("H", "X", "Z")
+LOOP_CONTINUE = 0.15
 
 
-def wide_program(rng: np.random.Generator, n_qubits: int, n_gates: int = 12,
-                 tail: int = 4, loop_continue: float = 0.15) -> SourceProgram:
+def wide_program(rng: np.random.Generator, n_qubits: int) -> SourceProgram:
     """A program on `n_qubits` one-qubit registers q0, q1, ...: all reset,
-    `n_gates` qubit-local gates or CNOTs, one `if` and one `while` whose
-    body does not measure, then `tail` more gates.
+    12 qubit-local gates or CNOTs, one `if` and one `while` whose body
+    does not measure, then 4 more gates.
 
     The measured qubits are reset and put in |+> first, so the `if` and
     the loop entry each fork with weight 1/2. The loop body rotates the
     guard by R, so each further round continues with probability
-    `loop_continue`; its other gate has order 2."""
+    LOOP_CONTINUE; its other gate has order 2."""
     q = [f"q{i}" for i in range(n_qubits)]
 
     def gate() -> Unitary:
@@ -102,18 +102,18 @@ def wide_program(rng: np.random.Generator, n_qubits: int, n_gates: int = 12,
             return Unitary("CNOT", (q[a], q[b]))
         return Unitary(LOCAL_GATES[rng.integers(len(LOCAL_GATES))], (q[rng.integers(n_qubits)],))
 
-    t = np.arccos(np.sqrt(loop_continue))
+    t = np.arccos(np.sqrt(LOOP_CONTINUE))
     rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
     gates = (GateDecl("G", random_unitary2(rng)), GateDecl("R", rot))
-    body = [Init(name) for name in q] + [gate() for _ in range(n_gates)]
+    body = [Init(name) for name in q] + [gate() for _ in range(12)]
     a = q[rng.integers(n_qubits)]
     body += [Init(a), Unitary("H", (a,)),
              Case("M", (a,), ((0, seq_of([gate(), gate()])), (1, seq_of([gate(), gate()]))))]
     b = int(rng.integers(n_qubits))
     c = q[(b + 1 + rng.integers(n_qubits - 1)) % n_qubits]
+    flip = Unitary(ORDER_TWO_GATES[rng.integers(len(ORDER_TWO_GATES))], (c,))
     body += [Init(q[b]), Unitary("H", (q[b],)),
-             While("M", (q[b],), seq_of([Unitary("R", (q[b],)),
-                                         Unitary(ORDER_TWO_GATES[rng.integers(3)], (c,))]))]
-    body += [gate() for _ in range(tail)]
+             While("M", (q[b],), seq_of([Unitary("R", (q[b],)), flip]))]
+    body += [gate() for _ in range(4)]
     return SourceProgram(tuple((name, 1) for name in q), gates,
                          (MeasDecl("M", builtin="computational"),), seq_of(body))
