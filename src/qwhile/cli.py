@@ -183,7 +183,7 @@ def cmd_synthesize(args) -> int:
     u = _load(args.matrix, _decode_matrix)
     seq = synthesize(u, method=args.method, epsilon=args.epsilon)
     n = int(np.log2(u.shape[0]))
-    err = phase_dist(reconstruct(seq, max(n, 1)), u)
+    err = phase_dist(reconstruct(seq, n), u)
     report = {
         "method": args.method,
         "epsilon": args.epsilon,

@@ -19,11 +19,14 @@ normalized (trace 1) and the weighted state weight*rho recovers the
 partial-density-operator formulation.
 
 This AST interpreter and the f-QASM VM (`qwhile.fqasm.vm`) differ only
-in how they dispatch one transition. Both build their operators in one
-`KernelTable` and run through the same two drivers: `run_sampled` for
-seeded shots and `explore` for distribution mode. A step is one
-transition: one statement here (`skip` included), one instruction in
-the VM (labels and jumps included).
+in how they dispatch one transition. Both hand their checked program to
+`KernelTable`, which builds every operator in one walk of its
+`statements()`, and run through the same two drivers: `run_sampled` for
+seeded shots and `explore` for distribution mode. `run_sampled` records
+transitions and outcomes only; `run_shot` counts a loop's body entries
+from the outcome log (by loop rule L1, outcome 1 at a `while` site is one
+entry). A step is one transition: one statement here (`skip` included),
+one instruction in the VM (labels and jumps included).
 
 Truncation rules, the same for both executors:
 
@@ -62,7 +65,7 @@ on their order:
 
 Kernels. Every state is held as a factor V, a 2^n x r complex array
 with rho = V V†, starting from the 2^n x 1 column e0. `KernelTable`
-classifies each operator once, when it is added, by its exact zero
+classifies each operator once, when the table is built, by its exact zero
 pattern and never by the size of the space, and applies it to V from the
 left only, so a step costs 2^n * r rather than 4^n; no operator is ever
 embedded as a dense 2^n matrix:
@@ -355,7 +358,8 @@ def site_kernel(operators, positions: tuple[int, ...], n: int) -> _DiagonalSite 
 class KernelTable:
     """The register layout and every operator a program applies, each
     built once per distinct operation as the kernel its structure
-    allows, and shared by both executors.
+    allows, in one walk of `program.statements()`, and shared by both
+    executors.
 
     Keys are operation values, so every site that applies the same
     operation shares one kernel: `unitaries[(gate, regs)]`, `inits[reg]`
@@ -367,17 +371,30 @@ class KernelTable:
     nor completeness again.
     """
 
-    def __init__(self, registers: tuple[tuple[str, int], ...], program):
-        self.program = program
+    def __init__(self, program):
         self.positions: dict[str, tuple[int, ...]] = {}
         at = 0
-        for name, width in registers:
+        for name, width in program.registers:
             self.positions[name] = tuple(range(at, at + width))
             at += width
         self.n = at
         self.unitaries: dict[tuple[str, tuple[str, ...]], _Diagonal | _Monomial | _General] = {}
         self.inits: dict[str, _Reset] = {}
         self.sites: dict[tuple[str, tuple[str, ...]], _DiagonalSite | _GeneralSite] = {}
+        for s in program.statements():
+            if isinstance(s, Init) and s.target not in self.inits:
+                self.inits[s.target] = _Reset(self.positions[s.target], self.n)
+            elif isinstance(s, Unitary) and (s.gate, s.regs) not in self.unitaries:
+                decl = program.gate_decl(s.gate)
+                matrix = STANDARD_LIBRARY[s.gate] if decl is None else decl.matrix
+                self.unitaries[s.gate, s.regs] = operator_kernel(matrix, self._span(s.regs), self.n)
+            elif isinstance(s, (Case, While)) and (s.meas, s.regs) not in self.sites:
+                decl, pos = program.meas_decl(s.meas), self._span(s.regs)
+                if decl.builtin == "computational":
+                    self.sites[s.meas, s.regs] = _DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
+                else:
+                    ops = PLUS_MINUS if decl.builtin == "plusminus" else decl.operators
+                    self.sites[s.meas, s.regs] = site_kernel(ops, pos, self.n)
 
     @property
     def dim(self) -> int:
@@ -395,26 +412,6 @@ class KernelTable:
             out += self.positions[r]
         return out
 
-    def add_init(self, reg: str) -> None:
-        if reg not in self.inits:
-            self.inits[reg] = _Reset(self.positions[reg], self.n)
-
-    def add_unitary(self, gate: str, regs: tuple[str, ...]) -> None:
-        if (gate, regs) not in self.unitaries:
-            decl = self.program.gate_decl(gate)
-            matrix = STANDARD_LIBRARY[gate] if decl is None else decl.matrix
-            self.unitaries[gate, regs] = operator_kernel(matrix, self._span(regs), self.n)
-
-    def add_site(self, meas: str, regs: tuple[str, ...]) -> None:
-        if (meas, regs) not in self.sites:
-            pos = self._span(regs)
-            decl = self.program.meas_decl(meas)
-            if decl.builtin == "computational":
-                self.sites[meas, regs] = _DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
-            else:
-                ops = PLUS_MINUS if decl.builtin == "plusminus" else decl.operators
-                self.sites[meas, regs] = site_kernel(ops, pos, self.n)
-
 
 # --- the two drivers ---------------------------------------------------------
 
@@ -426,7 +423,6 @@ class Fork(NamedTuple):
     site: int                  # site id logged with the outcome
     kernel: _DiagonalSite | _GeneralSite
     factor: np.ndarray
-    loop: bool                 # outcome 1 enters a loop body
     resume: Callable[[int, np.ndarray, float], Any]
 
     def branches(self, weight: float, rng: SamplerState | None) -> list[tuple[int, Any]]:
@@ -450,15 +446,14 @@ def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
     return [nxt]
 
 
-def run_sampled(c, advance: Callable, seed: int, step_limit: int,
-                loop_sites: list[int] | tuple[int, ...] = ()) -> RunRecord:
+def run_sampled(c, advance: Callable, seed: int, step_limit: int) -> RunRecord:
     """Run configuration c to termination with measurements sampled from
     `seed`. Configurations expose `terminated`, `weight` and `state` (the
     final state is built from the last configuration only); `advance` is
-    the executor's transition (see `successors`)."""
+    the executor's transition (see `successors`). The record's
+    `loop_counts` is left empty."""
     rng = SamplerState(seed)
     outcomes: list[tuple[int, int]] = []
-    loop_counts = {sid: 0 for sid in loop_sites}
     steps = 0
     while not c.terminated:
         if steps >= step_limit:
@@ -468,11 +463,9 @@ def run_sampled(c, advance: Callable, seed: int, step_limit: int,
         if isinstance(nxt, Fork):
             [(outcome, c)] = nxt.branches(c.weight, rng)
             outcomes.append((nxt.site, outcome))
-            if nxt.loop and outcome == 1:
-                loop_counts[nxt.site] += 1
         else:
             c = nxt
-    return RunRecord(outcomes, c.state, steps, loop_counts)
+    return RunRecord(outcomes, c.state, steps, {})
 
 
 def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
@@ -513,7 +506,6 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
 
 class _Site(NamedTuple):
     id: int                                  # pre-order, from 1
-    loop: bool
     next: dict[int, tuple[Stmt, ...]]        # outcome -> statements it runs first
 
 
@@ -546,8 +538,7 @@ class PreparedProgram:
 def prepare(program: SourceProgram) -> PreparedProgram:
     """The plan of `program`, checked first unless it is already."""
     require_valid(program)
-    plan = PreparedProgram(program, KernelTable(program.registers, program))
-    kernels = plan.kernels
+    plan = PreparedProgram(program, KernelTable(program))
     ids = count(1)
 
     def lower(s: Stmt) -> tuple[Stmt, ...]:
@@ -555,14 +546,9 @@ def prepare(program: SourceProgram) -> PreparedProgram:
         each measurement replaced by a copy carrying its site."""
         if isinstance(s, Seq):
             return tuple(atom for sub in s.stmts for atom in lower(sub))
-        if isinstance(s, Init):
-            kernels.add_init(s.target)
-        elif isinstance(s, Unitary):
-            kernels.add_unitary(s.gate, s.regs)
-        elif isinstance(s, (Case, While)):
-            kernels.add_site(s.meas, s.regs)
+        if isinstance(s, (Case, While)):
             kind = "case" if isinstance(s, Case) else "while"
-            site = _Site(next(ids), kind == "while", {})
+            site = _Site(next(ids), {})
             plan.site_meta.append((site.id, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
             if isinstance(s, Case):
                 for k, body in s.branches:
@@ -572,7 +558,7 @@ def prepare(program: SourceProgram) -> PreparedProgram:
             at = _WhileAt(s.meas, s.regs, s.body, site)
             site.next[1] = lower(s.body) + (at,)
             return (at,)
-        elif not isinstance(s, Skip):
+        if not isinstance(s, (Init, Unitary, Skip)):
             raise QwhileError(f"cannot lower statement {type(s).__name__}")
         return (s,)
 
@@ -588,8 +574,8 @@ class Configuration:
 
     remaining: tuple[Stmt, ...]
     factor: np.ndarray
-    weight: float = 1.0
-    plan: PreparedProgram | None = field(default=None, compare=False, repr=False)
+    weight: float
+    plan: PreparedProgram = field(compare=False, repr=False)
 
     @property
     def state(self) -> DensityOperator:
@@ -618,8 +604,6 @@ def _advance(c: Configuration) -> Configuration | Fork:
     if c.terminated:
         raise QwhileError("cannot step a terminated configuration")
     plan = c.plan
-    if plan is None:
-        raise QwhileError("configuration was not built by initial_configuration")
     s, rest = c.remaining[0], c.remaining[1:]
     v = c.factor
     kernels = plan.kernels
@@ -634,7 +618,7 @@ def _advance(c: Configuration) -> Configuration | Fork:
     if isinstance(s, Unitary):
         return conf(rest, kernels.unitaries[s.gate, s.regs].apply(v))
     site = s.site
-    return Fork(site.id, kernels.sites[s.meas, s.regs], v, site.loop,
+    return Fork(site.id, kernels.sites[s.meas, s.regs], v,
                 lambda outcome, post, weight: conf(site.next.get(outcome, ()) + rest,
                                                    post, weight))
 
@@ -665,7 +649,13 @@ def run_shot(program: SourceProgram | PreparedProgram, seed: int,
              state: DensityOperator | None = None) -> RunRecord:
     """Run once with sampled measurements; deterministic for a given seed."""
     c = initial_configuration(program, state)
-    return run_sampled(c, _advance, seed, step_limit, c.plan.loop_sites())
+    record = run_sampled(c, _advance, seed, step_limit)
+    # by loop rule L1, outcome 1 at a while site is one entry into its body
+    record.loop_counts = {sid: 0 for sid in c.plan.loop_sites()}
+    for sid, outcome in record.outcomes:
+        if outcome == 1 and sid in record.loop_counts:
+            record.loop_counts[sid] += 1
+    return record
 
 
 @dataclass

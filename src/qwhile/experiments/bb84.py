@@ -203,6 +203,8 @@ def bb84_channel_sweep(channels: dict[str, SuperOperator] | None = None,
                        fractions: tuple[float, ...] = (0.2, 0.5),
                        sessions: int = 100, seed: int = 0) -> list[SweepCell]:
     """Success counts per (channel, length, fraction) cell."""
+    if sessions < 1:
+        raise QwhileError(f"need at least one session, got {sessions}")
     channels = channels or paper_channels()
     cells: list[SweepCell] = []
     for ci, (name, chan) in enumerate(channels.items()):

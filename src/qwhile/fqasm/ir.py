@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from ..errors import DuplicateLabel, DuplicateName, QwhileError, UnknownLabel, UnknownRegister
 from ..lang.checker import ERRORS, bad_name
-from ..lang.syntax import Case, Declarations, Stmt, Unitary
+from ..lang.syntax import Case, Declarations, Init, Stmt, Unitary
 
 
 class Instruction:
@@ -85,10 +85,12 @@ class FqasmProgram(Declarations):
         return {ins.name: i for i, ins in enumerate(self.instructions) if isinstance(ins, Label)}
 
     def statements(self) -> Iterator[Stmt]:
-        """Each APPLY as its gate application and each MEAS_MOV as a
-        measurement without branches, in program order."""
+        """Each INIT as its reset, each APPLY as its gate application and
+        each MEAS_MOV as a measurement without branches, in program order."""
         for ins in self.instructions:
-            if isinstance(ins, Apply):
+            if isinstance(ins, InitQ):
+                yield Init(ins.qreg)
+            elif isinstance(ins, Apply):
                 yield Unitary(ins.gate, ins.qregs)
             elif isinstance(ins, MeasMov):
                 yield Case(ins.meas, ins.qregs, ())

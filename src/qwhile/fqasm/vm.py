@@ -7,10 +7,12 @@ past the last instruction. Classical registers start empty; MOV empties
 its source; reading an empty register (or JE before any CMP) is an
 error.
 
-Operators come from the engine's kernel table and runs go through the
+Operators come from the engine's kernel table, built from the program's
+`statements()` (each INIT, APPLY and MEAS_MOV), and runs go through the
 engine's drivers (`qwhile.engine.runtime`, whose docstring states the
 truncation rules); this module only dispatches instructions. A step is
 one instruction, and a measurement's site id is its instruction index.
+A sampled run's `loop_counts` is empty: the VM has no loop sites.
 """
 from __future__ import annotations
 
@@ -60,18 +62,10 @@ class PreparedVm:
 def prepare_vm(prog: FqasmProgram) -> PreparedVm:
     """Check `prog` (well-formedness, then `require_valid`, which returns
     at once for a checked program such as `compile_program`'s output) and
-    build the kernel of every operation it applies."""
+    build its kernel table."""
     check_wellformed(prog)
     require_valid(prog)
-    kernels = KernelTable(prog.registers, prog)
-    for ins in prog.instructions:
-        if isinstance(ins, InitQ):
-            kernels.add_init(ins.qreg)
-        elif isinstance(ins, Apply):
-            kernels.add_unitary(ins.gate, ins.qregs)
-        elif isinstance(ins, MeasMov):
-            kernels.add_site(ins.meas, ins.qregs)
-    return PreparedVm(prog, prog.labels(), kernels)
+    return PreparedVm(prog, prog.labels(), KernelTable(prog))
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ def _advance(c: _Config) -> _Config | Fork:
         return _Config(plan.labels[ins.label] if regs.flag == 1 else pc + 1,
                        regs, v, weight, plan)
     if isinstance(ins, MeasMov):
-        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], v, False,
+        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], v,
                     lambda outcome, post, w: _Config(pc + 1, regs.write({ins.creg: outcome}),
                                                      post, w, plan))
     raise QwhileError(f"cannot execute {type(ins).__name__}")

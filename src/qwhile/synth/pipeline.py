@@ -54,7 +54,11 @@ def synthesize(u: np.ndarray, method: str = "qsd", basic: GateSet | None = None,
     emitted gate is drawn from the basic set."""
     if method not in METHODS:
         raise QwhileError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise QwhileError(f"epsilon must be a finite positive number, got {epsilon!r}")
     u = require_unitary(u, what="synthesis input")
+    if u.shape[0] < 2:
+        raise QwhileError(f"synthesis input is {len(u)}x{len(u)}; it needs at least one qubit")
     basic = basic or GateSet.default()
     net = net or default_net()
     n = num_qubits(u.shape[0])

@@ -214,7 +214,7 @@ def solovay_kitaev(u: np.ndarray, epsilon: float, net: SKNet | None = None,
     recursion depth suffices; otherwise the best word found is returned
     with its actual distance in eps_total.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise QwhileError("epsilon must be positive")
     net = net or default_net()
     if net.eps0 > 0.2:

@@ -36,12 +36,6 @@ class TwoLevelFactor:
         if not 0 <= self.i < self.j < self.dim:
             raise DimMismatch(f"bad index pair ({self.i}, {self.j}) for dim {self.dim}")
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(self.dim, dtype=complex)
-        (i, j), b = (self.i, self.j), self.block
-        m[i, i], m[i, j], m[j, i], m[j, j] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
-        return m
-
     def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
         return bool(np.abs(self.block - np.eye(2)).max() <= tol)
 
@@ -56,6 +50,13 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
 
     left: list[TwoLevelFactor] = []   # rotations applied to u, in order
     work = u.copy()
+
+    def rotate(i: int, j: int, block: np.ndarray) -> None:
+        """Apply the two-level factor (i, j, block) to work: it only
+        changes rows i and j."""
+        left.append(TwoLevelFactor(d, i, j, block))
+        work[[i, j]] = block @ work[[i, j]]
+
     for c in range(d - 2):
         for r in range(c + 1, d):
             a, b = work[c, c], work[r, c]
@@ -63,16 +64,12 @@ def two_level_decompose(u: np.ndarray) -> list[TwoLevelFactor]:
                 continue
             n = np.hypot(abs(a), abs(b))
             # Sends (a, b) to (n, 0); pivot stays real nonnegative.
-            block = np.array([[np.conj(a), np.conj(b)], [b, -a]]) / n
-            left.append(TwoLevelFactor(d, c, r, block))
-            work = left[-1].matrix() @ work
+            rotate(c, r, np.array([[np.conj(a), np.conj(b)], [b, -a]]) / n)
         # Unitarity forces |work[c, c]| = 1; absorb a leftover phase so the
         # processed row/column is exactly e_c.
         pivot = work[c, c]
         if abs(pivot - 1.0) > IDENTITY_TOL:
-            block = np.array([[np.conj(pivot), 0.0], [0.0, 1.0]], dtype=complex)
-            left.append(TwoLevelFactor(d, c, c + 1, block))
-            work = left[-1].matrix() @ work
+            rotate(c, c + 1, np.array([[np.conj(pivot), 0.0], [0.0, 1.0]], dtype=complex))
     # work == L_k ... L_1 u is now diag(1, .., 1, B), so
     # u == L_1† .. L_k† diag(B): daggered rotations in order, then the block.
     factors = [TwoLevelFactor(f.dim, f.i, f.j, f.block.conj().T.copy()) for f in left]

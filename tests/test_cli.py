@@ -12,6 +12,7 @@ import pytest
 
 import qwhile.cli
 import qwhile.lang.checker
+import qwhile.synth.pipeline
 from qwhile.engine import DistributionResult
 from qwhile.experiments import program_names, program_source
 from qwhile.lang.parser import KEYWORDS
@@ -119,6 +120,39 @@ def test_synthesize_refuses_an_unreadable_or_non_json_file(content, message, tmp
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["qr", "qsd"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-3"])
+def test_synthesize_refuses_an_epsilon_that_is_not_finite_and_positive(
+        method, epsilon, tmp_path, capsys, monkeypatch):
+    # H needs no rotation, so only the up-front check can refuse epsilon 0
+    path = tmp_path / "h.json"
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    path.write_text(json.dumps([[[float(z), 0.0] for z in row] for row in h]))
+    # refused before any work: not even the input's unitarity is checked
+    monkeypatch.setattr(qwhile.synth.pipeline, "require_unitary", None)
+    code, out, err = cli(capsys, "synthesize", str(path), "--method", method,
+                         f"--epsilon={epsilon}", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == f"error: epsilon must be a finite positive number, got {float(epsilon)!r}\n"
+
+
+@pytest.mark.parametrize("method", ["qr", "qsd"])
+def test_synthesize_refuses_a_one_by_one_matrix(method, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([[[1.0, 0.0]]]))
+    code, out, err = cli(capsys, "synthesize", str(path), "--method", method)
+    assert (code, out) == (1, "")
+    assert err == "error: synthesis input is 1x1; it needs at least one qubit\n"
+
+
+@pytest.mark.parametrize("argv", [("bb84-sweep", "--sessions", "-1"),
+                                  ("bb84", "--sessions", "0")])
+def test_bb84_refuses_fewer_than_one_session(argv, capsys):
+    code, out, err = cli(capsys, "experiment", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: need at least one session, got {argv[-1]}\n"
 
 
 def test_distribution_mode_refuses_csv(tmp_path, capsys):

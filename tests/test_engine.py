@@ -32,6 +32,7 @@ from qwhile.engine import (
 )
 from qwhile.engine.runtime import (
     BRANCH_BUDGET,
+    Fork,
     KernelTable,
     _Diagonal,
     _DiagonalSite,
@@ -50,9 +51,10 @@ from qwhile.experiments import (
     iteration_count,
     program_names,
     program_source,
+    qloop_program,
     success_probability,
 )
-from qwhile.fqasm import compile_program, vm_distribution
+from qwhile.fqasm import compile_program, prepare_vm, vm_distribution
 from qwhile.lang import Case, Init, Seq, Unitary, While, parse
 from qwhile.lang.syntax import format_matrix
 
@@ -352,6 +354,70 @@ class TestRunShots:
                 # every shot ends each loop with one outcome 0
                 assert [stats.site_outcomes[sid][0] for sid in (1, 2)] == [10, 10]
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_stepping_as_the_benchmark_replay_gives_run_shots_circles(self, seed):
+        # the qloop replay drives `step` itself: it classifies a step by
+        # c.remaining[0] and counts a body entry when a while step leaves
+        # at least as many statements as it found
+        plan = qloop_program()
+        base = SamplerState(seed)
+        circles = Counter()
+        measurements = 0
+        for k in range(300):
+            rng = base.child(k)
+            c = initial_configuration(plan)
+            entries = 0
+            while not c.terminated:
+                s = c.remaining[0]
+                [succ] = step(c, rng)
+                if isinstance(s, (Case, While)):
+                    measurements += 1
+                    if isinstance(s, While) and len(succ.remaining) >= len(c.remaining):
+                        entries += 1
+                c = succ
+            circles[entries] += 1
+        stats = run_shots(plan, 300, seed)
+        assert circles == stats.loop_histogram[plan.loop_sites()[0]]
+        assert measurements == sum(sum(c.values()) for c in stats.site_outcomes.values())
+
+    @staticmethod
+    def driver_loop_counts(plan, seed: int, step_limit: int) -> dict[int, int]:
+        """Body entries as the sampled driver once counted them itself: at
+        a fork of a while site, outcome 1 counts one entry."""
+        rng, c = SamplerState(seed), initial_configuration(plan)
+        counts = {sid: 0 for sid in plan.loop_sites()}
+        steps = 0
+        while not c.terminated:
+            if steps >= step_limit:
+                raise StepLimitExceeded(f"no termination after {step_limit} steps")
+            nxt = qwhile.engine.runtime._advance(c)
+            steps += 1
+            if isinstance(nxt, Fork):
+                [(outcome, succ)] = nxt.branches(c.weight, rng)
+                if isinstance(c.remaining[0], While) and outcome == 1:
+                    counts[nxt.site] += 1
+                c = succ
+            else:
+                c = nxt
+        return counts
+
+    def test_loop_counts_from_the_outcome_log_equal_the_driver_count(self):
+        rng = np.random.default_rng(1800)
+        programs = [random_program(rng) for _ in range(60)] + [wide_program(rng, 5)
+                                                               for _ in range(4)]
+        entering = 0  # shots that enter some loop body
+        for plan in [qloop_program()] + [prepare(p) for p in programs]:
+            for seed in range(8):
+                try:
+                    want = self.driver_loop_counts(plan, seed, 2000)
+                except StepLimitExceeded:
+                    with pytest.raises(StepLimitExceeded):
+                        run_shot(plan, seed, step_limit=2000)
+                    continue
+                assert run_shot(plan, seed, step_limit=2000).loop_counts == want
+                entering += any(want.values())
+        assert entering >= 40
+
     def test_csv_rows_shape(self):
         p = prepare(parse("q : qubit; measure M = computational; q := |0>; H[q]; "
                           "if M[q] = 0 -> skip; [] 1 -> skip; fi;"))
@@ -540,10 +606,11 @@ def dense_measurement(operators, positions: tuple[int, ...], n: int, rho: np.nda
     return p, [f @ rho @ f.conj().T / pi for f, pi in zip(full, p)]
 
 
-def kernel_table(n: int, decls: str = "") -> KernelTable:
-    """The kernel table of a program with n one-qubit registers q0..q{n-1}."""
-    program = parse("".join(f"q{i} : qubit; " for i in range(n)) + decls)
-    return KernelTable(program.registers, program)
+def kernel_table(n: int, text: str) -> KernelTable:
+    """The kernel table of a program with n one-qubit registers q0..q{n-1}
+    and then `text`: declarations and the statements that apply the
+    operations under test."""
+    return KernelTable(parse("".join(f"q{i} : qubit; " for i in range(n)) + text))
 
 
 def nonzero_rows(v: np.ndarray) -> int:
@@ -581,8 +648,8 @@ class TestKernels:
         width = int(rng.integers(1, n + 1))
         lo = int(rng.integers(n - width + 1))
         layout = (("a", lo), ("r", width), ("b", n - lo - width))
-        kernels = KernelTable(tuple((name, w) for name, w in layout if w), program=None)
-        kernels.add_init("r")
+        kernels = KernelTable(parse("".join(f"{name} : qubit[{w}]; " for name, w in layout if w)
+                                    + "r := |0>;"))
         assert isinstance(kernels.inits["r"], _Reset)
         for r in (1, 2, 3):
             v = random_factor(rng, n, r)
@@ -597,16 +664,14 @@ class TestKernels:
         rng = np.random.default_rng(920 + n)
         weak = [np.diag([np.sqrt(0.3), np.sqrt(0.6)]), np.diag([np.sqrt(0.7), np.sqrt(0.4)])]
         split = [np.diag([np.sqrt(0.4), 0.0]), np.diag([np.sqrt(0.6), 0.0]), np.diag([0.0, 1.0])]
-        kernels = kernel_table(n, "measure C = computational; measure P = plusminus; "
-                                  f"measure W = {{{', '.join(map(format_matrix, weak))}}}; "
-                                  f"measure B = {{{', '.join(map(format_matrix, split))}}};")
         k = min(n, 2)
         positions = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
         regs = tuple(f"q{q}" for q in positions)
-        kernels.add_site("C", regs)
-        kernels.add_site("P", regs[:1])
-        kernels.add_site("W", regs[:1])
-        kernels.add_site("B", regs[:1])
+        kernels = kernel_table(n, "measure C = computational; measure P = plusminus; "
+                                  f"measure W = {{{', '.join(map(format_matrix, weak))}}}; "
+                                  f"measure B = {{{', '.join(map(format_matrix, split))}}}; "
+                                  f"if C[{', '.join(regs)}] = 0 -> skip; fi; "
+                                  + "".join(f"if {m}[{regs[0]}] = 0 -> skip; fi; " for m in "PWB"))
         half = np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])
         cases = [(kernels.sites["C", regs], MeasurementSet.computational(1 << k).operators,
                   positions, _DiagonalSite),
@@ -629,8 +694,7 @@ class TestKernels:
     def test_reset_of_a_definite_qubit_keeps_the_column_count(self):
         # q1 is |0> in every column, then |1> in every column
         rng = np.random.default_rng(940)
-        kernels = kernel_table(3)
-        kernels.add_init("q1")
+        kernels = kernel_table(3, "q1 := |0>;")
         for bit in (0, 1):
             v = random_factor(rng, 3, 2).reshape(2, 2, 2, 2)
             v[:, 1 - bit] = 0.0
@@ -644,8 +708,7 @@ class TestKernels:
         assert np.array_equal(kernels.inits["q1"].apply(v.reshape(8, 2)), v.reshape(8, 2))
 
     def test_reset_of_an_entangled_qubit_doubles_the_column_count(self):
-        kernels = kernel_table(3)
-        kernels.add_init("q0")
+        kernels = kernel_table(3, "q0 := |0>;")
         bell = np.zeros((8, 1), dtype=complex)
         bell[0b000] = bell[0b110] = np.sqrt(0.5)  # q0 and q1 entangled
         w = kernels.inits["q0"].apply(bell)
@@ -675,25 +738,35 @@ class TestKernels:
     def test_classification(self):
         rng = np.random.default_rng(930)
         oracle = np.diag([1.0, 1.0, -1.0, 1.0])
+        gates = {"Z": ("q0",), "S": ("q1",), "T": ("q2",), "ORACLE": ("q2", "q0"),
+                 "X": ("q1",), "CNOT": ("q2", "q0"), "H": ("q0",), "G": ("q1",),
+                 "DILATE": ("q0", "q1")}
         kernels = kernel_table(
             3, f"gate ORACLE = {format_matrix(oracle)}; "
                f"gate G = {format_matrix(random_unitary(rng, 2))}; "
                "gate DILATE = [[1, 0, 0, 0], [0, 0.7071067811865476, 0.7071067811865476, 0], "
                "[0, -0.7071067811865476, 0.7071067811865476, 0], [0, 0, 0, 1]]; "
-               "measure C = computational; measure P = plusminus;")
-        gates = {"Z": ("q0",), "S": ("q1",), "T": ("q2",), "ORACLE": ("q2", "q0"),
-                 "X": ("q1",), "CNOT": ("q2", "q0"), "H": ("q0",), "G": ("q1",),
-                 "DILATE": ("q0", "q1")}
-        for gate, regs in gates.items():
-            kernels.add_unitary(gate, regs)
-        kernels.add_site("C", ("q2", "q0", "q1"))
-        kernels.add_site("P", ("q1",))
+               "measure C = computational; measure P = plusminus; "
+               + "".join(f"{gate}[{', '.join(regs)}]; " for gate, regs in gates.items())
+               + "if C[q2, q0, q1] = 0 -> skip; fi; while P[q1] = 1 do skip; od;")
         assert {gate: type(kernels.unitaries[gate, regs]) for gate, regs in gates.items()} == {
             "Z": _Diagonal, "S": _Diagonal, "T": _Diagonal, "ORACLE": _Diagonal,
             "X": _Monomial, "CNOT": _Monomial,
             "H": _General, "G": _General, "DILATE": _General}
         assert type(kernels.sites["C", ("q2", "q0", "q1")]) is _DiagonalSite
         assert type(kernels.sites["P", ("q1",)]) is _GeneralSite
+
+    def test_both_executors_build_the_same_kernels(self):
+        rng = np.random.default_rng(1900)
+        programs = [parse(program_source(name)) for name in program_names()]
+        programs += [random_program(rng, max_depth=3, max_block=3) for _ in range(40)]
+        programs += [wide_program(rng, 7) for _ in range(2)]
+        for program in programs:
+            ours = prepare(program).kernels
+            vm = prepare_vm(compile_program(program)).kernels
+            for table in ("unitaries", "inits", "sites"):
+                want = {key: type(k) for key, k in getattr(ours, table).items()}
+                assert {key: type(k) for key, k in getattr(vm, table).items()} == want
 
 
 # --- the engine stays factored through a whole run --------------------------------

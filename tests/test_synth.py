@@ -7,6 +7,7 @@ from qwhile.synth import (
     GateSequence,
     GateSet,
     SKNet,
+    TwoLevelFactor,
     default_net,
     phase_dist,
     qsd_decompose,
@@ -16,6 +17,7 @@ from qwhile.synth import (
     two_qubit_ops,
     two_level_to_circuit,
 )
+from qwhile.synth.two_level import IDENTITY_TOL
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -106,3 +108,43 @@ def test_two_qubit_ops_on_a_tensor_product_and_a_swapped_one(swapped, gates):
     ops = two_qubit_ops(u, 0, 1)
     assert [op.name for op in ops] == gates
     assert phase_dist(reconstruct(GateSequence(tuple(ops)), 2), u) <= 1e-12
+
+
+def dense_product_factors(u: np.ndarray) -> list[TwoLevelFactor]:
+    """Two-level factoring as it was first written: each rotation applied
+    to the work matrix as a product with its dense d x d embedding."""
+    def embedded(f: TwoLevelFactor) -> np.ndarray:
+        m = np.eye(f.dim, dtype=complex)
+        m[np.ix_([f.i, f.j], [f.i, f.j])] = f.block
+        return m
+
+    d = len(u)
+    if d == 2:
+        return [] if TwoLevelFactor(2, 0, 1, u).is_identity() else [TwoLevelFactor(2, 0, 1, u)]
+    left, work = [], u.copy()
+    for c in range(d - 2):
+        for r in range(c + 1, d):
+            a, b = work[c, c], work[r, c]
+            if abs(b) <= IDENTITY_TOL:
+                continue
+            n = np.hypot(abs(a), abs(b))
+            left.append(TwoLevelFactor(d, c, r, np.array([[np.conj(a), np.conj(b)], [b, -a]]) / n))
+            work = embedded(left[-1]) @ work
+        pivot = work[c, c]
+        if abs(pivot - 1.0) > IDENTITY_TOL:
+            block = np.array([[np.conj(pivot), 0.0], [0.0, 1.0]], dtype=complex)
+            left.append(TwoLevelFactor(d, c, c + 1, block))
+            work = embedded(left[-1]) @ work
+    factors = [TwoLevelFactor(f.dim, f.i, f.j, f.block.conj().T) for f in left]
+    factors.append(TwoLevelFactor(d, d - 2, d - 1, work[d - 2:, d - 2:]))
+    return [f for f in factors if not f.is_identity()]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_two_level_factors_are_bit_identical_to_the_dense_product_loop(d):
+    rng = np.random.default_rng(1700 + d)
+    for _ in range(20):
+        u = haar_unitary(rng, d)
+        got, want = two_level_decompose(u), dense_product_factors(u)
+        assert [(f.dim, f.i, f.j) for f in got] == [(f.dim, f.i, f.j) for f in want]
+        assert all(f.block.tobytes() == g.block.tobytes() for f, g in zip(got, want))
