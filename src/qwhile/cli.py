@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core.types import DensityOperator
 from .errors import QwhileError
 from .lang import parse
 from .engine import match_distributions, prepare, run_distribution, run_shots
@@ -67,11 +68,14 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _state_summary(mat: np.ndarray, limit: int = 16) -> list:
+def _state_summary(state: DensityOperator, limit: int = 16) -> list:
+    """The state's entries up to dimension `limit`, else its diagonal (read
+    from the support, so no dense matrix is built)."""
     # adding 0.0 turns a rounded -0.0 into 0.0, so kernel noise does not show
-    if mat.shape[0] <= limit:
-        return [[[round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0] for z in row] for row in mat]
-    return [round(x, 9) + 0.0 for x in np.real(np.diag(mat)).tolist()]
+    if state.dim <= limit:
+        return [[[round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0] for z in row]
+                for row in state.matrix]
+    return [round(x, 9) + 0.0 for x in state.diagonal().tolist()]
 
 
 # --- run ----------------------------------------------------------------------
@@ -92,7 +96,7 @@ def cmd_run(args) -> int:
                                 step_limit=step_limit)
         # listed by printed weight, then printed state, so that noise below
         # the printed precision cannot reorder the lines
-        listed = sorted(((round(w, 12), _state_summary(s.matrix), w, s.dim)
+        listed = sorted(((round(w, 12), _state_summary(s), w, s.dim)
                          for w, s in dist.terminals),
                         key=lambda t: (-t[0], json.dumps(t[1])))
         payload = {
@@ -115,7 +119,7 @@ def cmd_run(args) -> int:
     if args.format == "json":
         payload = stats.to_json_dict()
         payload["file"] = args.file
-        payload["mean_final_state"] = _state_summary(stats.mean_final_state.matrix)
+        payload["mean_final_state"] = _state_summary(stats.mean_final_state)
         _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
         rows = ["kind,site,key,count"] + [f"{k},{s},{key},{c}"

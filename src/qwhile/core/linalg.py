@@ -30,6 +30,15 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
+def nonzero_lines(m: np.ndarray) -> np.ndarray:
+    """The sorted indices i at which row i or column i of the square
+    complex matrix m holds an entry whose bits are not zero (a -0.0
+    counts)."""
+    words = np.ascontiguousarray(m).view(np.uint64)
+    bits = words[:, 0::2] | words[:, 1::2]  # each entry's real and imaginary bits
+    return np.flatnonzero(np.bitwise_or.reduce(bits, axis=0) | np.bitwise_or.reduce(bits, axis=1))
+
+
 def read_only(a) -> np.ndarray:
     """A read-only copy of `a`, so a value checked once stays as checked."""
     a = np.array(a)

@@ -91,9 +91,15 @@ class Ket:
 
 
 class DensityOperator:
-    """Positive, trace-1 complex matrix; a (possibly mixed) program state."""
+    """Positive, trace-1 complex matrix; a (possibly mixed) program state.
 
-    __slots__ = ("_mat",)
+    A state is held either as its dense matrix or by its support (see
+    `support`): the sorted indices S and the |S| x |S| block on S, every
+    other entry +0.0. A support-held state (`from_support`) builds its
+    dense matrix on first read of `_mat`, as the zero matrix with the
+    block written on S x S."""
+
+    __slots__ = ("_dense", "_dim", "_rows", "_block")
 
     def __init__(self, matrix, *, validate: bool = True):
         m = linalg.as_matrix(matrix)
@@ -104,11 +110,51 @@ class DensityOperator:
             report = validate_density_matrix(m)
             if not report.ok:
                 raise InvalidState(str(report))
-        object.__setattr__(self, "_mat", m)
+        self._dense, self._dim, self._rows, self._block = m, m.shape[0], None, None
+
+    @classmethod
+    def from_support(cls, dim: int, rows: np.ndarray, block: np.ndarray) -> "DensityOperator":
+        """The state that is `block` on the sorted indices `rows` of a
+        `dim`-dimensional space and zero elsewhere, unvalidated. Each index
+        in `rows` must hold an entry with nonzero bits in its row or column
+        of the block, so that the support is the one `support` reads."""
+        self = object.__new__(cls)
+        self._dense, self._dim, self._rows, self._block = None, dim, rows, block
+        return self
+
+    @property
+    def _mat(self) -> np.ndarray:
+        if self._dense is None:
+            m = np.zeros((self._dim, self._dim), dtype=complex)
+            m[self._rows[:, None], self._rows] = self._block
+            self._dense = m
+        return self._dense
+
+    @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, block): the sorted indices S of the rows and columns that
+        hold an entry whose bits are not zero (a -0.0 counts), and the
+        matrix's block on S x S; every entry outside S x S is +0.0. Held
+        for a state built `from_support`, else read from the matrix."""
+        if self._rows is not None:
+            return self._rows, self._block
+        m = np.ascontiguousarray(self._dense)
+        rows = np.arange(self._dim) if m.all() else linalg.nonzero_lines(m)
+        return rows, m if len(rows) == self._dim else m[rows[:, None], rows]
+
+    def diagonal(self) -> np.ndarray:
+        """The real diagonal, read from the support when one is held. It
+        is the real part of complex storage in both cases (a strided
+        view), so a dot product with it sums in the same order."""
+        if self._rows is None:
+            return self._dense.diagonal().real
+        out = np.zeros(self._dim, dtype=complex)
+        out[self._rows] = self._block.diagonal()
+        return out.real
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self._dim
 
     @property
     def matrix(self) -> np.ndarray:

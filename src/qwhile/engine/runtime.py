@@ -47,6 +47,8 @@ Truncation rules, the same for both executors:
   to `node_limited`.
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
+* Both drivers refuse a step limit below 1, and distribution mode a mass
+  threshold that is negative or NaN, with InvalidLimit.
 
 Merge rule, shared by `DistributionResult.merged` and
 `match_distributions`; the groups depend on the set of terminals, never
@@ -93,12 +95,26 @@ nonzero rows S, V_S is replaced by R†, where R is the triangular factor
 of a QR decomposition of V_S† (R† R = V_S V_S†), so r never exceeds the
 number of nonzero rows.
 
-A density operator is built in three places only: for a terminal in
-`explore`, for a sampled run's final state, and by the `state` property
-of a configuration (`Configuration` here, the VM's `_Config`). It is the
-zero matrix plus V_S V_S† on the nonzero rows S, so a basis-state
-terminal writes one entry. `initial_configuration(state=rho)` factors rho
-by `eigh`, keeping the positive eigenvalues.
+States leave the engine in three places only: a terminal in `explore`,
+a sampled run's final state, and the `state` property of a configuration
+(`Configuration` here, the VM's `_Config`). Each is `state_of(V)`, a
+`DensityOperator` held by its support: the nonzero rows S of V and the
+|S| x |S| block V_S V_S†. Its dense matrix (zero plus the block on
+S x S) is built only when something reads it (`.matrix`, `._mat`), so
+merging and matching terminals, and the CLI's diagonal listing above
+dimension 16, never build one. `initial_configuration(state=rho)`
+factors rho by `eigh`, keeping the positive eigenvalues.
+
+The merge rule reads supports only, for support-held and dense states
+alike (a dense state's support is the rows and columns holding an entry
+with nonzero bits). The key is the block's diagonal written into a
+d-vector, the same bits as the full matrix's diagonal. Copies are equal
+(S, block bits). The distance is max|a - b| over the block on the union
+of the two supports, an entry present on one side only counting against
+0; every entry outside that block is 0 in both matrices, so it equals the
+full-matrix max|a - b|. The word order compares the blocks on the union:
+S is sorted, so they hold the full matrix's nonzero words in its order
+(flat position S[i]*d + S[j]).
 """
 from __future__ import annotations
 
@@ -112,9 +128,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import STANDARD_LIBRARY
-from ..core.linalg import as_matrix
+from ..core.linalg import as_matrix, nonzero_lines
 from ..core.types import PLUS_MINUS, DensityOperator
-from ..errors import DimMismatch, QwhileError, StepLimitExceeded
+from ..errors import DimMismatch, InvalidLimit, QwhileError, StepLimitExceeded
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, SamplerState, sample_outcome
@@ -267,13 +283,16 @@ def _within_rank(v: np.ndarray) -> np.ndarray:
 
 
 def state_of(v: np.ndarray) -> DensityOperator:
-    """The density operator V V† of the factor v: zero except V_S V_S† on
-    v's nonzero rows S."""
+    """The density operator V V† of the factor v, held by its support:
+    the block V_S V_S† on v's nonzero rows S (less any row whose block
+    entries all underflowed to zero bits), zero elsewhere."""
     rows = np.flatnonzero(v.any(axis=1))
     block = v[rows]
-    rho = np.zeros((len(v), len(v)), dtype=complex)
-    rho[rows[:, None], rows] = block @ block.conj().T
-    return DensityOperator(rho, validate=False)
+    block = block @ block.conj().T
+    if np.count_nonzero(block.diagonal()) < len(rows):
+        keep = nonzero_lines(block)
+        rows, block = rows[keep], block[keep[:, None], keep]
+    return DensityOperator.from_support(len(v), rows, block)
 
 
 def _factor(rho: np.ndarray) -> np.ndarray:
@@ -446,12 +465,20 @@ def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
     return [nxt]
 
 
+def _check_limits(step_limit: int, mass_threshold: float = 0.0) -> None:
+    if not step_limit >= 1:
+        raise InvalidLimit(f"step limit must be at least 1, got {step_limit}")
+    if not mass_threshold >= 0.0:
+        raise InvalidLimit(f"mass threshold must be at least 0, got {mass_threshold}")
+
+
 def run_sampled(c, advance: Callable, seed: int, step_limit: int) -> RunRecord:
     """Run configuration c to termination with measurements sampled from
     `seed`. Configurations expose `terminated`, `weight` and `state` (the
     final state is built from the last configuration only); `advance` is
     the executor's transition (see `successors`). The record's
     `loop_counts` is left empty."""
+    _check_limits(step_limit)
     rng = SamplerState(seed)
     outcomes: list[tuple[int, int]] = []
     steps = 0
@@ -472,9 +499,9 @@ def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
             step_limit: int) -> DistributionResult:
     """Every branch from c0, breadth-first, truncated by the rules in the
     module docstring. Configurations expose `terminated`,
-    `at_measurement`, `weight` and `state` (read once per terminal, where
-    its density operator is built); `step_fn(c)` lists c's successors
-    with their weights."""
+    `at_measurement`, `weight` and `state` (read once per terminal);
+    `step_fn(c)` lists c's successors with their weights."""
+    _check_limits(step_limit, mass_threshold)
     queue: deque[tuple[Any, int]] = deque([(c0, 0)])
     terminals: list[tuple[float, DensityOperator]] = []
     residual = step_limited = node_limited = 0.0
@@ -739,37 +766,42 @@ class DistributionResult:
     def merged(self, atol: float = 1e-10) -> "DistributionResult":
         """Coalesce terminals with equal states by the merge rule in the
         module docstring."""
-        groups = _groups([s._mat for _, s in self.terminals], atol)
+        groups = _groups([s for _, s in self.terminals], atol)
         weights = [fsum(self.terminals[i][0] for i in g) for g in groups]
         order = sorted(range(len(groups)), key=lambda k: -weights[k])
         return DistributionResult([(weights[k], self.terminals[groups[k][0]][1]) for k in order],
                                   self.residual, self.step_limited, self.node_limited)
 
 
-def _groups(mats: list[np.ndarray], atol: float) -> list[list[int]]:
-    """Indices into mats grouped by the merge rule in the module docstring,
-    groups in canonical order, each led by its first member."""
-    ramps = {d: np.linspace(0.0, 1.0, d) for d in {len(m) for m in mats}}
-    keys = [(m.shape, float(m.diagonal().real @ ramps[len(m)])) for m in mats]
-    bits = [np.ascontiguousarray(m).view(np.uint64).ravel() for m in mats]
+Support = tuple[np.ndarray, np.ndarray]  # (S, block), see DensityOperator.support
+
+
+def _groups(states: list[DensityOperator], atol: float) -> list[list[int]]:
+    """Indices into states grouped by the merge rule in the module
+    docstring, groups in canonical order, each led by its first member.
+    Every comparison reads the states' supports, never a dense matrix."""
+    ramps = {d: np.linspace(0.0, 1.0, d) for d in {s.dim for s in states}}
+    keys = [(s.dim, float(s.diagonal() @ ramps[s.dim])) for s in states]
+    supports = [s.support for s in states]
     groups: list[list[int]] = []
     reach: deque[list[int]] = deque()  # groups whose leader's key is within d*atol
-    for (shape, p), tied in groupby(sorted(range(len(mats)), key=keys.__getitem__),
-                                    keys.__getitem__):
-        copies: list[list[int]] = []  # the states with this key, bit-identical ones together
-        for i in tied:
-            same = next((c for c in copies if np.array_equal(bits[i], bits[c[0]])), None)
-            if same is None:
-                copies.append([i])
-            else:
-                same.append(i)
-        if len(copies) > 1:
-            copies.sort(key=cmp_to_key(lambda c, e: _word_order(bits[c[0]], bits[e[0]])))
-        while reach and keys[reach[0][0]] < (shape, p - shape[0] * atol):
+    for (d, p), tied in groupby(sorted(range(len(states)), key=keys.__getitem__),
+                                keys.__getitem__):
+        tied = list(tied)
+        if len(tied) == 1:
+            copies = [tied]
+        else:  # the states with this key, bit-identical ones together
+            alike: dict[tuple[bytes, bytes], list[int]] = {}
+            for i in tied:
+                rows, block = supports[i]
+                alike.setdefault((rows.tobytes(), block.tobytes()), []).append(i)
+            copies = list(alike.values())
+            copies.sort(key=cmp_to_key(lambda c, e: _word_order(supports[c[0]], supports[e[0]])))
+        while reach and keys[reach[0][0]] < (d, p - d * atol):
             reach.popleft()
         for c in copies:
-            m = mats[c[0]]
-            group = next((g for g in reach if np.abs(m - mats[g[0]]).max() <= atol), None)
+            group = next((g for g in reach if _distance(supports[c[0]], supports[g[0]]) <= atol),
+                         None)
             if group is None:
                 groups.append(c)
                 reach.append(c)
@@ -778,11 +810,39 @@ def _groups(mats: list[np.ndarray], atol: float) -> list[list[int]]:
     return groups
 
 
-def _word_order(a: np.ndarray, b: np.ndarray) -> int:
-    """-1 if the words of a come before those of b, read in order, else 1
-    (a and b differ)."""
-    i = (a != b).argmax()
-    return -1 if a[i] < b[i] else 1
+def _on_union(a: Support, b: Support) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of the supports a and b, each written on the union of
+    their rows (zero off its own rows). Every entry of either full matrix
+    outside that union's block is zero."""
+    if np.array_equal(a[0], b[0]):
+        return a[1], b[1]
+    union = np.union1d(a[0], b[0])
+
+    def placed(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(union, rows)
+        m = np.zeros((len(union), len(union)), dtype=complex)
+        m[at[:, None], at] = block
+        return m
+
+    return placed(*a), placed(*b)
+
+
+def _distance(a: Support, b: Support) -> float:
+    """max|A - B| over the full matrices A and B of the supports a and b:
+    on the union of their rows, where an entry on one side only counts
+    against 0, since both are zero everywhere else."""
+    x, y = _on_union(a, b)
+    return float(np.abs(x - y).max(initial=0.0))
+
+
+def _word_order(a: Support, b: Support) -> int:
+    """-1 if the 64-bit words of the full matrix of support a come before
+    those of support b, read in order, else 1 (a and b differ). Rows are
+    sorted, so the blocks on the union of the rows hold the nonzero words
+    of both full matrices in the full order (flat position S[i]*d + S[j])."""
+    x, y = (np.ascontiguousarray(m).view(np.uint64).ravel() for m in _on_union(a, b))
+    i = (x != y).argmax()
+    return -1 if x[i] < y[i] else 1
 
 
 def match_distributions(a: DistributionResult, b: DistributionResult,
@@ -797,7 +857,7 @@ def match_distributions(a: DistributionResult, b: DistributionResult,
     terminals = ours + b.merged(atol).terminals
     return all(len(g) == 2 and (g[0] < len(ours)) != (g[1] < len(ours))
                and abs(terminals[g[0]][0] - terminals[g[1]][0]) <= atol
-               for g in _groups([s._mat for _, s in terminals], atol))
+               for g in _groups([s for _, s in terminals], atol))
 
 
 def run_distribution(program: SourceProgram | PreparedProgram,

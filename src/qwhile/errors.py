@@ -72,6 +72,11 @@ class StepLimitExceeded(QwhileError):
     """Execution exceeded the step limit (possible non-termination)."""
 
 
+class InvalidLimit(QwhileError):
+    """A run limit is out of range: a step limit below 1, or a mass
+    threshold that is negative or NaN."""
+
+
 # --- f-QASM ---
 
 class FqasmSyntaxError(ParseError):

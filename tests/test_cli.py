@@ -165,6 +165,22 @@ def test_distribution_mode_refuses_csv(tmp_path, capsys):
     assert not (tmp_path / "coin.csv").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (("--mode", "distribution", "--mass-threshold", "nan"), "mass threshold must be at least 0, got nan"),
+    (("--mode", "distribution", "--mass-threshold", "-1"), "mass threshold must be at least 0, got -1.0"),
+    (("--mode", "distribution", "--step-limit", "-3"), "step limit must be at least 1, got -3"),
+    (("--mode", "distribution", "--step-limit", "0"), "step limit must be at least 1, got 0"),
+    (("--mode", "sampled", "--step-limit", "0"), "step limit must be at least 1, got 0"),
+    (("--mode", "sampled", "--step-limit", "-1"), "step limit must be at least 1, got -1"),
+])
+def test_run_refuses_a_limit_out_of_range(options, message, tmp_path, capsys):
+    path = tmp_path / "qloop.qw"
+    path.write_text(program_source("qloop"))
+    code, out, err = cli(capsys, "run", str(path), *options)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 # --- the same seed gives the same bytes --------------------------------------------
 
 

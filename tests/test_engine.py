@@ -43,9 +43,10 @@ from qwhile.engine.runtime import (
     explore,
     operator_kernel,
     site_kernel,
+    state_of,
 )
 from qwhile.engine.sampler import PROB_CEIL, PROB_FLOOR, Outcomes
-from qwhile.errors import MalformedDistribution, StepLimitExceeded
+from qwhile.errors import InvalidLimit, MalformedDistribution, StepLimitExceeded
 from qwhile.experiments import (
     grover_source,
     iteration_count,
@@ -55,7 +56,7 @@ from qwhile.experiments import (
     success_probability,
 )
 from qwhile.fqasm import compile_program, prepare_vm, vm_distribution
-from qwhile.lang import Case, Init, Seq, Unitary, While, parse
+from qwhile.lang import Case, Init, Seq, Unitary, While, parse, pretty_print
 from qwhile.lang.syntax import format_matrix
 
 from genprog import random_program, wide_program
@@ -855,6 +856,60 @@ class TestFactoredRun:
         assert got.residual > 0 and len(got.terminals) > 1
         assert match_distributions(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("source", [
+        pretty_print(wide_program(np.random.default_rng(4), 9)),
+        grover_source(7, (5,)),
+    ], ids=["wide9", "grover7"])
+    def test_check_builds_no_dense_state(self, source, tmp_path, capsys, monkeypatch):
+        # terminals are held by their support and merged and matched on it:
+        # no density operator is ever built as a 2^n x 2^n matrix
+        dense = []
+        lazy, init = DensityOperator._mat, DensityOperator.__init__
+
+        def built(state):
+            if state._dense is None:
+                dense.append(state.dim)
+            return lazy.fget(state)
+
+        def constructed(state, matrix, **kwargs):
+            dense.append(len(matrix))
+            init(state, matrix, **kwargs)
+
+        monkeypatch.setattr(DensityOperator, "_mat", property(built))
+        monkeypatch.setattr(DensityOperator, "__init__", constructed)
+        path = tmp_path / "program.qw"
+        path.write_text(source)
+        assert qwhile.cli.main(["compile", str(path), "--check",
+                                "--out", str(tmp_path / "program.fqasm")]) == 0
+        assert "agree" in capsys.readouterr().out
+        assert dense == []
+
+    def test_a_state_holds_the_support_its_matrix_has(self):
+        # the last row's products with every row underflow to +0.0, so its
+        # matrix has no entry there and the held support leaves it out
+        v = np.array([[0.4]] * 6 + [[0.2], [5e-324]], dtype=complex)
+        held = state_of(v)
+        rows, block = held.support
+        want_rows, want_block = DensityOperator(held.matrix, validate=False).support
+        assert rows.tolist() == want_rows.tolist() == list(range(7))
+        assert block.tobytes() == want_block.tobytes()
+
+    @pytest.mark.parametrize("limits", [dict(mass_threshold=float("nan")),
+                                        dict(mass_threshold=-1e-9),
+                                        dict(step_limit=0), dict(step_limit=-3)])
+    def test_distribution_mode_refuses_a_limit_out_of_range(self, limits):
+        program = parse(program_source("coin"))
+        with pytest.raises(InvalidLimit):
+            run_distribution(program, **limits)
+        with pytest.raises(InvalidLimit):
+            vm_distribution(compile_program(program), **limits)
+
+    def test_sampled_mode_refuses_a_step_limit_below_one(self):
+        program = parse(program_source("coin"))
+        for limit in (0, -1):
+            with pytest.raises(InvalidLimit):
+                run_shot(program, 0, step_limit=limit)
+
 
 # --- merging and matching terminals ---------------------------------------------
 
@@ -989,6 +1044,49 @@ class TestMergeAndMatch:
             near[0, 0] += k * atol
             assert len(weighted((0.5, base), (0.5, near)).merged(atol).terminals) == (
                 1 if k < 1 else 2)
+
+    def test_supports_that_differ(self, rng):
+        # Engine states are held by their support (rows S and block V_S V_S†),
+        # merged beside dense ones. Variants of each base state carry an
+        # entry outside its support, on the diagonal (another key) or off it
+        # (the same key, so the word order breaks the tie), at 0.5*atol
+        # (merges) or 2*atol (does not), or a -0.0 (equal, other bits).
+        atol, d = 1e-10, 8
+        bases = []
+        for rows, r in (((1, 2, 5), 2), ((0, 3), 1), ((2, 4, 6, 7), 3), ((1, 2, 5), 1)):
+            v = np.zeros((d, r), dtype=complex)
+            v[list(rows)] = rng.normal(size=(len(rows), r)) + 1j * rng.normal(size=(len(rows), r))
+            bases.append(v / np.linalg.norm(v))
+        states = []
+        for v in bases:
+            base = state_of(v)
+            rows, m = base.support[0], state_of(v).matrix
+            outside = [k for k in range(d) if k not in rows]
+            states += [base, DensityOperator(m, validate=False)]  # one state both ways
+            for c in (0.5, 2.0):
+                for at in [(k, k) for k in outside[:2]] + [(outside[0], rows[0]),
+                                                          (rows[-1], outside[-1])]:
+                    near = m.copy()
+                    near[at] += c * atol * np.exp(2j * np.pi * rng.random())
+                    states.append(DensityOperator(near, validate=False))
+                    states.append(DensityOperator.from_support(d, *states[-1].support))
+            signed = m.copy()
+            signed[outside[0], outside[0]] = -0.0
+            states.append(DensityOperator(signed, validate=False))
+        first = None
+        for _ in range(4):
+            raw = DistributionResult([(1 / len(states), s) for s in rng.permutation(states)], 0.0)
+            got = raw.merged(atol)
+            assert_identical(got, reference_merged(raw, atol))
+            if first is None:
+                first = got
+                assert len(bases) < len(got.terminals) < len(states) // 2
+            assert_identical(got, first)
+            other = DistributionResult(raw.terminals[::-1], 0.0)
+            assert match_distributions(raw, other, atol) is reference_match(raw, other, atol)
+            half = DistributionResult(raw.terminals[::2], 0.0)
+            assert match_distributions(raw, half, atol) is reference_match(raw, half, atol)
+            assert match_distributions(first, got, atol) is reference_match(first, got, atol) is True
 
     def test_fifty_states_merge_with_their_copies(self):
         states = [np.diag([1.0 - k / 100, k / 100]) for k in range(50)]
