@@ -47,8 +47,36 @@ Truncation rules, the same for both executors:
   to `node_limited`.
 * A measurement outcome of probability at most PROB_FLOOR (1e-12) is
   never sampled and forks no branch; its weight is counted nowhere.
+* A sampled run's memo (below) stores at most MEMO_BYTES per plan; past
+  that bound, transitions are computed and not stored.
 * Both drivers refuse a step limit below 1, and distribution mode a mass
   threshold that is negative or NaN, with InvalidLimit.
+
+Sampled mode walks a memo. Each configuration a sampled step reaches
+keeps its own next transition, filled on first use: a step that does not
+measure stores its successor; a measuring step stores its probabilities
+prepared as `Outcomes(p)` and, filled on first draw, the successor of
+each outcome; a terminal stores the support of its `state_of`, and each
+run gets its own `DensityOperator` over it.
+`initial_configuration(plan)` (with no state) and the VM's
+`_Config.start(plan)` return the plan's one root configuration, so every
+shot of `run_shots` and `vm_run`, and every `step(c, rng)` walk from it,
+share one trie of outcome histories (`Trie`), and a shot whose history
+an earlier shot took applies no kernel. `run_sampled` and `successors`
+with an rng go through it alike; distribution mode neither reads nor
+fills it, and `run_distribution` and `vm_distribution` start from a
+configuration of their own, so a plan that only explores holds no root.
+The bits do not change: each shot draws from its own stream exactly as
+without the memo (a certain outcome consumes no draw), and every stored
+factor is the array the transition computes. Stored factors, blocks and
+support rows are read-only. MEMO_BYTES bounds what the memo stores,
+counted as each new array's bytes plus MEMO_ENTRY_BYTES per stored
+transition for the objects around them; from the first transition that
+does not fit, transitions are computed and not stored. The memo lives as
+long as its plan, which is one CLI call: there is no cache across plans.
+The plan holds the root and every configuration holds the plan, so a
+dropped plan and its memo are freed by the cyclic garbage collector
+rather than at once.
 
 Merge rule, shared by `DistributionResult.merged` and
 `match_distributions`; the groups depend on the set of terminals, never
@@ -133,12 +161,14 @@ from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import DimMismatch, InvalidLimit, QwhileError, StepLimitExceeded
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
-from .sampler import PROB_FLOOR, SamplerState, sample_outcome
+from .sampler import PROB_FLOOR, Outcomes, SamplerState
 
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_MASS_THRESHOLD = 1e-6
 DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000
 BRANCH_BUDGET = 10
+MEMO_BYTES = 32 * 2**20     # per plan, for the sampled-mode memo
+MEMO_ENTRY_BYTES = 512      # counted per stored transition besides its arrays
 
 
 # --- kernels -----------------------------------------------------------------
@@ -444,24 +474,133 @@ class Fork(NamedTuple):
     factor: np.ndarray
     resume: Callable[[int, np.ndarray, float], Any]
 
-    def branches(self, weight: float, rng: SamplerState | None) -> list[tuple[int, Any]]:
-        """(outcome, successor) pairs: one sampled outcome keeping the
-        weight with rng, else every outcome above PROB_FLOOR with the
+    def branches(self, weight: float) -> list:
+        """The successor of every outcome above PROB_FLOOR, with the
         weight times its probability."""
         p = self.kernel.probabilities(self.factor)
-        if rng is not None:
-            picked = [(sample_outcome(p, rng), weight)]
-        else:
-            picked = [(i, weight * float(p[i])) for i in range(len(p)) if p[i] > PROB_FLOOR]
-        return [(i, self.resume(i, self.kernel.collapse(self.factor, i), w)) for i, w in picked]
+        return [self.after(i, weight * float(p[i])) for i in range(len(p)) if p[i] > PROB_FLOOR]
+
+    def after(self, outcome: int, weight: float):
+        """The successor of `outcome`, with the given weight."""
+        return self.resume(outcome, self.kernel.collapse(self.factor, outcome), weight)
+
+
+class Node:
+    """What both executors' configurations share: the factor V (rho = V
+    V†, module docstring), the branch weight (distribution mode), the
+    plan, and the sampled-mode memo: `memo` holds the next transition (a
+    successor, or a `_Measured`), `final` a terminal's state as its
+    support (rows, block)."""
+
+    __slots__ = ("factor", "weight", "plan", "memo", "final")
+
+    def __init__(self, factor: np.ndarray, weight: float, plan):
+        self.factor, self.weight, self.plan = factor, weight, plan
+        self.memo = self.final = None
+
+    @property
+    def state(self) -> DensityOperator:
+        return state_of(self.factor)
+
+
+class Trie:
+    """A plan's sampled-mode memo (module docstring): the one root
+    configuration every shot starts from, and the bytes the memo holds.
+    The first transition that does not fit the bound ends storing, so
+    every stored transition hangs from the root or from a configuration
+    the caller holds."""
+
+    __slots__ = ("root", "held", "full")
+
+    def __init__(self):
+        self.root: Node | None = None
+        self.held = 0
+        self.full = False
+
+    def rooted(self, build: Callable[[], Node]) -> Node:
+        """The root, built by `build` on first use, its factor read-only."""
+        if self.root is None:
+            root = build()
+            root.factor.flags.writeable = False
+            self.root = root
+        return self.root
+
+    def fits(self, arrays: tuple[np.ndarray, ...]) -> bool:
+        """Whether one more stored transition holding `arrays` fits the
+        bound. If so it is counted, as MEMO_ENTRY_BYTES plus the bytes of
+        each array not yet read-only, and every array is made read-only (a
+        read-only array is one the memo already holds, or the root's)."""
+        if self.full:
+            return False
+        nbytes = MEMO_ENTRY_BYTES + sum(a.nbytes for a in arrays if a.flags.writeable)
+        if self.held + nbytes > MEMO_BYTES:
+            self.full = True
+            return False
+        self.held += nbytes
+        for a in arrays:
+            a.flags.writeable = False
+        return True
+
+
+class _Measured:
+    """The memo of a configuration about to measure: its Fork, its outcome
+    probabilities prepared for sampling, and the successor of each
+    outcome, filled on first draw."""
+
+    __slots__ = ("fork", "outcomes", "succ")
+
+    def __init__(self, fork: Fork):
+        p = fork.kernel.probabilities(fork.factor)
+        self.fork, self.outcomes, self.succ = fork, Outcomes(p), [None] * len(p)
+
+
+def _sampled(c: Node, advance: Callable, rng: SamplerState) -> tuple[Node, tuple[int, int] | None]:
+    """c's successor in sampled mode, with the (site, outcome) it drew
+    (None when c does not measure), read from c's memo and stored there
+    on first use while the plan's trie has room."""
+    nxt = c.memo
+    if nxt is None:
+        nxt = advance(c)
+        if isinstance(nxt, Fork):
+            nxt = _Measured(nxt)
+            if c.plan.trie.fits((c.factor,)):
+                c.memo = nxt
+        elif c.plan.trie.fits((c.factor,) if nxt.factor is c.factor else (c.factor, nxt.factor)):
+            c.memo = nxt
+    if nxt.__class__ is not _Measured:
+        return nxt, None
+    fork = nxt.fork
+    outcome = nxt.outcomes.sample(rng)
+    succ = nxt.succ[outcome]
+    if succ is None:
+        succ = fork.after(outcome, c.weight)
+        if c.memo is nxt and c.plan.trie.fits((succ.factor,)):
+            nxt.succ[outcome] = succ
+    return succ, (fork.site, outcome)
+
+
+def _final_state(c: Node) -> DensityOperator:
+    """The state of the terminal c, its support kept in c's memo while the
+    plan's trie has room. Each call returns its own `DensityOperator`, so
+    a dense matrix a caller builds is not kept by the memo."""
+    if c.final is None:
+        state = state_of(c.factor)
+        if not c.plan.trie.fits(state.support):
+            return state
+        c.final = state.support
+    return DensityOperator.from_support(len(c.factor), *c.final)
 
 
 def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
-    """The configurations one transition leads to from c. `advance(c)`
-    returns the successor, or a Fork when c is about to measure."""
+    """The configurations one transition leads to from c: with rng, the
+    one sampled successor, through c's memo; without, every branch.
+    `advance(c)` returns the successor, or a Fork when c is about to
+    measure."""
+    if rng is not None:
+        return [_sampled(c, advance, rng)[0]]
     nxt = advance(c)
     if isinstance(nxt, Fork):
-        return [succ for _, succ in nxt.branches(c.weight, rng)]
+        return nxt.branches(c.weight)
     return [nxt]
 
 
@@ -474,10 +613,9 @@ def _check_limits(step_limit: int, mass_threshold: float = 0.0) -> None:
 
 def run_sampled(c, advance: Callable, seed: int, step_limit: int) -> RunRecord:
     """Run configuration c to termination with measurements sampled from
-    `seed`. Configurations expose `terminated`, `weight` and `state` (the
-    final state is built from the last configuration only); `advance` is
-    the executor's transition (see `successors`). The record's
-    `loop_counts` is left empty."""
+    `seed`, through the memo (module docstring). Configurations are
+    `Node`s exposing `terminated`; `advance` is the executor's transition
+    (see `successors`). The record's `loop_counts` is left empty."""
     _check_limits(step_limit)
     rng = SamplerState(seed)
     outcomes: list[tuple[int, int]] = []
@@ -485,14 +623,11 @@ def run_sampled(c, advance: Callable, seed: int, step_limit: int) -> RunRecord:
     while not c.terminated:
         if steps >= step_limit:
             raise StepLimitExceeded(f"no termination after {step_limit} steps")
-        nxt = advance(c)
+        c, drawn = _sampled(c, advance, rng)
         steps += 1
-        if isinstance(nxt, Fork):
-            [(outcome, c)] = nxt.branches(c.weight, rng)
-            outcomes.append((nxt.site, outcome))
-        else:
-            c = nxt
-    return RunRecord(outcomes, c.state, steps, {})
+        if drawn is not None:
+            outcomes.append(drawn)
+    return RunRecord(outcomes, _final_state(c), steps, {})
 
 
 def explore(c0, step_fn: Callable[[Any], list], mass_threshold: float,
@@ -557,6 +692,7 @@ class PreparedProgram:
     kernels: KernelTable
     body: tuple[Stmt, ...] = ()
     site_meta: list[tuple[int, str, str]] = field(default_factory=list)  # (id, kind, label)
+    trie: Trie = field(default_factory=Trie, repr=False, compare=False)
 
     def loop_sites(self) -> list[int]:
         return [sid for sid, kind, _ in self.site_meta if kind == "while"]
@@ -593,20 +729,17 @@ def prepare(program: SourceProgram) -> PreparedProgram:
     return plan
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Node):
     """<remaining program, state>, the state held as its factor V (rho =
     V V†, module docstring); weight carries branch mass in distribution
     mode."""
 
-    remaining: tuple[Stmt, ...]
-    factor: np.ndarray
-    weight: float
-    plan: PreparedProgram = field(compare=False, repr=False)
+    __slots__ = ("remaining",)
 
-    @property
-    def state(self) -> DensityOperator:
-        return state_of(self.factor)
+    def __init__(self, remaining: tuple[Stmt, ...], factor: np.ndarray, weight: float,
+                 plan: PreparedProgram):
+        super().__init__(factor, weight, plan)
+        self.remaining = remaining
 
     @property
     def terminated(self) -> bool:
@@ -619,7 +752,17 @@ class Configuration:
 
 def initial_configuration(program: SourceProgram | PreparedProgram,
                           state: DensityOperator | None = None) -> Configuration:
+    """The plan's root configuration (module docstring), or with `state`
+    a fresh configuration in that state."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
+    if state is None:
+        return plan.trie.rooted(lambda: _fresh(plan))
+    return _fresh(plan, state)
+
+
+def _fresh(plan: PreparedProgram, state: DensityOperator | None = None) -> Configuration:
+    """A start configuration outside the plan's trie, in `state` or else
+    in |0...0><0...0|."""
     if state is None:
         return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan)
     if state.dim != plan.kernels.dim:
@@ -651,8 +794,9 @@ def _advance(c: Configuration) -> Configuration | Fork:
 
 
 def step(c: Configuration, rng: SamplerState | None = None) -> list[Configuration]:
-    """One transition. With rng: a single sampled successor. Without rng:
-    one successor per measurement outcome, weights multiplied by p_i."""
+    """One transition. With rng: a single sampled successor, read from
+    c's memo (module docstring). Without rng: one successor per
+    measurement outcome, weights multiplied by p_i."""
     return successors(_advance, c, rng)
 
 
@@ -734,6 +878,8 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
     site_outcomes: dict[int, Counter] = {sid: Counter() for sid, _, _ in plan.site_meta}
     loop_histogram: dict[int, Counter] = {sid: Counter() for sid in plan.loop_sites()}
     base = SamplerState(seed)
+    # the mean starts at +0.0 and so never holds -0.0: adding each shot's
+    # block on its support gives the bits adding its dense matrix would
     mean = np.zeros((plan.kernels.dim, plan.kernels.dim), dtype=complex)
     for k in range(n):
         record = run_shot(plan, base.child(k).seed, step_limit)
@@ -741,7 +887,8 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
             site_outcomes[sid][outcome] += 1
         for sid, count in record.loop_counts.items():
             loop_histogram[sid][count] += 1
-        mean += record.final_state._mat
+        rows, block = record.final_state.support
+        mean[rows[:, None], rows] += block
     mean /= n
     return ShotStats(n, seed, site_outcomes, loop_histogram, list(plan.site_meta),
                      DensityOperator(mean, validate=False))
@@ -865,5 +1012,7 @@ def run_distribution(program: SourceProgram | PreparedProgram,
                      step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
                      state: DensityOperator | None = None) -> DistributionResult:
     """Explore every measurement branch breadth-first, truncated by the
-    rules in the module docstring."""
-    return explore(initial_configuration(program, state), step, mass_threshold, step_limit)
+    rules in the module docstring, from a start configuration outside the
+    plan's trie."""
+    plan = program if isinstance(program, PreparedProgram) else prepare(program)
+    return explore(_fresh(plan, state), step, mass_threshold, step_limit)

@@ -15,7 +15,10 @@ once; `sample_outcome` prepares and samples in one call.
 
 Reproducibility contract: the same seed and the same draw sequence give
 identical outputs. Multi-shot runs derive per-shot seeds with the
-splitmix64 mix, so shot k of seed s is the same everywhere.
+splitmix64 mix, so shot k of seed s is the same everywhere. A seed is a
+64-bit word: `SamplerState` and `splitmix64` refuse one outside
+[0, 2**64) with InvalidSeed rather than run the stream of the seed it
+aliases.
 """
 from __future__ import annotations
 
@@ -23,15 +26,22 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..errors import MalformedDistribution
+from ..errors import InvalidSeed, MalformedDistribution
 
 PROB_FLOOR = 1e-12   # below this a probability counts as zero
 PROB_CEIL = 1.0 - 1e-12  # above this a probability counts as one
 
 
+def _checked(seed: int) -> int:
+    seed = int(seed)
+    if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
+        raise InvalidSeed(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def splitmix64(seed: int, k: int) -> int:
     """Derive the k-th child seed of `seed` (64-bit splitmix finalizer)."""
-    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = (_checked(seed) + (k + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
@@ -47,7 +57,7 @@ class SamplerState:
     __slots__ = ("seed", "_state", "draw_count")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = _checked(seed)
         self._state = self.seed
         self.draw_count = 0
 

@@ -72,6 +72,11 @@ class StepLimitExceeded(QwhileError):
     """Execution exceeded the step limit (possible non-termination)."""
 
 
+class InvalidSeed(QwhileError):
+    """A seed outside [0, 2**64): the sampler's stream is set by 64 bits,
+    so a wider seed would silently run another seed's stream."""
+
+
 class InvalidLimit(QwhileError):
     """A run limit is out of range: a step limit below 1, or a mass
     threshold that is negative or NaN."""

@@ -16,13 +16,11 @@ A sampled run's `loop_counts` is empty: the VM has no loop sites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
-from ..core.types import DensityOperator
 from ..errors import QwhileError, UninitializedRegisterRead
 from ..lang.checker import require_valid
 from ..engine.runtime import (
@@ -32,10 +30,11 @@ from ..engine.runtime import (
     DistributionResult,
     Fork,
     KernelTable,
+    Node,
     RunRecord,
+    Trie,
     explore,
     run_sampled,
-    state_of,
     successors,
 )
 from .ir import (
@@ -57,6 +56,7 @@ class PreparedVm:
     prog: FqasmProgram
     labels: dict[str, int]
     kernels: KernelTable
+    trie: Trie = field(default_factory=Trie, repr=False, compare=False)
 
 
 def prepare_vm(prog: FqasmProgram) -> PreparedVm:
@@ -94,17 +94,25 @@ class _Regs:
         return _Regs(self.values, flag)
 
 
-class _Config(NamedTuple):
-    """The machine between two instructions, as the engine's drivers see it."""
+class _Config(Node):
+    """The machine between two instructions, as the engine's drivers see
+    it; the factor V holds the state V V† (see the engine's docstring)."""
 
-    pc: int
-    regs: _Regs
-    factor: np.ndarray         # V, with state V V† (see the engine's docstring)
-    weight: float
-    plan: PreparedVm
+    __slots__ = ("pc", "regs")
+
+    def __init__(self, pc: int, regs: _Regs, factor: np.ndarray, weight: float,
+                 plan: PreparedVm):
+        super().__init__(factor, weight, plan)
+        self.pc, self.regs = pc, regs
 
     @classmethod
     def start(cls, plan: PreparedVm) -> "_Config":
+        """The plan's root configuration (the engine's docstring)."""
+        return plan.trie.rooted(lambda: cls.fresh(plan))
+
+    @classmethod
+    def fresh(cls, plan: PreparedVm) -> "_Config":
+        """A start configuration outside the plan's trie."""
         return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_factor(), 1.0, plan)
 
     @property
@@ -115,15 +123,11 @@ class _Config(NamedTuple):
     def at_measurement(self) -> bool:
         return isinstance(self.plan.prog.instructions[self.pc], MeasMov)
 
-    @property
-    def state(self) -> DensityOperator:
-        return state_of(self.factor)
-
 
 def _advance(c: _Config) -> _Config | Fork:
     """Execute the instruction at c.pc; a MEAS_MOV returns a Fork whose
     successors store the outcome in the instruction's register."""
-    pc, regs, v, weight, plan = c
+    pc, regs, v, weight, plan = c.pc, c.regs, c.factor, c.weight, c.plan
     ins = plan.prog.instructions[pc]
     if isinstance(ins, Label):
         return _Config(pc + 1, regs, v, weight, plan)
@@ -165,5 +169,5 @@ def vm_distribution(prog: FqasmProgram | PreparedVm,
                     step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT) -> DistributionResult:
     """Exhaustive branch exploration."""
     plan = prog if isinstance(prog, PreparedVm) else prepare_vm(prog)
-    return explore(_Config.start(plan), partial(successors, _advance),
+    return explore(_Config.fresh(plan), partial(successors, _advance),
                    mass_threshold, step_limit)

@@ -181,6 +181,26 @@ def test_run_refuses_a_limit_out_of_range(options, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+SEEDED = [("run", "{qw}", "--shots", "3"), ("experiment", "qloop", "--shots", "3"),
+          ("experiment", "bb84", "--n", "8", "--sessions", "1"),
+          ("experiment", "bb84-multi", "--n", "8", "--clients", "1"),
+          ("experiment", "bb84-sweep", "--sessions", "1"),
+          ("experiment", "grover", "--n", "3")]
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+@pytest.mark.parametrize("command", SEEDED, ids=lambda argv: " ".join(argv[:2]))
+def test_a_seed_outside_64_bits_is_refused(command, seed, tmp_path, capsys):
+    # masked to 64 bits, 2**64 would run the stream of seed 0 and -1 that of 2**64 - 1
+    path = tmp_path / "qloop.qw"
+    path.write_text(program_source("qloop"))
+    argv = [arg.format(qw=path) for arg in command]
+    code, out, err = cli(capsys, *argv, "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert cli(capsys, *argv, "--seed", "18446744073709551615")[0] == 0  # the widest seed runs
+
+
 # --- the same seed gives the same bytes --------------------------------------------
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import qwhile.cli
 import qwhile.engine.runtime
+import qwhile.fqasm.vm
 from qwhile.core.gates import STANDARD_LIBRARY
 from qwhile.core.linalg import ATOL_ALGEBRA, embed
 from qwhile.core.ops import measurement_probabilities, post_measurement_state
@@ -32,13 +33,19 @@ from qwhile.engine import (
 )
 from qwhile.engine.runtime import (
     BRANCH_BUDGET,
+    DEFAULT_STEP_LIMIT,
+    MEMO_ENTRY_BYTES,
+    Configuration,
     Fork,
     KernelTable,
+    PreparedProgram,
+    RunRecord,
     _Diagonal,
     _DiagonalSite,
     _General,
     _GeneralSite,
     _Monomial,
+    _Measured,
     _Reset,
     explore,
     operator_kernel,
@@ -55,7 +62,7 @@ from qwhile.experiments import (
     qloop_program,
     success_probability,
 )
-from qwhile.fqasm import compile_program, prepare_vm, vm_distribution
+from qwhile.fqasm import compile_program, prepare_vm, vm_distribution, vm_run
 from qwhile.lang import Case, Init, Seq, Unitary, While, parse, pretty_print
 from qwhile.lang.syntax import format_matrix
 
@@ -381,27 +388,6 @@ class TestRunShots:
         assert circles == stats.loop_histogram[plan.loop_sites()[0]]
         assert measurements == sum(sum(c.values()) for c in stats.site_outcomes.values())
 
-    @staticmethod
-    def driver_loop_counts(plan, seed: int, step_limit: int) -> dict[int, int]:
-        """Body entries as the sampled driver once counted them itself: at
-        a fork of a while site, outcome 1 counts one entry."""
-        rng, c = SamplerState(seed), initial_configuration(plan)
-        counts = {sid: 0 for sid in plan.loop_sites()}
-        steps = 0
-        while not c.terminated:
-            if steps >= step_limit:
-                raise StepLimitExceeded(f"no termination after {step_limit} steps")
-            nxt = qwhile.engine.runtime._advance(c)
-            steps += 1
-            if isinstance(nxt, Fork):
-                [(outcome, succ)] = nxt.branches(c.weight, rng)
-                if isinstance(c.remaining[0], While) and outcome == 1:
-                    counts[nxt.site] += 1
-                c = succ
-            else:
-                c = nxt
-        return counts
-
     def test_loop_counts_from_the_outcome_log_equal_the_driver_count(self):
         rng = np.random.default_rng(1800)
         programs = [random_program(rng) for _ in range(60)] + [wide_program(rng, 5)
@@ -410,7 +396,7 @@ class TestRunShots:
         for plan in [qloop_program()] + [prepare(p) for p in programs]:
             for seed in range(8):
                 try:
-                    want = self.driver_loop_counts(plan, seed, 2000)
+                    want = scalar_shot(plan, seed, 2000).loop_counts
                 except StepLimitExceeded:
                     with pytest.raises(StepLimitExceeded):
                         run_shot(plan, seed, step_limit=2000)
@@ -419,12 +405,243 @@ class TestRunShots:
                 entering += any(want.values())
         assert entering >= 40
 
+    def test_the_mean_adds_each_shot_on_its_support(self, monkeypatch):
+        # the mean of the dense final states, bit for bit, without building
+        # any final state's dense matrix
+        plan = prepare(parse(grover_source(9, (5,))))
+        built = []
+        lazy = DensityOperator._mat
+
+        def counted(state):
+            if state._dense is None:
+                built.append(state.dim)
+            return lazy.fget(state)
+
+        monkeypatch.setattr(DensityOperator, "_mat", property(counted))
+        mean = run_shots(plan, 200, 9).mean_final_state.matrix
+        assert built == []
+        monkeypatch.undo()
+        want = np.zeros_like(mean)
+        base = SamplerState(9)
+        for k in range(200):
+            want += scalar_shot(plan, base.child(k).seed).final_state.matrix
+        want /= 200
+        assert np.array_equal(mean, want)
+        assert mean.tobytes() == want.tobytes()
+
     def test_csv_rows_shape(self):
         p = prepare(parse("q : qubit; measure M = computational; q := |0>; H[q]; "
                           "if M[q] = 0 -> skip; [] 1 -> skip; fi;"))
         rows = run_shots(p, 100, seed=1).to_csv_rows()
         assert all(len(r) == 4 for r in rows)
         assert {r[0] for r in rows} == {"outcome"}
+
+
+# --- the sampled path without the memo: the oracle shots reproduce ---------------
+
+
+def scalar_run_sampled(c, advance, seed: int, step_limit: int) -> RunRecord:
+    """`run_sampled` with the sampled path of `Fork.branches` as they were
+    before the memo: every step calls the executor's transition, every
+    measurement prepares its probabilities afresh, and the final state is
+    built from the last configuration. Body entries are counted at the
+    forks, as the driver once did: outcome 1 at a `while` is one entry."""
+    rng = SamplerState(seed)
+    counts = {sid: 0 for sid in c.plan.loop_sites()} if isinstance(c, Configuration) else {}
+    outcomes, steps = [], 0
+    while not c.terminated:
+        if steps >= step_limit:
+            raise StepLimitExceeded(f"no termination after {step_limit} steps")
+        nxt = advance(c)
+        steps += 1
+        if isinstance(nxt, Fork):
+            outcome = sample_outcome(nxt.kernel.probabilities(nxt.factor), rng)
+            if isinstance(c, Configuration) and isinstance(c.remaining[0], While):
+                counts[nxt.site] += outcome == 1
+            outcomes.append((nxt.site, outcome))
+            c = nxt.resume(outcome, nxt.kernel.collapse(nxt.factor, outcome), c.weight)
+        else:
+            c = nxt
+    return RunRecord(outcomes, state_of(c.factor), steps, counts)
+
+
+def scalar_shot(plan, seed: int, step_limit: int = DEFAULT_STEP_LIMIT) -> RunRecord:
+    """One shot of either executor's plan by the oracle, from a start
+    configuration outside the plan's trie."""
+    e0 = plan.kernels.initial_factor()
+    if isinstance(plan, PreparedProgram):
+        return scalar_run_sampled(Configuration(plan.body, e0, 1.0, plan),
+                                  qwhile.engine.runtime._advance, seed, step_limit)
+    start = qwhile.fqasm.vm._Config(0, qwhile.fqasm.vm._Regs.empty(plan.prog.cregs), e0, 1.0,
+                                    plan)
+    return scalar_run_sampled(start, qwhile.fqasm.vm._advance, seed, step_limit)
+
+
+def memo_shot(plan, seed: int, step_limit: int = DEFAULT_STEP_LIMIT) -> RunRecord:
+    run = run_shot if isinstance(plan, PreparedProgram) else vm_run
+    return run(plan, seed, step_limit)
+
+
+def shot_or_limit(shot, plan, seed: int, step_limit: int) -> RunRecord | str:
+    try:
+        return shot(plan, seed, step_limit)
+    except StepLimitExceeded as exc:
+        return str(exc)
+
+
+def assert_same_shot(got: RunRecord, want: RunRecord) -> None:
+    assert (got.outcomes, got.steps, got.loop_counts) == (want.outcomes, want.steps,
+                                                           want.loop_counts)
+    for a, b in zip(got.final_state.support, want.final_state.support):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def assert_shots_match_the_oracle(plan, seeds, shots: int, step_limit: int) -> None:
+    """Each shot through the plan's memo against the oracle: the outcome
+    log, steps, loop counts and final-state support bit for bit, and a
+    step limit hit at the same step."""
+    for seed in seeds:
+        base = SamplerState(seed)
+        for k in range(shots):
+            s = base.child(k).seed
+            want = shot_or_limit(scalar_shot, plan, s, step_limit)
+            got = shot_or_limit(memo_shot, plan, s, step_limit)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert_same_shot(got, want)
+            # exactly as many steps as the shot takes are enough, one fewer is not
+            assert_same_shot(memo_shot(plan, s, want.steps), want)
+            if want.steps > 1:
+                assert (shot_or_limit(memo_shot, plan, s, want.steps - 1)
+                        == f"no termination after {want.steps - 1} steps")
+
+
+def stored(root) -> list:
+    """Every configuration the memo holds, walking the trie from root."""
+    found, todo = [], [root]
+    while todo:
+        c = todo.pop()
+        found.append(c)
+        if isinstance(c.memo, _Measured):
+            todo += [succ for succ in c.memo.succ if succ is not None]
+        elif c.memo is not None:
+            todo.append(c.memo)
+    return found
+
+
+def memo_bytes(root) -> int:
+    """The bytes the memo from root holds by its own count: MEMO_ENTRY_BYTES
+    per stored transition plus each distinct array it keeps, less the
+    root's factor."""
+    nodes = stored(root)
+    entries = sum(c.memo is not None for c in nodes) + sum(c.final is not None for c in nodes)
+    entries += sum(succ is not None for c in nodes if isinstance(c.memo, _Measured)
+                   for succ in c.memo.succ)
+    arrays = {id(c.factor): c.factor for c in nodes[1:]}
+    arrays.pop(id(root.factor), None)
+    for c in nodes:
+        if c.final is not None:
+            arrays.update((id(a), a) for a in c.final)
+    return entries * MEMO_ENTRY_BYTES + sum(a.nbytes for a in arrays.values())
+
+
+BRANCHING_LOOP = """
+a : qubit; b : qubit; c : qubit;
+measure M = computational;
+a := |0>; b := |0>; c := |0>; H[a];
+while M[a] = 1 do
+  H[b]; T[c]; H[c];
+  if M[b] = 0 -> S[c]; H[c]; [] 1 -> CNOT[b, c]; T[c]; fi;
+  H[a];
+od;
+"""
+
+
+class TestMemo:
+    @pytest.mark.parametrize("executor", ["interpreter", "vm"])
+    def test_bundled_shots_match_the_oracle(self, executor):
+        for name in program_names():
+            program = parse(program_source(name))
+            plan = prepare(program) if executor == "interpreter" else prepare_vm(
+                compile_program(program))
+            assert_shots_match_the_oracle(plan, (0, 1, 2), 12, 2000)
+
+    @pytest.mark.parametrize("executor", ["interpreter", "vm"])
+    def test_generated_shots_match_the_oracle(self, executor):
+        rng = np.random.default_rng(5)
+        for program in [random_program(rng) for _ in range(40)]:
+            plan = prepare(program) if executor == "interpreter" else prepare_vm(
+                compile_program(program))
+            assert_shots_match_the_oracle(plan, (0, 1, 2), 6, 600)
+
+    def test_shots_past_the_byte_bound_match_the_oracle_within_it(self, monkeypatch):
+        monkeypatch.setattr(qwhile.engine.runtime, "MEMO_BYTES", 60 * MEMO_ENTRY_BYTES)
+        program = parse(BRANCHING_LOOP)
+        for plan in (prepare(program), prepare_vm(compile_program(program))):
+            assert_shots_match_the_oracle(plan, (0, 1), 150, 10_000)
+            root = (initial_configuration(plan) if isinstance(plan, PreparedProgram)
+                    else qwhile.fqasm.vm._Config.start(plan))
+            assert memo_bytes(root) == plan.trie.held <= 60 * MEMO_ENTRY_BYTES
+            assert plan.trie.full  # a transition did not fit
+
+    def test_a_shot_whose_history_was_taken_applies_no_kernel(self, monkeypatch):
+        program = parse(program_source("qloop"))
+        plan, vm_plan = prepare(program), prepare_vm(compile_program(program))
+        first = run_shots(plan, 300, 4)
+        seeds = [SamplerState(4).child(k).seed for k in range(300)]
+        vm_first = [vm_run(vm_plan, s) for s in seeds]
+        calls = Counter()
+        for module in (qwhile.engine.runtime, qwhile.fqasm.vm):
+            def counted(c, _advance=module._advance, _name=module.__name__):
+                calls[_name] += 1
+                return _advance(c)
+            monkeypatch.setattr(module, "_advance", counted)
+        again = run_shots(plan, 300, 4)
+        assert again.to_json_dict() == first.to_json_dict()
+        assert again.mean_final_state.matrix.tobytes() == first.mean_final_state.matrix.tobytes()
+        for s, want in zip(seeds, vm_first):
+            assert_same_shot(vm_run(vm_plan, s), want)
+        for s in seeds:  # step() walks the same trie
+            c, rng = initial_configuration(plan), SamplerState(s)
+            while not c.terminated:
+                [c] = step(c, rng)
+        assert calls == Counter()
+        assert initial_configuration(plan) is initial_configuration(plan)
+
+    def test_distribution_mode_neither_reads_nor_fills_the_memo(self):
+        program = parse(program_source("paper_loop"))
+        plan, vm_plan = prepare(program), prepare_vm(compile_program(program))
+        want = run_distribution(plan), vm_distribution(vm_plan)
+        assert plan.trie.root is None and vm_plan.trie.root is None
+        run_shots(plan, 50, 0)
+        for s in range(50):
+            vm_run(vm_plan, s)
+        held = plan.trie.held, vm_plan.trie.held
+        for got, wanted in zip((run_distribution(plan), vm_distribution(vm_plan)), want):
+            assert_identical(got, wanted)
+        assert (plan.trie.held, vm_plan.trie.held) == held
+
+    def test_a_cached_array_is_read_only(self):
+        plan = prepare(parse(BRANCHING_LOOP))
+        run_shots(plan, 40, 0)
+        nodes = stored(initial_configuration(plan))
+        finals = [c.final for c in nodes if c.final is not None]
+        assert len(nodes) > 40 and finals
+        for c in nodes:
+            with pytest.raises(ValueError, match="read-only"):
+                c.factor[0, 0] = 1.0
+        # each record gets its own state: a dense matrix read from one is
+        # not kept by the memo
+        a, b = run_shot(plan, 0), run_shot(plan, 0)
+        assert a.final_state.matrix.tobytes() == b.final_state.matrix.tobytes()
+        assert a.final_state is not b.final_state
+        assert run_shot(plan, 0).final_state._dense is None
+        for rows, block in finals:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 1
 
 
 class TestDistribution:
