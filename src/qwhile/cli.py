@@ -61,8 +61,13 @@ def _load(path: str, decode):
 
 
 def _write_or_print(text: str, out: str | None) -> None:
+    """Write text to the file at out, or print it; a file that cannot be
+    written is a QwhileError that names the path."""
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise QwhileError(f"{out}: {exc.strerror or exc}") from exc
         print(f"wrote {out}")
     else:
         print(text, end="" if text.endswith("\n") else "\n")

@@ -59,10 +59,11 @@ prepared as `Outcomes(p)` and, filled on first draw, the successor of
 each outcome; a terminal stores the support of its `state_of`, and each
 run gets its own `DensityOperator` over it.
 `initial_configuration(plan)` (with no state) and the VM's
-`_Config.start(plan)` return the plan's one root configuration, so every
-shot of `run_shots` and `vm_run`, and every `step(c, rng)` walk from it,
-share one trie of outcome histories (`Trie`), and a shot whose history
-an earlier shot took applies no kernel. `run_sampled` and `successors`
+`_Config.start(plan)` return the plan's one root configuration
+(`plan.root`, built by `rooted`), so every shot of `run_shots` and
+`vm_run`, and every `step(c, rng)` walk from it, share one trie of
+outcome histories, and a shot whose history an earlier shot took
+applies no kernel. `run_sampled` and `successors`
 with an rng go through it alike; distribution mode neither reads nor
 fills it, and `run_distribution` and `vm_distribution` start from a
 configuration of their own, so a plan that only explores holds no root.
@@ -74,9 +75,10 @@ counted as each new array's bytes plus MEMO_ENTRY_BYTES per stored
 transition for the objects around them; from the first transition that
 does not fit, transitions are computed and not stored. The memo lives as
 long as its plan, which is one CLI call: there is no cache across plans.
-The plan holds the root and every configuration holds the plan, so a
-dropped plan and its memo are freed by the cyclic garbage collector
-rather than at once.
+The plan holds the root; every configuration refers to the plan's
+`Machine` (its kernel table and the memo's byte count), which refers to
+neither, so a dropped plan and its memo are freed at once, by reference
+counting, not by the cyclic garbage collector.
 
 Merge rule, shared by `DistributionResult.merged` and
 `match_distributions`; the groups depend on the set of terminals, never
@@ -488,14 +490,14 @@ class Fork(NamedTuple):
 class Node:
     """What both executors' configurations share: the factor V (rho = V
     V†, module docstring), the branch weight (distribution mode), the
-    plan, and the sampled-mode memo: `memo` holds the next transition (a
-    successor, or a `_Measured`), `final` a terminal's state as its
-    support (rows, block)."""
+    plan's `Machine`, and the sampled-mode memo: `memo` holds the next
+    transition (a successor, or a `_Measured`), `final` a terminal's
+    state as its support (rows, block)."""
 
-    __slots__ = ("factor", "weight", "plan", "memo", "final")
+    __slots__ = ("factor", "weight", "machine", "memo", "final")
 
-    def __init__(self, factor: np.ndarray, weight: float, plan):
-        self.factor, self.weight, self.plan = factor, weight, plan
+    def __init__(self, factor: np.ndarray, weight: float, machine: Machine):
+        self.factor, self.weight, self.machine = factor, weight, machine
         self.memo = self.final = None
 
     @property
@@ -503,27 +505,19 @@ class Node:
         return state_of(self.factor)
 
 
-class Trie:
-    """A plan's sampled-mode memo (module docstring): the one root
-    configuration every shot starts from, and the bytes the memo holds.
-    The first transition that does not fit the bound ends storing, so
-    every stored transition hangs from the root or from a configuration
-    the caller holds."""
+class Machine:
+    """What every configuration of a plan refers to: the plan's kernel
+    table and the bytes its sampled-mode memo holds (module docstring).
+    It holds neither the plan nor the memo's root. The first transition
+    that does not fit the bound ends storing, so every stored transition
+    hangs from the root or from a configuration the caller holds."""
 
-    __slots__ = ("root", "held", "full")
+    __slots__ = ("kernels", "held", "full")
 
-    def __init__(self):
-        self.root: Node | None = None
+    def __init__(self, kernels: KernelTable):
+        self.kernels = kernels
         self.held = 0
         self.full = False
-
-    def rooted(self, build: Callable[[], Node]) -> Node:
-        """The root, built by `build` on first use, its factor read-only."""
-        if self.root is None:
-            root = build()
-            root.factor.flags.writeable = False
-            self.root = root
-        return self.root
 
     def fits(self, arrays: tuple[np.ndarray, ...]) -> bool:
         """Whether one more stored transition holding `arrays` fits the
@@ -554,18 +548,28 @@ class _Measured:
         self.fork, self.outcomes, self.succ = fork, Outcomes(p), [None] * len(p)
 
 
+def rooted(plan, build: Callable[[], Node]) -> Node:
+    """The plan's root configuration, built by `build` on first use, its
+    factor read-only."""
+    if plan.root is None:
+        root = build()
+        root.factor.flags.writeable = False
+        plan.root = root
+    return plan.root
+
+
 def _sampled(c: Node, advance: Callable, rng: SamplerState) -> tuple[Node, tuple[int, int] | None]:
     """c's successor in sampled mode, with the (site, outcome) it drew
     (None when c does not measure), read from c's memo and stored there
-    on first use while the plan's trie has room."""
+    on first use while the memo has room (`Machine.fits`)."""
     nxt = c.memo
     if nxt is None:
         nxt = advance(c)
         if isinstance(nxt, Fork):
             nxt = _Measured(nxt)
-            if c.plan.trie.fits((c.factor,)):
+            if c.machine.fits((c.factor,)):
                 c.memo = nxt
-        elif c.plan.trie.fits((c.factor,) if nxt.factor is c.factor else (c.factor, nxt.factor)):
+        elif c.machine.fits((c.factor,) if nxt.factor is c.factor else (c.factor, nxt.factor)):
             c.memo = nxt
     if nxt.__class__ is not _Measured:
         return nxt, None
@@ -574,18 +578,18 @@ def _sampled(c: Node, advance: Callable, rng: SamplerState) -> tuple[Node, tuple
     succ = nxt.succ[outcome]
     if succ is None:
         succ = fork.after(outcome, c.weight)
-        if c.memo is nxt and c.plan.trie.fits((succ.factor,)):
+        if c.memo is nxt and c.machine.fits((succ.factor,)):
             nxt.succ[outcome] = succ
     return succ, (fork.site, outcome)
 
 
 def _final_state(c: Node) -> DensityOperator:
     """The state of the terminal c, its support kept in c's memo while the
-    plan's trie has room. Each call returns its own `DensityOperator`, so
-    a dense matrix a caller builds is not kept by the memo."""
+    memo has room. Each call returns its own `DensityOperator`, so a dense
+    matrix a caller builds is not kept by the memo."""
     if c.final is None:
         state = state_of(c.factor)
-        if not c.plan.trie.fits(state.support):
+        if not c.machine.fits(state.support):
             return state
         c.final = state.support
     return DensityOperator.from_support(len(c.factor), *c.final)
@@ -686,13 +690,19 @@ class _WhileAt(While):
 @dataclass
 class PreparedProgram:
     """A checked program, its kernel table, and its body as the atoms
-    a configuration runs, measurements carrying their sites."""
+    a configuration runs, measurements carrying their sites. Its
+    configurations refer to `machine`; `root` is the sampled-mode memo's
+    root configuration, once a shot has run."""
 
     program: SourceProgram
     kernels: KernelTable
     body: tuple[Stmt, ...] = ()
     site_meta: list[tuple[int, str, str]] = field(default_factory=list)  # (id, kind, label)
-    trie: Trie = field(default_factory=Trie, repr=False, compare=False)
+    machine: Machine = field(init=False, repr=False, compare=False)
+    root: Configuration | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.machine = Machine(self.kernels)
 
     def loop_sites(self) -> list[int]:
         return [sid for sid, kind, _ in self.site_meta if kind == "while"]
@@ -702,31 +712,31 @@ def prepare(program: SourceProgram) -> PreparedProgram:
     """The plan of `program`, checked first unless it is already."""
     require_valid(program)
     plan = PreparedProgram(program, KernelTable(program))
-    ids = count(1)
-
-    def lower(s: Stmt) -> tuple[Stmt, ...]:
-        """s as a flat tuple of atoms (the sequencing rule is transparent),
-        each measurement replaced by a copy carrying its site."""
-        if isinstance(s, Seq):
-            return tuple(atom for sub in s.stmts for atom in lower(sub))
-        if isinstance(s, (Case, While)):
-            kind = "case" if isinstance(s, Case) else "while"
-            site = _Site(next(ids), {})
-            plan.site_meta.append((site.id, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
-            if isinstance(s, Case):
-                for k, body in s.branches:
-                    site.next[k] = lower(body)
-                return (_CaseAt(s.meas, s.regs, s.branches, site),)
-            # loop rule L1 runs the body then re-checks the guard; L0 exits
-            at = _WhileAt(s.meas, s.regs, s.body, site)
-            site.next[1] = lower(s.body) + (at,)
-            return (at,)
-        if not isinstance(s, (Init, Unitary, Skip)):
-            raise QwhileError(f"cannot lower statement {type(s).__name__}")
-        return (s,)
-
-    plan.body = lower(program.body)
+    plan.body = _lower(program.body, plan.site_meta, count(1))
     return plan
+
+
+def _lower(s: Stmt, site_meta: list[tuple[int, str, str]], ids) -> tuple[Stmt, ...]:
+    """s as a flat tuple of atoms (the sequencing rule is transparent),
+    each measurement replaced by a copy carrying its site, numbered by
+    `ids` and listed in `site_meta`."""
+    if isinstance(s, Seq):
+        return tuple(atom for sub in s.stmts for atom in _lower(sub, site_meta, ids))
+    if isinstance(s, (Case, While)):
+        kind = "case" if isinstance(s, Case) else "while"
+        site = _Site(next(ids), {})
+        site_meta.append((site.id, kind, f"{kind}:{s.meas}[{','.join(s.regs)}]"))
+        if isinstance(s, Case):
+            for k, body in s.branches:
+                site.next[k] = _lower(body, site_meta, ids)
+            return (_CaseAt(s.meas, s.regs, s.branches, site),)
+        # loop rule L1 runs the body then re-checks the guard; L0 exits
+        at = _WhileAt(s.meas, s.regs, s.body, site)
+        site.next[1] = _lower(s.body, site_meta, ids) + (at,)
+        return (at,)
+    if not isinstance(s, (Init, Unitary, Skip)):
+        raise QwhileError(f"cannot lower statement {type(s).__name__}")
+    return (s,)
 
 
 class Configuration(Node):
@@ -737,8 +747,8 @@ class Configuration(Node):
     __slots__ = ("remaining",)
 
     def __init__(self, remaining: tuple[Stmt, ...], factor: np.ndarray, weight: float,
-                 plan: PreparedProgram):
-        super().__init__(factor, weight, plan)
+                 machine: Machine):
+        super().__init__(factor, weight, machine)
         self.remaining = remaining
 
     @property
@@ -756,30 +766,30 @@ def initial_configuration(program: SourceProgram | PreparedProgram,
     a fresh configuration in that state."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
     if state is None:
-        return plan.trie.rooted(lambda: _fresh(plan))
+        return rooted(plan, lambda: _fresh(plan))
     return _fresh(plan, state)
 
 
 def _fresh(plan: PreparedProgram, state: DensityOperator | None = None) -> Configuration:
-    """A start configuration outside the plan's trie, in `state` or else
+    """A start configuration outside the plan's memo, in `state` or else
     in |0...0><0...0|."""
     if state is None:
-        return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan)
+        return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan.machine)
     if state.dim != plan.kernels.dim:
         raise QwhileError(f"state dim {state.dim} != program dim {plan.kernels.dim}")
-    return Configuration(plan.body, _factor(state.matrix), 1.0, plan)
+    return Configuration(plan.body, _factor(state.matrix), 1.0, plan.machine)
 
 
 def _advance(c: Configuration) -> Configuration | Fork:
     if c.terminated:
         raise QwhileError("cannot step a terminated configuration")
-    plan = c.plan
+    machine = c.machine
     s, rest = c.remaining[0], c.remaining[1:]
     v = c.factor
-    kernels = plan.kernels
+    kernels = machine.kernels
 
     def conf(remaining, factor, weight=c.weight) -> Configuration:
-        return Configuration(remaining, factor, weight, plan)
+        return Configuration(remaining, factor, weight, machine)
 
     if isinstance(s, Skip):
         return conf(rest, v)
@@ -819,10 +829,10 @@ def run_shot(program: SourceProgram | PreparedProgram, seed: int,
              step_limit: int = DEFAULT_STEP_LIMIT,
              state: DensityOperator | None = None) -> RunRecord:
     """Run once with sampled measurements; deterministic for a given seed."""
-    c = initial_configuration(program, state)
-    record = run_sampled(c, _advance, seed, step_limit)
+    plan = program if isinstance(program, PreparedProgram) else prepare(program)
+    record = run_sampled(initial_configuration(plan, state), _advance, seed, step_limit)
     # by loop rule L1, outcome 1 at a while site is one entry into its body
-    record.loop_counts = {sid: 0 for sid in c.plan.loop_sites()}
+    record.loop_counts = {sid: 0 for sid in plan.loop_sites()}
     for sid, outcome in record.outcomes:
         if outcome == 1 and sid in record.loop_counts:
             record.loop_counts[sid] += 1
@@ -1013,6 +1023,6 @@ def run_distribution(program: SourceProgram | PreparedProgram,
                      state: DensityOperator | None = None) -> DistributionResult:
     """Explore every measurement branch breadth-first, truncated by the
     rules in the module docstring, from a start configuration outside the
-    plan's trie."""
+    plan's memo."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
     return explore(_fresh(plan, state), step, mass_threshold, step_limit)

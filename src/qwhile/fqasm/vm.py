@@ -30,10 +30,11 @@ from ..engine.runtime import (
     DistributionResult,
     Fork,
     KernelTable,
+    Machine,
     Node,
     RunRecord,
-    Trie,
     explore,
+    rooted,
     run_sampled,
     successors,
 )
@@ -51,12 +52,31 @@ from .ir import (
 )
 
 
+class _Machine(Machine):
+    """The engine's `Machine`, with the instructions and labels the VM
+    dispatches on."""
+
+    __slots__ = ("instructions", "labels")
+
+    def __init__(self, kernels: KernelTable, instructions, labels: dict[str, int]):
+        super().__init__(kernels)
+        self.instructions, self.labels = instructions, labels
+
+
 @dataclass
 class PreparedVm:
+    """A checked program and its kernel table. Its configurations refer
+    to `machine`; `root` is the sampled-mode memo's root configuration,
+    once a shot has run (the engine's docstring)."""
+
     prog: FqasmProgram
     labels: dict[str, int]
     kernels: KernelTable
-    trie: Trie = field(default_factory=Trie, repr=False, compare=False)
+    machine: _Machine = field(init=False, repr=False, compare=False)
+    root: _Config | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.machine = _Machine(self.kernels, self.prog.instructions, self.labels)
 
 
 def prepare_vm(prog: FqasmProgram) -> PreparedVm:
@@ -101,59 +121,60 @@ class _Config(Node):
     __slots__ = ("pc", "regs")
 
     def __init__(self, pc: int, regs: _Regs, factor: np.ndarray, weight: float,
-                 plan: PreparedVm):
-        super().__init__(factor, weight, plan)
+                 machine: _Machine):
+        super().__init__(factor, weight, machine)
         self.pc, self.regs = pc, regs
 
     @classmethod
     def start(cls, plan: PreparedVm) -> "_Config":
         """The plan's root configuration (the engine's docstring)."""
-        return plan.trie.rooted(lambda: cls.fresh(plan))
+        return rooted(plan, lambda: cls.fresh(plan))
 
     @classmethod
     def fresh(cls, plan: PreparedVm) -> "_Config":
-        """A start configuration outside the plan's trie."""
-        return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_factor(), 1.0, plan)
+        """A start configuration outside the plan's memo."""
+        return cls(0, _Regs.empty(plan.prog.cregs), plan.kernels.initial_factor(), 1.0,
+                   plan.machine)
 
     @property
     def terminated(self) -> bool:
-        return self.pc >= len(self.plan.prog.instructions)
+        return self.pc >= len(self.machine.instructions)
 
     @property
     def at_measurement(self) -> bool:
-        return isinstance(self.plan.prog.instructions[self.pc], MeasMov)
+        return isinstance(self.machine.instructions[self.pc], MeasMov)
 
 
 def _advance(c: _Config) -> _Config | Fork:
     """Execute the instruction at c.pc; a MEAS_MOV returns a Fork whose
     successors store the outcome in the instruction's register."""
-    pc, regs, v, weight, plan = c.pc, c.regs, c.factor, c.weight, c.plan
-    ins = plan.prog.instructions[pc]
+    pc, regs, v, weight, machine = c.pc, c.regs, c.factor, c.weight, c.machine
+    ins = machine.instructions[pc]
     if isinstance(ins, Label):
-        return _Config(pc + 1, regs, v, weight, plan)
+        return _Config(pc + 1, regs, v, weight, machine)
     if isinstance(ins, InitQ):
-        return _Config(pc + 1, regs, plan.kernels.inits[ins.qreg].apply(v), weight, plan)
+        return _Config(pc + 1, regs, machine.kernels.inits[ins.qreg].apply(v), weight, machine)
     if isinstance(ins, Apply):
-        v = plan.kernels.unitaries[ins.gate, ins.qregs].apply(v)
-        return _Config(pc + 1, regs, v, weight, plan)
+        v = machine.kernels.unitaries[ins.gate, ins.qregs].apply(v)
+        return _Config(pc + 1, regs, v, weight, machine)
     if isinstance(ins, Mov):
         val = regs.read(ins.src)
-        return _Config(pc + 1, regs.write({ins.dst: val, ins.src: None}), v, weight, plan)
+        return _Config(pc + 1, regs.write({ins.dst: val, ins.src: None}), v, weight, machine)
     if isinstance(ins, Cmp):
         lhs = regs.read(ins.creg)
         rhs = ins.operand if isinstance(ins.operand, int) else regs.read(ins.operand)
-        return _Config(pc + 1, regs.with_flag(1 if lhs == rhs else 0), v, weight, plan)
+        return _Config(pc + 1, regs.with_flag(1 if lhs == rhs else 0), v, weight, machine)
     if isinstance(ins, Jmp):
-        return _Config(plan.labels[ins.label], regs, v, weight, plan)
+        return _Config(machine.labels[ins.label], regs, v, weight, machine)
     if isinstance(ins, Je):
         if regs.flag is None:
             raise UninitializedRegisterRead("JE before any CMP (fr1 is empty)")
-        return _Config(plan.labels[ins.label] if regs.flag == 1 else pc + 1,
-                       regs, v, weight, plan)
+        return _Config(machine.labels[ins.label] if regs.flag == 1 else pc + 1,
+                       regs, v, weight, machine)
     if isinstance(ins, MeasMov):
-        return Fork(pc, plan.kernels.sites[ins.meas, ins.qregs], v,
+        return Fork(pc, machine.kernels.sites[ins.meas, ins.qregs], v,
                     lambda outcome, post, w: _Config(pc + 1, regs.write({ins.creg: outcome}),
-                                                     post, w, plan))
+                                                     post, w, machine))
     raise QwhileError(f"cannot execute {type(ins).__name__}")
 
 

@@ -17,24 +17,30 @@ Grammar (comments run `//` to end of line; statements end with `;`):
     matrix    := '[' row {',' row} ']' ;  row := '[' cnum {',' cnum} ']'
     cnum      := complex literal, e.g. 1, -0.5, 2i, 0.5-0.5i, 1e-3+2i
 
-Matrix literals are lexed at data speed. `tokenize` matches a numeric
-literal with one strict regex and returns it as one `Span` token: the
-span rule is `'[' row {',' row} ']'`, each row `'[' entry {',' entry} ']'`,
-each entry `[+-]? NUM i?` or `[+-]? NUM [+-] NUM i`, with whitespace and
-newlines between tokens. The nesting depth is fixed at 2, so the
-operators of a `{...}` list are separate spans. `parse_matrix` converts a
-span in bulk to the same bytes the token path gives, signed zeros
-included. Everything else falls back to the token path, so every value,
-error message, line and column stays as the token path makes them:
-- Text the regex does not accept is lexed token by token. That covers
-  repeated signs (`- -1`), `2i+1`, `1+2`, comments or unknown characters
-  inside a literal, and missing brackets or commas.
-- A span that `parse_matrix` cannot decide in bulk (rows of unequal
-  length, a number too large for a float) is read token by token.
-- A span read by anything but `parse_matrix` is read token by token.
-A span read token by token expands in place into the tokens its text
-lexes to, at their lines and columns. Line and column counting carries
-across spans.
+Matrix literals are lexed at data speed. Where `tokenize` meets '['
+followed, past whitespace, by '[', one search finds the first ']'
+followed, past whitespace, by ']'; the text from the '[' to that ']' is
+a span candidate. The candidate is one `Span` token, which reads as its
+opening '[' token, in two cases:
+- it holds only ASCII digits, '.', 'e', 'E', signs, commas, brackets and
+  whitespace, its rows `'[' ... ']'` are one comma apart and of equal
+  length, and `float` reads every entry. Then each entry is
+  `[+-]? NUM` amid whitespace, and the span keeps the value `float`
+  gives, which is the token path's.
+- it matches the strict literal regex (`_MATRIX`): rows of entries
+  `[+-]? NUM i?` or `[+-]? NUM [+-] NUM i`. `Span.matrix()` decodes it
+  in bulk from the regex's parts (a sign apart from its number, as in
+  `- 1`, included), or decides nothing where rows are of unequal length
+  or a number is too large for a float.
+A span holds no comment and no character the token path refuses, so it
+lexes alone to the tokens it lexes to in place. Any other candidate
+(`[[e]]`, `[[1 2]]`, `[[1,,2]]`, `[[inf]]`, a non-ASCII digit), and one
+with no closing ']]', is lexed token by token in place, and so is every
+'[[' inside it. A span that `Span.matrix()` does not decide, or that
+anything but `parse_matrix` reads, is read token by token: it expands in
+place into the tokens its text lexes to, at their lines and columns. So
+every value, signed zero, error, line and column stays as the token path
+makes them. Line and column counting carries across spans.
 
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
@@ -103,8 +109,16 @@ _ENTRY = rf"[+-]?+\s*+{_NUM}(?:i|\s*+[+-]\s*+{_NUM}i)?+"
 _ROW = rf"\[\s*+{_ENTRY}(?:\s*+,\s*+{_ENTRY})*+\s*+\]"
 _MATRIX = rf"\[\s*+{_ROW}(?:\s*+,\s*+{_ROW})*+\s*+\]"
 
+_MATRIX_RE = re.compile(_MATRIX)
 _TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
-_SPAN_TOKEN_RE = re.compile(rf"(?P<matrix>{_MATRIX})|{_TOKENS}", re.VERBOSE)
+# The lexer's pattern: the grammar's tokens, and '[' that, past
+# whitespace, is followed by '[' (where a span candidate starts).
+_SCAN_RE = re.compile(rf"(?P<open>\[(?=\s*\[))|{_TOKENS}", re.VERBOSE)
+# The end of a span candidate: ']' followed, past whitespace, by ']'.
+_CLOSE_RE = re.compile(r"\]\s*\]")
+# The characters of a literal of reals: ASCII digits, '.', 'e', 'E', signs,
+# commas, brackets and whitespace.
+_REAL_CHARS = b"0123456789.eE+-,[] \t\n\r\f\v"
 # An entry's parts: sign, number, 'i' or '', then the sign and number of
 # an imaginary second part, if any.
 _PARTS_RE = re.compile(rf"([+-]?)({_NUM})(i?)(?:([+-])({_NUM})i)?")
@@ -122,8 +136,10 @@ class Token:
 class Span(Token):
     """A numeric matrix literal lexed as one token. It reads as the
     literal's opening '[' token; `tokens()` gives the tokens the literal
-    lexes to on its own, at their positions in the source."""
+    lexes to on its own, at their positions in the source. `value` is
+    the value of a literal the lexer read as reals (`_real_value`)."""
     literal: str = field(repr=False)
+    value: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def tokens(self) -> list[Token]:
         return _lex(_TOKEN_RE, self.literal, self.line, self.col)[0]
@@ -133,43 +149,76 @@ class Span(Token):
         token by token, or None where that path must decide: rows of
         unequal length, or a number too large for a float in a literal
         with imaginary parts."""
-        # split at each ']': a row's text follows the last '[' of its piece
-        rows = [piece[piece.rindex("[") + 1:] for piece in self.literal.split("]")[:-2]]
-        width = rows[0].count(",") + 1
-        if any(row.count(",") + 1 != width for row in rows):
-            return None
-        shape = (len(rows), width)
-        entries = ",".join(rows)
-        if "i" not in entries:
-            try:  # complex(s * x) of a real entry is (float(entry), 0.0)
-                x = np.fromiter(map(float, entries.split(",")), float, shape[0] * shape[1])
-                return x.reshape(shape).astype(complex)
-            except ValueError:  # a sign apart from its number, as in "- 1"
-                pass
-        signs, nums, imag, signs2, nums2 = zip(*_PARTS_RE.findall("".join(entries.split())))
-        x = np.fromiter(map(float, nums), float, len(nums))
-        y = np.fromiter(map(float, filter(None, nums2)), float)
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            return None
-        # `_signed_part` and `parse_complex`, over all entries at once:
-        #   real NUM          complex(s*x)               = (s*x, 0)
-        #   imaginary NUM i   s * complex(0.0, x)        = (s*0 - 0*x, s*x + 0*0)
-        #   NUM + NUM i       complex(s*x) + t * complex(0.0, y)
-        # where a float times a complex multiplies as complex(s, 0.0).
-        # The terms are kept as written so zeros keep the token path's signs.
-        s = np.where(np.array(signs) == "-", -1.0, 1.0)
-        is_imag = np.array(imag) == "i"
-        re_ = np.where(is_imag, s * 0.0 - 0.0 * x, s * x)
-        im = np.where(is_imag, s * x + 0.0 * 0.0, 0.0)
-        signs2 = np.array(signs2)
-        second = signs2 != ""
-        t = np.where(signs2[second] == "-", -1.0, 1.0)
-        re_[second] += t * 0.0 - 0.0 * y
-        im[second] += t * y + 0.0 * 0.0
-        m = np.empty(shape, dtype=complex)
-        m.real = re_.reshape(shape)
-        m.imag = im.reshape(shape)
-        return m
+        return self.value if self.value is not None else _parts_value(self.literal)
+
+
+def _rows(literal: str) -> list[str] | None:
+    """The text of each row of a span candidate, or None unless the rows
+    are `'[' ... ']'`, one comma apart, with equal counts of entries."""
+    # split at each ']': a row's text follows the '[' of its piece
+    pieces = [piece.split("[") for piece in literal.split("]")[:-2]]
+    if (len(pieces[0]) != 3 or pieces[0][1].strip()
+            or any(len(p) != 2 or p[0].strip() != "," for p in pieces[1:])):
+        return None
+    rows = [p[-1] for p in pieces]
+    width = rows[0].count(",")
+    if any(row.count(",") != width for row in rows):
+        return None
+    return rows
+
+
+def _real_value(literal: str) -> np.ndarray | None:
+    """The value of a span candidate of reals, each entry read with
+    `float`, or None: a character other than `_REAL_CHARS`, rows that
+    `_rows` refuses, or an entry `float` refuses. Where `float` reads
+    every entry, each is `[+-]? NUM` amid whitespace, which the token
+    path reads to the same float: complex(s * x) is (float(entry), 0.0)."""
+    if not literal.isascii() or literal.encode().translate(None, _REAL_CHARS):
+        return None
+    rows = _rows(literal)
+    if rows is None:
+        return None
+    shape = (len(rows), rows[0].count(",") + 1)
+    try:
+        x = np.fromiter(map(float, ",".join(rows).split(",")), float, shape[0] * shape[1])
+    except ValueError:  # "e", "1 2", "", "1.,.", or a sign apart from its number
+        return None
+    return x.reshape(shape).astype(complex)
+
+
+def _parts_value(literal: str) -> np.ndarray | None:
+    """The value of a literal the strict regex matched, decoded from its
+    parts, or None: rows of unequal length, or a number too large for a
+    float."""
+    rows = _rows(literal)
+    if rows is None:
+        return None
+    shape = (len(rows), rows[0].count(",") + 1)
+    entries = "".join(",".join(rows).split())
+    signs, nums, imag, signs2, nums2 = zip(*_PARTS_RE.findall(entries))
+    x = np.fromiter(map(float, nums), float, len(nums))
+    y = np.fromiter(map(float, filter(None, nums2)), float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    # `_signed_part` and `parse_complex`, over all entries at once:
+    #   real NUM          complex(s*x)               = (s*x, 0)
+    #   imaginary NUM i   s * complex(0.0, x)        = (s*0 - 0*x, s*x + 0*0)
+    #   NUM + NUM i       complex(s*x) + t * complex(0.0, y)
+    # where a float times a complex multiplies as complex(s, 0.0).
+    # The terms are kept as written so zeros keep the token path's signs.
+    s = np.where(np.array(signs) == "-", -1.0, 1.0)
+    is_imag = np.array(imag) == "i"
+    re_ = np.where(is_imag, s * 0.0 - 0.0 * x, s * x)
+    im = np.where(is_imag, s * x + 0.0 * 0.0, 0.0)
+    signs2 = np.array(signs2)
+    second = signs2 != ""
+    t = np.where(signs2[second] == "-", -1.0, 1.0)
+    re_[second] += t * 0.0 - 0.0 * y
+    im[second] += t * y + 0.0 * 0.0
+    m = np.empty(shape, dtype=complex)
+    m.real = re_.reshape(shape)
+    m.imag = im.reshape(shape)
+    return m
 
 
 def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Token], int, int]:
@@ -177,15 +226,24 @@ def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Toke
     position just past its end."""
     tokens: list[Token] = []
     pos = 0
+    plain_until = 0  # the end of the last candidate: no span starts before it
     while pos < len(text):
         m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         lexeme = m.group()
-        if kind == "matrix":
-            tokens.append(Span("[", "[", line, col, lexeme))
-        elif kind not in ("ws", "comment"):
+        if kind == "open" and pos >= plain_until:
+            close = _CLOSE_RE.search(text, pos)
+            plain_until = close.end() if close else len(text)
+            literal = text[pos:plain_until]
+            value = _real_value(literal) if close else None
+            if value is not None or (close and _MATRIX_RE.fullmatch(literal)):
+                kind, lexeme = "span", literal
+                tokens.append(Span("[", "[", line, col, literal, value))
+        if kind == "open":
+            tokens.append(Token("[", "[", line, col))
+        elif kind not in ("ws", "comment", "span"):
             k = lexeme if kind == "op" else kind
             tokens.append(Token(k, lexeme, line, col))
         newlines = lexeme.count("\n")
@@ -194,14 +252,14 @@ def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Toke
             col = len(lexeme) - lexeme.rfind("\n")
         else:
             col += len(lexeme)
-        pos = m.end()
+        pos += len(lexeme)
     return tokens, line, col
 
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of `text`, ending in an 'eof' token. Each numeric matrix
     literal is one `Span`; the rest are the tokens of the grammar."""
-    tokens, line, col = _lex(_SPAN_TOKEN_RE, text, 1, 1)
+    tokens, line, col = _lex(_SCAN_RE, text, 1, 1)
     tokens.append(Token("eof", "", line, col))
     return tokens
 

@@ -10,11 +10,15 @@ Hadamard-transform relation against the Gray-code walk of the controls.
 Reconstruction is exact up to a single global phase; the 4x4 base case
 follows the magic-basis construction with an interior
 CNOT/RZ/RY/CNOT/RY/CNOT template.
+
+scipy is loaded on first use: `cossin` and `schur` are imported inside
+the functions that call them, so importing this module (and the CLI,
+which imports every command) does not load scipy, and only a
+decomposition pays for it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cossin, schur
 
 from ..core import gates
 from ..core.linalg import num_qubits, require_unitary
@@ -187,6 +191,7 @@ def two_qubit_ops(u: np.ndarray, q0: int, q1: int) -> list[GateOp]:
 
 def _demultiplex(u1: np.ndarray, u2: np.ndarray, qubits: tuple[int, ...]) -> list[GateOp]:
     """block_diag(u1, u2) = (I (x) V) . mRz(theta) . (I (x) W); emit W, mRz, V."""
+    from scipy.linalg import schur
     w12 = u1 @ u2.conj().T
     t, q = schur(w12, output="complex")
     phases = np.angle(np.diag(t)) / 2.0
@@ -206,6 +211,7 @@ def _qsd_ops(u: np.ndarray, qubits: tuple[int, ...]) -> list[GateOp]:
         return [GateOp("u2", qubits, u.copy())]
     if d == 2:
         return two_qubit_ops(u, qubits[0], qubits[1])
+    from scipy.linalg import cossin
     half = u.shape[0] // 2
     u_blk, cs, vdh = cossin(u, p=half, q=half)
     thetas = 2.0 * np.arctan2(np.diag(cs[half:, :half]), np.diag(cs[:half, :half]))

@@ -3,7 +3,10 @@ position, stable distribution output, input checks, and the options each
 experiment accepts."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -221,6 +224,22 @@ def files(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("run", "{qw}", "--shots", "5"),
+    ("run", "{qw}", "--mode", "distribution", "--format", "json"),
+    ("compile", "{qw}"),
+    ("compile", "{qw}", "--check"),
+    ("synthesize", "{matrix}", "--method", "qr", "--epsilon", "1e-2"),
+    ("synthesize", "{matrix}", "--epsilon", "1e-2", "--format", "json"),
+    ("experiment", "bb84-sweep", "--sessions", "1"),
+])
+def test_an_unwritable_out_path_is_one_error_line(argv, files, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    code, _, err = cli(capsys, *[arg.format(**files) for arg in argv], "--out", str(out))
+    assert (code, err) == (1, f"error: {out}: No such file or directory\n")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("run", "{qw}", "--shots", "50", "--seed", "4"),
     ("run", "{qw}", "--shots", "50", "--seed", "4", "--format", "json"),
     ("run", "{qw}", "--shots", "50", "--seed", "4", "--format", "csv"),
@@ -358,3 +377,47 @@ def test_an_unknown_channel_is_refused_with_the_channel_names(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: unknown channel 'nope'; choose from identity, bit_flip_p025, "
                    "bit_flip_p05, bit_flip_p075, depolarizing_p05, amplitude_damping_g05\n")
+
+
+# --- cold start: only synthesis loads scipy ---------------------------------------
+
+# In a fresh interpreter: import the CLI, run one command (none without
+# arguments), then print its exit code and the scipy modules loaded.
+COLD_START = ("import json, sys\n"
+              "import qwhile.cli\n"
+              "code = qwhile.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')]))\n")
+
+
+def cold_start(*argv: str) -> tuple[int, list[str]]:
+    """The exit code of one CLI command run in a fresh interpreter, and
+    the scipy modules it loaded."""
+    src = str(Path(qwhile.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("run", "{qw}", "--shots", "20"),
+    ("compile", "{qw}", "--check", "--out", "{fqasm}"),
+    ("experiment", "qloop", "--shots", "200"),
+], ids=["import", "run", "compile-check", "experiment-qloop"])
+def test_commands_that_do_not_synthesize_never_load_scipy(argv, files):
+    assert cold_start(*[arg.format(**files) for arg in argv]) == (0, [])
+
+
+def test_synthesize_qsd_loads_scipy_on_first_use(tmp_path):
+    # three qubits, so the decomposition runs both cossin and schur
+    q, r = np.linalg.qr(np.random.default_rng(3).normal(size=(8, 8, 2)) @ [1, 1j])
+    u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
+    code, modules = cold_start("synthesize", str(path), "--method", "qsd", "--epsilon", "1e-1")
+    assert code == 0 and "scipy.linalg" in modules

@@ -1,7 +1,9 @@
 """Sampler procedure, small-step semantics, shot runs, and distribution mode."""
+import gc
 import math
 import re
 import time
+import weakref
 from collections import Counter
 from itertools import permutations
 from dataclasses import replace
@@ -440,14 +442,14 @@ class TestRunShots:
 # --- the sampled path without the memo: the oracle shots reproduce ---------------
 
 
-def scalar_run_sampled(c, advance, seed: int, step_limit: int) -> RunRecord:
+def scalar_run_sampled(c, advance, seed: int, step_limit: int, loop_sites=()) -> RunRecord:
     """`run_sampled` with the sampled path of `Fork.branches` as they were
     before the memo: every step calls the executor's transition, every
     measurement prepares its probabilities afresh, and the final state is
     built from the last configuration. Body entries are counted at the
     forks, as the driver once did: outcome 1 at a `while` is one entry."""
     rng = SamplerState(seed)
-    counts = {sid: 0 for sid in c.plan.loop_sites()} if isinstance(c, Configuration) else {}
+    counts = {sid: 0 for sid in loop_sites}
     outcomes, steps = [], 0
     while not c.terminated:
         if steps >= step_limit:
@@ -467,13 +469,14 @@ def scalar_run_sampled(c, advance, seed: int, step_limit: int) -> RunRecord:
 
 def scalar_shot(plan, seed: int, step_limit: int = DEFAULT_STEP_LIMIT) -> RunRecord:
     """One shot of either executor's plan by the oracle, from a start
-    configuration outside the plan's trie."""
+    configuration outside the plan's memo."""
     e0 = plan.kernels.initial_factor()
     if isinstance(plan, PreparedProgram):
-        return scalar_run_sampled(Configuration(plan.body, e0, 1.0, plan),
-                                  qwhile.engine.runtime._advance, seed, step_limit)
+        return scalar_run_sampled(Configuration(plan.body, e0, 1.0, plan.machine),
+                                  qwhile.engine.runtime._advance, seed, step_limit,
+                                  plan.loop_sites())
     start = qwhile.fqasm.vm._Config(0, qwhile.fqasm.vm._Regs.empty(plan.prog.cregs), e0, 1.0,
-                                    plan)
+                                    plan.machine)
     return scalar_run_sampled(start, qwhile.fqasm.vm._advance, seed, step_limit)
 
 
@@ -582,8 +585,25 @@ class TestMemo:
             assert_shots_match_the_oracle(plan, (0, 1), 150, 10_000)
             root = (initial_configuration(plan) if isinstance(plan, PreparedProgram)
                     else qwhile.fqasm.vm._Config.start(plan))
-            assert memo_bytes(root) == plan.trie.held <= 60 * MEMO_ENTRY_BYTES
-            assert plan.trie.full  # a transition did not fit
+            assert memo_bytes(root) == plan.machine.held <= 60 * MEMO_ENTRY_BYTES
+            assert plan.machine.full  # a transition did not fit
+
+    @pytest.mark.parametrize("executor", ["interpreter", "vm"])
+    def test_a_dropped_plan_and_its_memo_are_freed_without_the_collector(self, executor):
+        program = parse(BRANCHING_LOOP)
+        plan = prepare(program) if executor == "interpreter" else prepare_vm(
+            compile_program(program))
+        assert_shots_match_the_oracle(plan, (0,), 40, 10_000)
+        refs = [weakref.ref(plan), weakref.ref(plan.kernels)]  # the machine holds the kernels
+        refs += [weakref.ref(c.factor) for c in stored(plan.root)]
+        assert len(refs) > 40
+        gc.disable()
+        try:
+            del plan
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_a_shot_whose_history_was_taken_applies_no_kernel(self, monkeypatch):
         program = parse(program_source("qloop"))
@@ -613,14 +633,14 @@ class TestMemo:
         program = parse(program_source("paper_loop"))
         plan, vm_plan = prepare(program), prepare_vm(compile_program(program))
         want = run_distribution(plan), vm_distribution(vm_plan)
-        assert plan.trie.root is None and vm_plan.trie.root is None
+        assert plan.root is None and vm_plan.root is None
         run_shots(plan, 50, 0)
         for s in range(50):
             vm_run(vm_plan, s)
-        held = plan.trie.held, vm_plan.trie.held
+        held = plan.machine.held, vm_plan.machine.held
         for got, wanted in zip((run_distribution(plan), vm_distribution(vm_plan)), want):
             assert_identical(got, wanted)
-        assert (plan.trie.held, vm_plan.trie.held) == held
+        assert (plan.machine.held, vm_plan.machine.held) == held
 
     def test_a_cached_array_is_read_only(self):
         plan = prepare(parse(BRANCHING_LOOP))

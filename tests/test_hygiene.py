@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
-module-level and class-level definition is referenced somewhere, and
-nothing is keyed on object identity."""
+module-level and class-level definition is referenced somewhere, nothing
+is keyed on object identity, and scipy is imported only where it is
+used."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -221,4 +222,39 @@ def test_engine_compares_states_under_one_rule():
     found = [f"{path.relative_to(PACKAGE)}:{line}"
              for path in sorted((PACKAGE / "engine").rglob("*.py"))
              for line in closeness_calls(path.read_text())]
+    assert found == []
+
+
+def eager_imports(source: str, package: str) -> list[int]:
+    """Lines that import `package` or one of its modules outside a
+    function body, so that importing the module loads it."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and not in_function:
+                names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                         else [child.module or ""] if child.level == 0 else [])
+                if any(name.split(".")[0] == package for name in names):
+                    found.append(child.lineno)
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_scan_finds_eager_imports():
+    source = ("import scipy\nfrom scipy.linalg import schur\nimport scipyx, numpy\n"
+              "class C:\n    import scipy.sparse\n"
+              "def f():\n    from scipy import linalg\n    return linalg\n"
+              "if True:\n    import numpy, scipy as sp\nfrom . import scipy\n")
+    assert eager_imports(source, "scipy") == [1, 2, 5, 10]
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # only synthesis uses scipy; every other command starts without it
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for line in eager_imports(path.read_text(), "scipy")]
     assert found == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qwhile.engine.runtime
+import qwhile.fqasm.text
 import qwhile.fqasm.vm
 import qwhile.lang.checker
 from qwhile.engine import prepare
@@ -616,7 +617,42 @@ BREAKS = [
     ("name", lambda t: t.replace("[[", "[[x, ", 1)),
     ("overflow", lambda t: t.replace("[[", "[[1e999i, ", 1)),
     ("trailing i", lambda t: t.replace("[[", "[[1ii, ", 1)),
+    # text the bracket scan takes from '[[' to ']]' that the strict regex refused
+    ("letter e", lambda t: t.replace("[[", "[[e, ", 1)),
+    ("entry between rows", lambda t: t.replace("[[", "[[1],2,[", 1)),
+    ("underscore", lambda t: t.replace("[[", "[[1_0, ", 1)),
+    ("inf", lambda t: t.replace("[[", "[[inf, ", 1)),
+    ("nan", lambda t: t.replace("[[", "[[nan, ", 1)),
+    ("non-ASCII digit", lambda t: t.replace("[[", "[[\u0661, ", 1)),
+    ("no closing ']]'", lambda t: t[:-1].rstrip()[:-1]),
 ]
+
+# The same, as whole literals.
+SCANNED = ["[[e]]", "[[1],2,[3]]", "[[1,,2]]", "[[1 2]]", "[[1_0]]", "[[inf]]", "[[nan]]",
+           "[[\u0661]]", "[[1, 0], [0, 1]"]
+
+
+def parsed_both_ways(literal: str) -> list[list]:
+    """What `parse` and `parse_fqasm` make of a program that declares a
+    gate with `literal`, through the lexer's spans and token by token:
+    the gates' matrices, or the error with its position."""
+    texts = [(parse, f"q : qubit;\n// G\ngate G = {literal};\nG[q];\n"),
+             (parse_fqasm, f"QREG q 1;\n// G\n  GATE G {literal};\nINIT(q);\n")]
+    pairs = []
+    for parse_text, text in texts:
+        pair = []
+        for lex in (tokenize, plain_tokens):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qwhile.lang.parser, "tokenize", lex)
+                mp.setattr(qwhile.fqasm.text, "tokenize", lex)
+                try:
+                    prog = parse_text(text)
+                except QwhileError as exc:
+                    pair.append((type(exc), exc.message, exc.line, exc.column))
+                else:
+                    pair.append([(g.name, g.matrix.tobytes()) for g in prog.gates])
+        pairs.append(pair)
+    return pairs
 
 
 class TestMatrixSpans:
@@ -637,6 +673,34 @@ class TestMatrixSpans:
     def test_fallbacks_equal_token_path(self, text, brk):
         fast, slow = outcome_both_ways(brk[1](text))
         assert fast == slow
+
+    @given(literals(), st.sampled_from(BREAKS))
+    def test_fallbacks_equal_token_path_through_both_parsers(self, text, brk):
+        for fast, slow in parsed_both_ways(brk[1](text)):
+            assert fast == slow
+
+    @pytest.mark.parametrize("literal", SCANNED)
+    def test_scanned_text_reads_as_the_token_path(self, literal):
+        fast, slow = outcome_both_ways(literal)
+        assert fast == slow
+        assert expanded_tokens(literal) == plain_tokens(literal)
+        for fast, slow in parsed_both_ways(literal):
+            assert fast == slow
+
+    def test_scanned_text_keeps_the_token_path_value_and_error(self):
+        # a non-ASCII digit is a number to the token path, and `float` reads it
+        [(_, value)] = parsed_both_ways("[[\u0661]]")[1][0]  # through parse_fqasm
+        assert np.frombuffer(value, dtype=complex).tolist() == [1.0]
+        assert parsed_both_ways("[[inf]]")[0][0] == (
+            ParseError, "expected number, found 'inf'", 3, 12)
+
+    def test_a_refused_candidate_is_lexed_in_place(self):
+        # a comment inside the brackets hides the first ']]' from the token path
+        text = "[[1, // ]] x\n 2]]"
+        assert not any(isinstance(t, Span) for t in tokenize(text))
+        assert tokenize(text) == plain_tokens(text)
+        # a '[[' inside a refused candidate starts no span
+        assert not any(isinstance(t, Span) for t in tokenize("[[[1]]]"))
 
     @given(literals(), literals())
     def test_positions_carry_across_spans(self, a, b):
