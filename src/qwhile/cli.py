@@ -60,17 +60,38 @@ def _load(path: str, decode):
         raise QwhileError(f"{path}: {exc}") from exc
 
 
+def _emit(write, out: str | None) -> None:
+    """Call write(fh) with the file at out open for writing, or with
+    stdout; a file that cannot be written is a QwhileError that names
+    the path."""
+    if not out:
+        write(sys.stdout)
+        return
+    try:
+        with open(out, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise QwhileError(f"{out}: {exc.strerror or exc}") from exc
+    print(f"wrote {out}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
-    """Write text to the file at out, or print it; a file that cannot be
-    written is a QwhileError that names the path."""
+    """Write text to the file at out, or print it."""
     if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise QwhileError(f"{out}: {exc.strerror or exc}") from exc
-        print(f"wrote {out}")
+        _emit(lambda fh: fh.write(text), out)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _write_json(payload, out: str | None) -> None:
+    """Write payload as indented, key-sorted JSON and a newline to the
+    file at out, or to stdout, a piece at a time: the whole text is never
+    built."""
+    def write(fh) -> None:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _emit(write, out)
 
 
 def _state_summary(state: DensityOperator, limit: int = 16) -> list:
@@ -112,7 +133,7 @@ def cmd_run(args) -> int:
             "node_limited": round(dist.node_limited, 12),
         }
         if args.format == "json":
-            _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+            _write_json(payload, args.out)
         else:
             lines = [f"terminals: {len(listed)}  residual: {dist.residual:.3e}"]
             for _, _, w, dim in listed:
@@ -125,7 +146,7 @@ def cmd_run(args) -> int:
         payload = stats.to_json_dict()
         payload["file"] = args.file
         payload["mean_final_state"] = _state_summary(stats.mean_final_state)
-        _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(payload, args.out)
     elif args.format == "csv":
         rows = ["kind,site,key,count"] + [f"{k},{s},{key},{c}"
                                           for k, s, key, c in stats.to_csv_rows()]
@@ -201,14 +222,13 @@ def cmd_synthesize(args) -> int:
         "eps_total": seq.eps_total,
         "reconstruction_error": err,
     }
-    lines = [f"{op.name} " + " ".join(f"q{q}" for q in op.qubits) for op in seq.ops]
-    body = "\n".join(lines) + "\n"
     if args.format == "json":
         payload = dict(report)
         payload["sequence"] = [[op.name, list(op.qubits)] for op in seq.ops]
-        _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(payload, args.out)
     else:
-        _write_or_print(body, args.out)
+        lines = [f"{op.name} " + " ".join(f"q{q}" for q in op.qubits) for op in seq.ops]
+        _write_or_print("\n".join(lines) + "\n", args.out)
         print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -4,29 +4,29 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import QwhileError
-from .linalg import require_unitary
+from .linalg import read_only, require_unitary
 
 _S2 = np.sqrt(2.0)
 
-H = np.array([[1, 1], [1, -1]], dtype=complex) / _S2
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-SDG = S.conj().T
-T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-TDG = T.conj().T
-CNOT = np.array(
+# Read-only: programs and synthesized gate sequences share these arrays.
+H = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / _S2)
+X = read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+Z = read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+I2 = read_only(np.eye(2, dtype=complex))
+S = read_only(np.array([[1, 0], [0, 1j]], dtype=complex))
+SDG = read_only(S.conj().T)
+T = read_only(np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex))
+TDG = read_only(T.conj().T)
+CNOT = read_only(np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
      [0, 0, 0, 1],
-     [0, 0, 1, 0]], dtype=complex)
-SWAP = np.array(
+     [0, 0, 1, 0]], dtype=complex))
+SWAP = read_only(np.array(
     [[1, 0, 0, 0],
      [0, 0, 1, 0],
      [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex)
-
+     [0, 0, 0, 1]], dtype=complex))
 
 class GateLibrary:
     """Named unitaries available to programs without declaration.

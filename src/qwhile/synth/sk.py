@@ -1,10 +1,15 @@
 """Solovay-Kitaev approximation of single-qubit unitaries over a finite
 gate alphabet.
 
-The base net enumerates words breadth-first up to a length cap,
-deduplicating on a rounded canonical SU(2) form, and records an
-empirical covering radius eps0 (max over random targets of the distance
-to the nearest stored word). The recursion improves a depth-(k-1)
+The base net enumerates words breadth-first up to a length cap, one
+level at a time: one stacked product of every letter with every word of
+the last level, one batched phase strip and one batched canonical key
+per product (the SU(2) form, sign-fixed and rounded to a 1e-7 grid).
+The keys are then walked in order, frontier word by frontier word and
+letter by letter, and a product is kept only if its key is new, so the
+first word to reach a rotation represents it. The net records an
+empirical covering radius eps0 (max over seeded random targets of the
+distance to the nearest stored word). The recursion improves a depth-(k-1)
 approximation u_{k-1} by factoring the residual as a balanced group
 commutator v w v† w† whose parts are themselves approximated at depth
 k-1.
@@ -19,30 +24,38 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ..core.linalg import read_only
 from ..errors import NetTooCoarse, QwhileError
 from .sequences import GateOp, GateSequence, GateSet, phase_dist, rx, ry, strip_phase
 
 DEFAULT_WORD_LENGTH = 10
 _DEDUP_DECIMALS = 7
+_COVER_BLOCK = 100  # targets per overlap table while measuring eps0
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _canonical_keys(su2: np.ndarray) -> list[bytes]:
+    """Dedup key of each matrix in an (N, 2, 2) stack: +-U describe the
+    same rotation, so each row takes the sign that makes its first
+    component above 1e-9 (real part, then imaginary part, entry by
+    entry) positive, and is rounded to _DEDUP_DECIMALS."""
+    flat = np.ascontiguousarray(su2, dtype=complex).reshape(len(su2), 4)
+    parts = flat.view(np.float64)  # re, im of each entry, in entry order
+    large = np.abs(parts) > 1e-9
+    first = large.argmax(axis=1)
+    lead = parts[np.arange(len(parts)), first]
+    sign = np.where(large.any(axis=1), np.sign(lead), 1.0)
+    rounded = np.round(sign[:, None] * flat, _DEDUP_DECIMALS) + 0.0  # normalize -0.0
+    data = rounded.tobytes()
+    width = rounded.itemsize * 4
+    return [data[i:i + width] for i in range(0, len(data), width)]
+
+
 def _canonical_key(su2: np.ndarray) -> bytes:
-    # +-U describe the same rotation: pick the sign making the first
-    # sufficiently-large entry's real part (then imag) positive.
-    flat = su2.reshape(-1)
-    sign = 1.0
-    for z in flat:
-        if abs(z.real) > 1e-9:
-            sign = np.sign(z.real)
-            break
-        if abs(z.imag) > 1e-9:
-            sign = np.sign(z.imag)
-            break
-    rounded = np.round(sign * flat, _DEDUP_DECIMALS) + 0.0  # normalize -0.0
-    return rounded.tobytes()
+    """Dedup key of one 2x2 matrix: the one-row case of _canonical_keys."""
+    return _canonical_keys(su2[None])[0]
 
 
 @dataclass
@@ -58,6 +71,11 @@ class SKNet:
     # target), filled by the synthesis pipeline; lives as long as the net.
     approximations: dict[tuple, tuple[tuple[str, ...], float]] = field(
         default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        # synthesized ops share the letter matrices, so nothing may write to them
+        self.alphabet = {name: read_only(m) for name, m in self.alphabet.items()}
+        self.matrices = read_only(self.matrices)
 
     @property
     def size(self) -> int:
@@ -84,45 +102,73 @@ class SKNet:
 
 def build_net(alphabet: dict[str, np.ndarray], max_word_length: int = DEFAULT_WORD_LENGTH,
               samples: int = 500, seed: int = 2024) -> SKNet:
-    """Enumerate words up to max_word_length with epsilon-ball dedup."""
+    """Enumerate words up to max_word_length breadth-first, keeping the
+    first word of each rotation on the 1e-7 rounding grid of the
+    canonical key; eps0 is the largest distance from `samples` seeded
+    random targets to their nearest word."""
     canon = {name: strip_phase(np.asarray(m, dtype=complex)) for name, m in alphabet.items()}
+    letters = list(canon)
+    letter_stack = np.stack(list(canon.values()))
     words: list[tuple[str, ...]] = [()]
-    mats: list[np.ndarray] = [np.eye(2, dtype=complex)]
-    seen = {_canonical_key(mats[0])}
-    frontier = [((), mats[0])]
+    levels = [np.eye(2, dtype=complex)[None]]
+    seen = set(_canonical_keys(levels[0]))
+    frontier_words, frontier = words[:], levels[0]
     for _ in range(max_word_length):
-        new_frontier = []
-        for word, mat in frontier:
-            for name, gm in canon.items():
-                m2 = strip_phase(gm @ mat)  # the new letter acts after the word
-                key = _canonical_key(m2)
-                if key in seen:
-                    continue
+        # row f * len(letters) + l is letter l applied after frontier word f
+        products = _strip_phases((letter_stack[None] @ frontier[:, None]).reshape(-1, 2, 2))
+        kept = []
+        for i, key in enumerate(_canonical_keys(products)):
+            if key not in seen:
                 seen.add(key)
-                w2 = word + (name,)
-                words.append(w2)
-                mats.append(m2)
-                new_frontier.append((w2, m2))
-        if not new_frontier:
+                kept.append(i)
+        if not kept:
             break
-        frontier = new_frontier
-    matrices = np.stack(mats)
-    net = SKNet(dict(canon), max_word_length, words, matrices, eps0=float("nan"))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        target = _random_su2(rng)
-        idx = net.nearest(target)
-        worst = max(worst, phase_dist(net.matrices[idx], target))
-    net.eps0 = worst
+        frontier_words = [frontier_words[i // len(letters)] + (letters[i % len(letters)],)
+                          for i in kept]
+        frontier = products[kept]
+        words += frontier_words
+        levels.append(frontier)
+    net = SKNet(canon, max_word_length, words, np.concatenate(levels), eps0=float("nan"))
+    net.eps0 = _covering_radius(net, samples, seed)
     return net
 
 
-def _random_su2(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return strip_phase(q)
+def _strip_phases(stack: np.ndarray) -> np.ndarray:
+    """strip_phase of every 2x2 matrix in an (N, 2, 2) stack."""
+    v = stack * (np.linalg.det(stack) ** -0.5)[:, None, None]
+    flip = (v[:, 0, 0].real + v[:, 1, 1].real) < 0
+    v[flip] = -v[flip]
+    return v
+
+
+def _covering_radius(net: SKNet, samples: int, seed: int) -> float:
+    """Largest phase distance from a seeded Haar-random SU(2) target to
+    its nearest word (as SKNet.nearest picks it), over `samples` targets."""
+    normals = np.random.default_rng(seed).normal(size=(samples, 2, 2, 2))
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    fix = np.zeros_like(q)  # diag(d / |d|): makes the QR factor Haar-distributed
+    fix[:, [0, 1], [0, 1]] = d / np.abs(d)
+    targets = _strip_phases(q @ fix)
+    conj = net.matrices.conj()
+    # a block of targets at a time bounds the overlap table's memory
+    nearest = [np.abs(np.einsum("nij,sij->sn", conj, block)).argmax(axis=1)
+               for block in np.split(targets, range(_COVER_BLOCK, samples, _COVER_BLOCK))]
+    dists = _phase_dists(net.matrices[np.concatenate(nearest)], targets)
+    return float(dists.max(initial=0.0))
+
+
+def _phase_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """phase_dist(a[k], b[k]) for each k of two (N, 2, 2) stacks, by the
+    same steps."""
+    evals = np.linalg.eigvals(b.conj().transpose(0, 2, 1) @ a)
+    phases = np.sort(np.angle(evals), axis=1)
+    gaps = np.diff(phases, append=phases[:, :1] + 2 * np.pi, axis=1)
+    widest = gaps.argmax(axis=1)
+    rows = np.arange(len(phases))
+    start = phases[rows, (widest + 1) % 2]
+    center = start + (2 * np.pi - gaps[rows, widest]) / 2.0
+    return np.abs(evals - np.exp(1j * center)[:, None]).max(axis=1)
 
 
 @lru_cache(maxsize=1)

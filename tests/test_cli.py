@@ -239,6 +239,19 @@ def test_an_unwritable_out_path_is_one_error_line(argv, files, tmp_path, capsys)
     assert not out.parent.exists()
 
 
+def test_synthesize_json_is_the_same_bytes_on_stdout_and_in_the_file(files, tmp_path, capsys):
+    argv = ("synthesize", files["matrix"], "--method", "qr", "--epsilon", "1e-2",
+            "--format", "json")
+    code, printed, _ = cli(capsys, *argv)
+    assert code == 0
+    expected = json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+    assert printed == expected
+    out = tmp_path / "seq.json"
+    code, printed, _ = cli(capsys, *argv, "--out", str(out))
+    assert (code, printed) == (0, f"wrote {out}\n")
+    assert out.read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "{qw}", "--shots", "50", "--seed", "4"),
     ("run", "{qw}", "--shots", "50", "--seed", "4", "--format", "json"),

@@ -1,8 +1,9 @@
 """Source hygiene of the package: every imported name is used, every
 module-level and class-level definition is referenced somewhere, nothing
-is keyed on object identity, and scipy is imported only where it is
-used."""
+is keyed on object identity, scipy is imported only where it is used,
+and the benchmark's trace targets still name functions of the package."""
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -258,3 +259,31 @@ def test_scipy_is_imported_only_inside_functions():
              for path in sorted(PACKAGE.rglob("*.py"))
              for line in eager_imports(path.read_text(), "scipy")]
     assert found == []
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# targets known not to resolve: their functions were folded into others,
+# and their metrics read 0 until the benchmark drops or renames them
+KNOWN_MISSING = {
+    "qwhile.cli.validate_program",
+    "qwhile.engine.runtime.embed",
+    "qwhile.engine.runtime.conjugate_density",
+    "qwhile.engine.runtime.partial_trace",
+    "qwhile.engine.runtime.sample_outcome",
+    "qwhile.experiments.bb84.sample_outcome",
+}
+
+
+def test_the_benchmark_trace_targets_resolve():
+    # a renamed function would make its traced metric read 0 without a failure
+    tracing = _load_tracing()
+    missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.TARGETS
+               if tracing._lookup(module, attr) is None}
+    assert missing <= KNOWN_MISSING

@@ -1,5 +1,6 @@
-"""Synthesis: the reconstruction contract of both methods, and the memo
-tables kept on the Solovay-Kitaev net that owns them."""
+"""Synthesis: the reconstruction contract of both methods, the memo
+tables kept on the Solovay-Kitaev net that owns them, and the net itself
+against a frozen word-by-word build."""
 import numpy as np
 import pytest
 
@@ -8,15 +9,20 @@ from qwhile.synth import (
     GateSet,
     SKNet,
     TwoLevelFactor,
+    build_net,
     default_net,
     phase_dist,
     qsd_decompose,
     reconstruct,
+    strip_phase,
     synthesize,
     two_level_decompose,
     two_qubit_ops,
     two_level_to_circuit,
 )
+from qwhile.core import gates
+from qwhile.synth.sequences import controlled_ops
+from qwhile.synth.sk import _canonical_key, _canonical_keys
 from qwhile.synth.two_level import IDENTITY_TOL
 
 
@@ -148,3 +154,122 @@ def test_two_level_factors_are_bit_identical_to_the_dense_product_loop(d):
         got, want = two_level_decompose(u), dense_product_factors(u)
         assert [(f.dim, f.i, f.j) for f in got] == [(f.dim, f.i, f.j) for f in want]
         assert all(f.block.tobytes() == g.block.tobytes() for f, g in zip(got, want))
+
+
+# --- the base net against a frozen word-by-word build --------------------------
+
+
+def reference_key(su2: np.ndarray) -> bytes:
+    """The canonical key one matrix at a time: the sign of the first
+    component above 1e-9 (real part, then imaginary part) is made
+    positive, then the entries are rounded to 7 decimals."""
+    flat = su2.reshape(-1)
+    sign = 1.0
+    for z in flat:
+        if abs(z.real) > 1e-9:
+            sign = np.sign(z.real)
+            break
+        if abs(z.imag) > 1e-9:
+            sign = np.sign(z.imag)
+            break
+    return (np.round(sign * flat, 7) + 0.0).tobytes()
+
+
+def reference_net(alphabet: dict, max_word_length: int, samples: int = 500, seed: int = 2024):
+    """(words, matrices, eps0) of the base net built one word at a time."""
+    canon = {name: strip_phase(np.asarray(m, dtype=complex)) for name, m in alphabet.items()}
+    words, mats = [()], [np.eye(2, dtype=complex)]
+    seen = {reference_key(mats[0])}
+    frontier = [((), mats[0])]
+    for _ in range(max_word_length):
+        new_frontier = []
+        for word, mat in frontier:
+            for name, gm in canon.items():
+                m2 = strip_phase(gm @ mat)
+                key = reference_key(m2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                words.append(word + (name,))
+                mats.append(m2)
+                new_frontier.append((word + (name,), m2))
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    matrices = np.stack(mats)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        target = strip_phase(q @ np.diag(np.diag(r) / np.abs(np.diag(r))))
+        nearest = int(np.argmax(np.abs(np.einsum("nij,ij->n", matrices.conj(), target))))
+        worst = max(worst, phase_dist(matrices[nearest], target))
+    return words, matrices, worst
+
+
+def default_letters() -> dict:
+    return GateSet.default().single_qubit()
+
+
+def closing_letters() -> dict:
+    return {name: GateSet.default()[name] for name in ("H", "S", "Sdg", "X")}
+
+
+@pytest.mark.parametrize("letters, length, size", [
+    (default_letters, 10, 1120),
+    (closing_letters, 10, 24),  # the Clifford group mod phase closes at 24: the BFS stops early
+    (default_letters, 0, 1),
+    (default_letters, 1, 7),
+    (default_letters, 3, None),
+])
+def test_the_net_equals_the_word_by_word_build(letters, length, size):
+    words, matrices, eps0 = reference_net(letters(), length)
+    net = build_net(letters(), length)
+    assert net.words == words
+    assert net.matrices.tobytes() == matrices.tobytes()
+    assert net.eps0 == eps0
+    assert size is None or net.size == size
+
+
+def random_su2(rng: np.random.Generator, count: int) -> np.ndarray:
+    return np.stack([strip_phase(haar_unitary(rng, 2)) for _ in range(count)])
+
+
+def test_the_batched_key_is_the_one_matrix_key_row_by_row(rng):
+    near = np.array([0.0, -0.0, 1e-9, -1e-9, 1.0000001e-9, -1.0000001e-9, 0.3, -0.3])
+    # every 2x2 complex matrix with components drawn from `near`, sampled
+    parts = near[rng.integers(len(near), size=(300, 8))]
+    edge = parts.view(complex).reshape(300, 2, 2)
+    stack = np.concatenate([random_su2(rng, 200), -random_su2(rng, 50), edge])
+    keys = _canonical_keys(stack)
+    assert len(keys) == len(stack)
+    for m, key in zip(stack, keys):
+        assert key == reference_key(m) == _canonical_key(m)
+
+
+def test_signed_zeros_share_one_key():
+    zero = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    flipped = np.array([[complex(-0.0, -0.0), 1.0], [-1.0, complex(0.0, -0.0)]])
+    assert _canonical_key(zero) == _canonical_key(flipped) == reference_key(flipped)
+
+
+# --- shared gate matrices cannot be changed ------------------------------------------
+
+
+def test_a_synthesized_op_cannot_change_the_next_synthesis():
+    u = gates.H @ np.diag([1, np.exp(0.3j)])
+    before = synthesize(u, epsilon=1e-2)
+    with pytest.raises(ValueError):
+        before.ops[0].matrix[:] = 0
+    after = synthesize(u, epsilon=1e-2)
+    assert names(after) == names(before) and after.eps_total == before.eps_total
+    assert phase_dist(reconstruct(after, 1), u) <= after.eps_total + 1e-12
+
+
+def test_shared_gate_matrices_are_read_only():
+    net = default_net()
+    shared = [gates.H, gates.X, gates.Z, gates.I2, gates.S, gates.SDG, gates.T, gates.TDG,
+              gates.CNOT, gates.SWAP, net.matrices, *net.alphabet.values()]
+    assert not any(m.flags.writeable for m in shared)
+    cnots = [op.matrix for op in controlled_ops(gates.H, 0, 1) if op.name == "CNOT"]
+    assert cnots and not any(m.flags.writeable for m in cnots)
