@@ -117,4 +117,5 @@ class IndexOutOfRange(QwhileError, IndexError):
 # --- experiments ---
 
 class InvalidTarget(QwhileError):
-    """A search target set is empty or out of range."""
+    """A search has fewer than one qubit, or a target set that is empty or
+    out of range."""

@@ -57,6 +57,8 @@ class GroverSpec:
     r: int | None = None   # override the per-round default iteration count
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise InvalidTarget(f"Grover search needs at least one qubit, got {self.n_qubits}")
         check_dim(1 << self.n_qubits)
         n = 1 << self.n_qubits
         if not self.targets:

@@ -20,14 +20,13 @@ listing spellings `hGate xGate zGate iGate tGate sGate cnotGate` and the
 
 Matrix literals use the `.qw` grammar and lexer (`lang.parser`). The
 lexer finds a literal by a bracket scan, from '[[' to the first ']]'
-(whitespace allowed between the brackets), and makes it one span when
-its text holds reals that `float` reads, rows one comma apart and of
-equal length, or when it matches the strict literal regex;
-`TokenParser.parse_matrix` takes a span's value whole. Any other
-candidate, and a span whose value is left undecided, goes through the
-token path, so each value and error keeps its message, line and
-column. `serialize` writes matrices with the
-bulk writer `lang.syntax.format_matrix`. Every syntax error is an
+(whitespace allowed between the brackets), and makes it one span only
+when its text holds reals that `float` reads, in rows one comma apart
+and of equal length; `TokenParser.parse_matrix` takes a span's value
+whole. Any other literal, complex entries included, is lexed in place
+and read by the token grammar, so each value and error keeps its
+message, line and column. `serialize` writes matrices with the bulk
+writer `lang.syntax.format_matrix`. Every syntax error is an
 FqasmSyntaxError with its line and column, and so is a well-formedness
 fault (`ir.first_fault`), at the offending name; one that is already a
 ParseError (a reserved or twice-declared name) keeps its class.

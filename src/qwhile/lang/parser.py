@@ -17,30 +17,24 @@ Grammar (comments run `//` to end of line; statements end with `;`):
     matrix    := '[' row {',' row} ']' ;  row := '[' cnum {',' cnum} ']'
     cnum      := complex literal, e.g. 1, -0.5, 2i, 0.5-0.5i, 1e-3+2i
 
-Matrix literals are lexed at data speed. Where `tokenize` meets '['
-followed, past whitespace, by '[', one search finds the first ']'
+Matrix literals of reals are lexed at data speed. Where `tokenize` meets
+'[' followed, past whitespace, by '[', one search finds the first ']'
 followed, past whitespace, by ']'; the text from the '[' to that ']' is
 a span candidate. The candidate is one `Span` token, which reads as its
-opening '[' token, in two cases:
-- it holds only ASCII digits, '.', 'e', 'E', signs, commas, brackets and
-  whitespace, its rows `'[' ... ']'` are one comma apart and of equal
-  length, and `float` reads every entry. Then each entry is
-  `[+-]? NUM` amid whitespace, and the span keeps the value `float`
-  gives, which is the token path's.
-- it matches the strict literal regex (`_MATRIX`): rows of entries
-  `[+-]? NUM i?` or `[+-]? NUM [+-] NUM i`. `Span.matrix()` decodes it
-  in bulk from the regex's parts (a sign apart from its number, as in
-  `- 1`, included), or decides nothing where rows are of unequal length
-  or a number is too large for a float.
-A span holds no comment and no character the token path refuses, so it
-lexes alone to the tokens it lexes to in place. Any other candidate
-(`[[e]]`, `[[1 2]]`, `[[1,,2]]`, `[[inf]]`, a non-ASCII digit), and one
-with no closing ']]', is lexed token by token in place, and so is every
-'[[' inside it. A span that `Span.matrix()` does not decide, or that
-anything but `parse_matrix` reads, is read token by token: it expands in
-place into the tokens its text lexes to, at their lines and columns. So
-every value, signed zero, error, line and column stays as the token path
-makes them. Line and column counting carries across spans.
+opening '[' token, when it holds only ASCII digits, '.', 'e', 'E', signs,
+commas, brackets and whitespace, its rows `'[' ... ']'` are one comma
+apart and of equal length, and `float` reads every entry. Then each
+entry is `[+-]? NUM` amid whitespace, and the span keeps the value
+`float` gives, which is the token path's. Such a span holds no comment
+and no character the token path refuses, so it lexes alone to the tokens
+it lexes to in place. Any other candidate (complex entries, `[[e]]`,
+`[[1 2]]`, `[[inf]]`, a non-ASCII digit), and one with no closing ']]',
+is lexed token by token in place, and so is every '[[' inside it; the
+matrix-literal grammar of `TokenParser` reads it. A span that anything
+but `parse_matrix` reads expands in place into the tokens its text lexes
+to, at their lines and columns. So every value, signed zero, error, line
+and column stays as the token path makes them. Line and column counting
+carries across spans.
 
 Declarations and statements may interleave at top level, but a name
 must be declared before its first use, and declarations are top-level
@@ -92,7 +86,6 @@ BUILTIN_MEASUREMENTS = ("computational", "plusminus")
 # Words the grammar reads as keywords; the checker reserves them.
 KEYWORDS = QW_KEYWORDS
 
-_NUM = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _TOKENS = r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
@@ -101,15 +94,6 @@ _TOKENS = r"""
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|->|\[\]|[{}\[\]():;,=+-])
 """
-# A numeric matrix literal: rows of entries `[+-]? NUM i?` or
-# `[+-]? NUM [+-] NUM i`, at fixed nesting depth 2. The quantifiers are
-# possessive: the grammar never needs back what one matched, and text that
-# is no literal fails in time linear in its length.
-_ENTRY = rf"[+-]?+\s*+{_NUM}(?:i|\s*+[+-]\s*+{_NUM}i)?+"
-_ROW = rf"\[\s*+{_ENTRY}(?:\s*+,\s*+{_ENTRY})*+\s*+\]"
-_MATRIX = rf"\[\s*+{_ROW}(?:\s*+,\s*+{_ROW})*+\s*+\]"
-
-_MATRIX_RE = re.compile(_MATRIX)
 _TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
 # The lexer's pattern: the grammar's tokens, and '[' that, past
 # whitespace, is followed by '[' (where a span candidate starts).
@@ -119,9 +103,6 @@ _CLOSE_RE = re.compile(r"\]\s*\]")
 # The characters of a literal of reals: ASCII digits, '.', 'e', 'E', signs,
 # commas, brackets and whitespace.
 _REAL_CHARS = b"0123456789.eE+-,[] \t\n\r\f\v"
-# An entry's parts: sign, number, 'i' or '', then the sign and number of
-# an imaginary second part, if any.
-_PARTS_RE = re.compile(rf"([+-]?)({_NUM})(i?)(?:([+-])({_NUM})i)?")
 
 
 @dataclass(frozen=True)
@@ -134,22 +115,15 @@ class Token:
 
 @dataclass(frozen=True)
 class Span(Token):
-    """A numeric matrix literal lexed as one token. It reads as the
+    """A matrix literal of reals lexed as one token. It reads as the
     literal's opening '[' token; `tokens()` gives the tokens the literal
     lexes to on its own, at their positions in the source. `value` is
-    the value of a literal the lexer read as reals (`_real_value`)."""
+    the literal's value, as `_real_value` read it."""
     literal: str = field(repr=False)
-    value: np.ndarray | None = field(default=None, repr=False, compare=False)
+    value: np.ndarray = field(repr=False, compare=False)
 
     def tokens(self) -> list[Token]:
         return _lex(_TOKEN_RE, self.literal, self.line, self.col)[0]
-
-    def matrix(self) -> np.ndarray | None:
-        """The literal's value, bit for bit the value `TokenParser` reads
-        token by token, or None where that path must decide: rows of
-        unequal length, or a number too large for a float in a literal
-        with imaginary parts."""
-        return self.value if self.value is not None else _parts_value(self.literal)
 
 
 def _rows(literal: str) -> list[str] | None:
@@ -186,41 +160,6 @@ def _real_value(literal: str) -> np.ndarray | None:
     return x.reshape(shape).astype(complex)
 
 
-def _parts_value(literal: str) -> np.ndarray | None:
-    """The value of a literal the strict regex matched, decoded from its
-    parts, or None: rows of unequal length, or a number too large for a
-    float."""
-    rows = _rows(literal)
-    if rows is None:
-        return None
-    shape = (len(rows), rows[0].count(",") + 1)
-    entries = "".join(",".join(rows).split())
-    signs, nums, imag, signs2, nums2 = zip(*_PARTS_RE.findall(entries))
-    x = np.fromiter(map(float, nums), float, len(nums))
-    y = np.fromiter(map(float, filter(None, nums2)), float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return None
-    # `_signed_part` and `parse_complex`, over all entries at once:
-    #   real NUM          complex(s*x)               = (s*x, 0)
-    #   imaginary NUM i   s * complex(0.0, x)        = (s*0 - 0*x, s*x + 0*0)
-    #   NUM + NUM i       complex(s*x) + t * complex(0.0, y)
-    # where a float times a complex multiplies as complex(s, 0.0).
-    # The terms are kept as written so zeros keep the token path's signs.
-    s = np.where(np.array(signs) == "-", -1.0, 1.0)
-    is_imag = np.array(imag) == "i"
-    re_ = np.where(is_imag, s * 0.0 - 0.0 * x, s * x)
-    im = np.where(is_imag, s * x + 0.0 * 0.0, 0.0)
-    signs2 = np.array(signs2)
-    second = signs2 != ""
-    t = np.where(signs2[second] == "-", -1.0, 1.0)
-    re_[second] += t * 0.0 - 0.0 * y
-    im[second] += t * y + 0.0 * 0.0
-    m = np.empty(shape, dtype=complex)
-    m.real = re_.reshape(shape)
-    m.imag = im.reshape(shape)
-    return m
-
-
 def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Token], int, int]:
     """The tokens of `text`, which starts at (line, col), and the
     position just past its end."""
@@ -238,7 +177,7 @@ def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Toke
             plain_until = close.end() if close else len(text)
             literal = text[pos:plain_until]
             value = _real_value(literal) if close else None
-            if value is not None or (close and _MATRIX_RE.fullmatch(literal)):
+            if value is not None:
                 kind, lexeme = "span", literal
                 tokens.append(Span("[", "[", line, col, literal, value))
         if kind == "open":
@@ -257,8 +196,8 @@ def _lex(pattern: re.Pattern, text: str, line: int, col: int) -> tuple[list[Toke
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, ending in an 'eof' token. Each numeric matrix
-    literal is one `Span`; the rest are the tokens of the grammar."""
+    """The tokens of `text`, ending in an 'eof' token. Each matrix literal
+    of reals is one `Span`; the rest are the tokens of the grammar."""
     tokens, line, col = _lex(_SCAN_RE, text, 1, 1)
     tokens.append(Token("eof", "", line, col))
     return tokens
@@ -301,11 +240,10 @@ class TokenParser:
     # --- matrix literals ---
 
     def parse_matrix(self) -> np.ndarray:
-        if isinstance(self.cur, Span):
-            m = self.cur.matrix()
-            if m is not None:
-                self.pos += 1
-                return m
+        span = self.cur
+        if isinstance(span, Span):
+            self.pos += 1
+            return span.value
         tok = self.expect("[", "matrix")
         rows = [self.parse_row()]
         while self.cur.kind == ",":

@@ -158,6 +158,14 @@ def test_bb84_refuses_fewer_than_one_session(argv, capsys):
     assert err == f"error: need at least one session, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "0", "--targets", "0"),
+                                  ("--n", "-2")])
+def test_grover_refuses_fewer_than_one_qubit(argv, capsys):
+    code, out, err = cli(capsys, "experiment", "grover", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: Grover search needs at least one qubit, got {argv[1]}\n"
+
+
 def test_distribution_mode_refuses_csv(tmp_path, capsys):
     path = tmp_path / "coin.qw"
     path.write_text(program_source("coin"))

@@ -12,9 +12,11 @@ import qwhile.experiments.bb84
 from qwhile.core import ops
 from qwhile.core.types import Ket, MeasurementSet, SuperOperator
 from qwhile.engine.sampler import SamplerState, splitmix64
+from qwhile.errors import InvalidTarget
 from qwhile.experiments import (
     BB84Session, BB84Transcript, GroverSpec, bb84_channel_sweep, bb84_multi_client, bb84_run,
-    degradation_probe, grover_run, paper_channels, success_probability, sweep_csv,
+    degradation_probe, grover_run, grover_source, paper_channels, success_probability,
+    sweep_csv,
 )
 from qwhile.experiments.bb84 import outcome_table
 
@@ -243,3 +245,11 @@ def test_grover_success_rate_matches_the_analytic_value():
 def test_grover_degrades_after_a_wrong_index():
     after_correct, after_wrong = degradation_probe(GroverSpec(5, (3, 17)), 0)
     assert after_wrong < after_correct
+
+
+@pytest.mark.parametrize("build", [lambda: GroverSpec(0, (0,)),
+                                   lambda: grover_source(0, (0,)),
+                                   lambda: grover_source(-1, (0,))])
+def test_grover_refuses_fewer_than_one_qubit(build):
+    with pytest.raises(InvalidTarget, match=r"^Grover search needs at least one qubit, got -?\d+$"):
+        build()

@@ -23,7 +23,8 @@ from qwhile.lang import (
     parse, pretty_print, seq_of, validate_program,
 )
 from qwhile.lang.checker import ERRORS
-from qwhile.lang.parser import KEYWORDS, _TOKEN_RE, Span, Token, TokenParser, _lex, tokenize
+from qwhile.lang.parser import (
+    KEYWORDS, _TOKEN_RE, Span, Token, TokenParser, _lex, _real_value, tokenize)
 from qwhile.lang.syntax import GateDecl, MeasDecl, format_complex, format_matrix
 
 from genprog import random_program
@@ -528,7 +529,7 @@ class TestCheckedOnce:
         assert prog.checked and calls["validate_program"] == 1
 
 
-# --- matrix literals: one lexer span, converted and written in bulk -------------
+# --- matrix literals: reals as one lexer span, written in bulk -------------------
 
 def plain_tokens(text: str) -> list[Token]:
     """`text` lexed token by token, with no spans."""
@@ -603,7 +604,7 @@ def literals(draw) -> str:
     return "[" + draw(WS) + sep().join(rows) + draw(WS) + "]"
 
 
-# Text the span rule does not accept, or a span the token path must decide.
+# Text the span rule does not accept.
 BREAKS = [
     ("repeated sign", lambda t: t.replace("[[", "[[- -1, ", 1)),
     ("imaginary first", lambda t: t.replace("[[", "[[2i+1, ", 1)),
@@ -617,7 +618,7 @@ BREAKS = [
     ("name", lambda t: t.replace("[[", "[[x, ", 1)),
     ("overflow", lambda t: t.replace("[[", "[[1e999i, ", 1)),
     ("trailing i", lambda t: t.replace("[[", "[[1ii, ", 1)),
-    # text the bracket scan takes from '[[' to ']]' that the strict regex refused
+    # text the bracket scan takes from '[[' to ']]' that is no literal
     ("letter e", lambda t: t.replace("[[", "[[e, ", 1)),
     ("entry between rows", lambda t: t.replace("[[", "[[1],2,[", 1)),
     ("underscore", lambda t: t.replace("[[", "[[1_0, ", 1)),
@@ -656,18 +657,21 @@ def parsed_both_ways(literal: str) -> list[list]:
 
 
 class TestMatrixSpans:
-    """The lexer makes each numeric matrix literal one `Span`, which
-    `parse_matrix` converts in bulk; the token-by-token path stays the
-    reference for values, errors and positions."""
+    """The lexer makes each matrix literal that `_real_value` reads one
+    `Span`, which `parse_matrix` takes whole; every other literal, complex
+    entries included, is lexed in place. The token-by-token path stays
+    the reference for values, errors and positions."""
 
     @given(literals())
     def test_fast_path_equals_token_path(self, text):
         tokens = tokenize(text)
-        assert isinstance(tokens[0], Span) and len(tokens) == 2
+        if _real_value(text) is None:
+            assert tokens == plain_tokens(text)
+        else:
+            assert isinstance(tokens[0], Span) and len(tokens) == 2
+            assert tokens[0].value is not None
         fast, slow = outcome_both_ways(text)
         assert fast == slow
-        if np.isfinite(np.frombuffer(slow[2], dtype=complex).view(float)).all():
-            assert tokens[0].matrix() is not None  # the bulk conversion decided
 
     @given(literals(), st.sampled_from(BREAKS))
     def test_fallbacks_equal_token_path(self, text, brk):
@@ -705,7 +709,8 @@ class TestMatrixSpans:
     @given(literals(), literals())
     def test_positions_carry_across_spans(self, a, b):
         text = f"gate G = {a};\nmeasure M = {{{a},\n{b}}};\n  @"
-        assert sum(isinstance(t, Span) for t in tokenize(text[:-1])) == 3
+        reals = 2 * (_real_value(a) is not None) + (_real_value(b) is not None)
+        assert sum(isinstance(t, Span) for t in tokenize(text[:-1])) == reals
         plain = plain_tokens(text[:-1])
         assert expanded_tokens(text[:-1]) == plain
         with pytest.raises(ParseError) as err:
@@ -720,11 +725,11 @@ class TestMatrixSpans:
         ("-0.0-0.0i", -0.0, 0.0),
     ], ids=["-0.0+1i", "-2i", "0.0-0.0i", "1-0.0i", "-0.0-0.0i"])
     def test_signed_zeros_follow_the_token_path(self, entry, real, imag):
-        span = tokenize(f"[[{entry}]]")[0]
+        literal = f"[[{entry}]]"
+        assert tokenize(literal) == plain_tokens(literal)  # a complex literal is no span
         expected = np.empty((1, 1), dtype=complex)
         expected.real, expected.imag = real, imag
-        assert span.matrix().tobytes() == expected.tobytes()
-        assert outcome_both_ways(f"[[{entry}]]")[1][2] == expected.tobytes()
+        assert [way[2] for way in outcome_both_ways(literal)] == [expected.tobytes()] * 2
         # reading the entry as a Python complex literal gives other zeros
         assert np.array([[complex(entry.replace("i", "j"))]]).tobytes() != expected.tobytes()
 
@@ -738,6 +743,30 @@ class TestMatrixSpans:
             parse("q : qubit;\nH[[0, 1]];\n")
         assert (err.value.line, err.value.column, err.value.message) == (
             2, 3, "expected register name, found '['")
+
+    def test_a_large_complex_literal_round_trips_bit_for_bit(self, monkeypatch):
+        m = qft_matrix(5)
+        text = f"q : qubit[5];\ngate QFT = {format_matrix(m)};\nQFT[q];\n"
+        assert not any(isinstance(t, Span) for t in tokenize(text))
+        value = parse(text).gates[0].matrix
+        assert np.array_equal(value, m) and np.signbit(value.real[value.real == 0]).any()
+        reread = parse_fqasm(serialize(compile_program(parse(text)))).gates[0].matrix
+        monkeypatch.setattr(qwhile.lang.parser, "tokenize", plain_tokens)
+        plain = parse(text).gates[0].matrix
+        assert value.tobytes() == reread.tobytes() == plain.tobytes()
+
+
+def qft_matrix(n_qubits: int) -> np.ndarray:
+    """The n-qubit quantum Fourier transform: mixed entries, real and
+    imaginary-only ones, exact on the axes, and every zero part -0.0."""
+    n = 1 << n_qubits
+    k = np.outer(np.arange(n), np.arange(n)) % n
+    m = np.exp(2j * np.pi * k / n) / np.sqrt(n)
+    axis = k % (n // 4) == 0
+    m[axis] = np.array([1, 1j, -1, -1j])[k[axis] // (n // 4)] / np.sqrt(n)
+    m.real[m.real == 0] = -0.0
+    m.imag[m.imag == 0] = -0.0
+    return m
 
 
 FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-300, 1e300, 5e-324, 0.1, 2.0 / 3.0,
