@@ -1,34 +1,20 @@
-"""Complex linear algebra plus the quantum type layer and postulate primitives."""
+"""Dense complex linear algebra, the gate library, and the density-operator
+and channel types the engine and the experiments build on."""
 from .gates import CNOT, H, I2, S, SDG, SWAP, T, TDG, X, Z, GateLibrary, STANDARD_LIBRARY
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
     as_matrix,
-    basis_ket,
     check_dim,
     completeness_residual,
     dagger,
     embed,
-    kron,
     num_qubits,
-    partial_trace,
     require_unitary,
     unitary_residual,
 )
-from .ops import (
-    apply_superoperator,
-    apply_unitary,
-    inner_product,
-    measurement_probabilities,
-    normalize,
-    post_measurement_state,
-    tensor,
-    validate,
-)
 from .types import (
     DensityOperator,
-    Ket,
-    MeasurementSet,
     SuperOperator,
     ValidationReport,
     Violation,
@@ -38,12 +24,9 @@ __all__ = [
     "CNOT", "H", "I2", "S", "SDG", "SWAP", "T", "TDG", "X", "Z",
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
-    "as_matrix", "basis_ket", "check_dim",
-    "completeness_residual", "dagger", "embed", "kron",
-    "num_qubits", "partial_trace", "require_unitary", "unitary_residual",
-    "apply_superoperator", "apply_unitary", "inner_product",
-    "measurement_probabilities", "normalize", "post_measurement_state",
-    "tensor", "validate",
-    "DensityOperator", "Ket", "MeasurementSet", "SuperOperator",
+    "as_matrix", "check_dim",
+    "completeness_residual", "dagger", "embed",
+    "num_qubits", "require_unitary", "unitary_residual",
+    "DensityOperator", "SuperOperator",
     "ValidationReport", "Violation",
 ]

@@ -1,9 +1,11 @@
-"""Quantum value types: kets, density operators, ensembles, measurements, channels.
+"""Quantum value types: density operators and channels, the reports of
+their invariants, and the plus-minus projectors.
 
-Every type verifies its physical invariants on construction (trace 1,
-hermiticity, positivity, completeness, ...). Amplitude/matrix accessors
-return copies and are meant for debugging and verification only; program
-observables should be extracted through measurement operations.
+Each type verifies its physical invariants on construction (trace 1,
+hermiticity and positivity of a state, the Kraus bound of a channel).
+Matrix accessors return copies and are meant for debugging and
+verification only; programs observe a state through the engine's
+measurement sites.
 """
 from __future__ import annotations
 
@@ -11,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    DimMismatch,
-    IncompleteMeasurement,
-    InvalidState,
-    ZeroVector,
-)
+from ..errors import DimMismatch, InvalidState
 from . import linalg
-from .linalg import ATOL_PHYSICAL, basis_ket, check_dim, dagger
+from .linalg import ATOL_PHYSICAL, check_dim, dagger
 
 
 @dataclass(frozen=True)
@@ -43,51 +40,6 @@ class ValidationReport:
         if self.ok:
             return f"{self.subject}: ok"
         return f"{self.subject}: " + "; ".join(str(v) for v in self.violations)
-
-
-class Ket:
-    """Unit complex vector; the pure state of one or more registers.
-
-    Constructors normalize (|a|^2 sums to 1); a numerically zero input
-    raises ZeroVector. A 2-dimensional Ket is a single qubit.
-    """
-
-    __slots__ = ("_amps",)
-
-    def __init__(self, amplitudes):
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        check_dim(v.size)
-        n = float(np.linalg.norm(v))
-        if n < 1e-12:
-            raise ZeroVector("all amplitudes are (numerically) zero")
-        if abs(n - 1.0) > 1e-15:
-            v = v / n
-        object.__setattr__(self, "_amps", v)
-
-    @property
-    def dim(self) -> int:
-        return self._amps.size
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Debug-only view of the hidden state (copy)."""
-        return self._amps.copy()
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "Ket":
-        return cls(basis_ket(dim, index))
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self._amps, self._amps.conj()), validate=False)
-
-    def fidelity(self, other: "Ket") -> float:
-        """|<self|other>|; 1 iff equal up to global phase."""
-        if self.dim != other.dim:
-            raise DimMismatch(f"dims {self.dim} != {other.dim}")
-        return float(abs(np.vdot(self._amps, other._amps)))
-
-    def __repr__(self) -> str:
-        return f"Ket(dim={self.dim})"
 
 
 class DensityOperator:
@@ -192,66 +144,6 @@ PLUS_MINUS = tuple(np.outer(v, v.conj())
                    for v in np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2)
 for _p in PLUS_MINUS:
     _p.setflags(write=False)
-
-
-class MeasurementSet:
-    """Operators {M_i} with sum_i M_i†M_i = I; outcome labels are 0..m-1.
-    Completeness is decided once, when the set is built, over read-only
-    copies of the operators, so the verdict stays true of them."""
-
-    __slots__ = ("_ops", "_name", "_report")
-
-    def __init__(self, operators, *, name: str = "measurement", require_complete: bool = True):
-        ops = tuple(linalg.read_only(linalg.as_matrix(m)) for m in operators)
-        if not ops:
-            raise IncompleteMeasurement("measurement needs at least one operator")
-        d = ops[0].shape[0]
-        for m in ops:
-            if m.shape != (d, d):
-                raise DimMismatch("all measurement operators must be square with equal dim")
-        check_dim(d)
-        object.__setattr__(self, "_ops", ops)
-        object.__setattr__(self, "_name", name)
-        residual = linalg.completeness_residual(ops)
-        violations = ((Violation("IncompleteMeasurement", residual),)
-                      if residual > ATOL_PHYSICAL else ())
-        report = ValidationReport(f"MeasurementSet({name})", violations)
-        object.__setattr__(self, "_report", report)
-        if require_complete and not report.ok:
-            raise IncompleteMeasurement(str(report))
-
-    @property
-    def dim(self) -> int:
-        return self._ops[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self._ops)
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(m.copy() for m in self._ops)
-
-    def validate(self) -> ValidationReport:
-        return self._report
-
-    @classmethod
-    def computational(cls, dim: int = 2) -> "MeasurementSet":
-        """Projective measurement {|i><i|} in the computational basis."""
-        ops = [np.diag((np.arange(dim) == i).astype(complex)) for i in range(dim)]
-        return cls(ops, name=f"computational(dim={dim})")
-
-    @classmethod
-    def plus_minus(cls) -> "MeasurementSet":
-        """Projective measurement onto |+> and |-> (outcome 0 is |+>)."""
-        return cls(PLUS_MINUS, name="plus_minus")
-
-    def __repr__(self) -> str:
-        return f"MeasurementSet({self._name}, dim={self.dim}, outcomes={self.n_outcomes})"
 
 
 class SuperOperator:

@@ -160,7 +160,8 @@ import numpy as np
 from ..core.gates import STANDARD_LIBRARY
 from ..core.linalg import as_matrix, nonzero_lines
 from ..core.types import PLUS_MINUS, DensityOperator
-from ..errors import DimMismatch, InvalidLimit, QwhileError, StepLimitExceeded
+from ..errors import (DimMismatch, IncompleteMeasurement, InvalidLimit, QwhileError,
+                      StepLimitExceeded)
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, Outcomes, SamplerState
@@ -343,7 +344,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
-        raise QwhileError(f"measurement probabilities sum to {total}")
+        raise IncompleteMeasurement(f"measurement probabilities sum to {total}")
     return p / total
 
 

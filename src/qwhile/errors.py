@@ -24,20 +24,12 @@ class NotUnitary(QwhileError):
     """A matrix expected to be unitary is not (within tolerance)."""
 
 
-class ZeroVector(QwhileError):
-    """Attempted to normalize a (numerically) zero vector."""
-
-
 class InvalidState(QwhileError):
     """A density operator violates trace/hermiticity/positivity."""
 
 
 class IncompleteMeasurement(QwhileError):
     """Measurement operators do not satisfy the completeness condition."""
-
-
-class ZeroProbabilityOutcome(QwhileError):
-    """Post-measurement state requested for an outcome of probability 0."""
 
 
 class CapacityExceeded(QwhileError):

@@ -11,13 +11,19 @@ iff every revealed bit matches (the noisy-channel check).
 
 A qubit is one of 4 prepared kets measured in one of 2 bases, so a
 channel gives Bob just 8 outcome distributions. `outcome_table` computes
-them once per channel value, through the same `core.ops` calls a single
-qubit would make (so every probability is the same float), as prepared
+them once per channel value with the engine's own kernels: the channel's
+output on ket a is the factor V = [E_0 a | E_1 a | ...] (rho = V V†, the
+form the engine holds states in, so no dense rho is built), and Bob's
+probabilities are `probabilities(V)` of the measurement site the engine
+builds for his basis on one qubit. Each probability is within 2^-53 of
+the dense formula tr(M_b rho) with rho = sum_i E_i a a† E_i† (the same
+sums, rounded in another order). The 8 vectors are prepared as
 `Outcomes`; each qubit then costs one lookup and at most one draw, and
 transcripts are those of simulating every qubit on its own. Tables are
 cached by the bytes of the channel's Kraus operators, never by object
 identity. A channel that loses trace on any of the 4 kets is refused
-when its table is built, whichever kets a session sends.
+with IncompleteMeasurement when its table is built, whichever kets a
+session sends.
 
 Channels ship with the exact Kraus families used in the sweep:
 bit flip for p in {0.25, 0.5, 0.75} ({sqrt(p) I, sqrt(1-p) X}; larger p
@@ -34,10 +40,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..core import ops
-from ..core.types import Ket, MeasurementSet, SuperOperator
+from ..core.types import PLUS_MINUS, SuperOperator
+from ..engine.runtime import site_kernel
 from ..engine.sampler import Outcomes, SamplerState, splitmix64
-from ..errors import QwhileError
+from ..errors import DimMismatch, QwhileError
 
 _SQ2 = np.sqrt(2.0)
 _KETS = {
@@ -113,27 +119,29 @@ def _random_bits(rng: SamplerState, n: int) -> list[int]:
     return [1 if rng.draw() >= 0.5 else 0 for _ in range(n)]
 
 
-_BASES = {0: MeasurementSet.computational(2), 1: MeasurementSet.plus_minus()}
+# Bob's measurement in each basis, as the engine's site on one qubit
+_SITES = {0: site_kernel([np.diag(row) for row in np.eye(2)], (0,), 1),
+          1: site_kernel(PLUS_MINUS, (0,), 1)}
 
 
 def outcome_table(channel: SuperOperator) -> Mapping[tuple[int, int, int], Outcomes]:
     """Bob's outcome distribution for each (Alice's basis, bit, Bob's
     basis) after `channel`, cached by the channel's Kraus operators and
     shared read-only."""
+    if channel.dim != 2:
+        raise DimMismatch(f"channel dim {channel.dim} != state dim 2")
     return _outcome_table(tuple((e.dtype.str, e.shape, e.tobytes()) for e in channel.kraus))
 
 
 @lru_cache(maxsize=32)
 def _outcome_table(kraus: tuple[tuple[str, tuple[int, ...], bytes], ...]
                    ) -> Mapping[tuple[int, int, int], Outcomes]:
-    channel = SuperOperator([np.frombuffer(data, dtype=dtype).reshape(shape)
-                             for dtype, shape, data in kraus])
+    operators = [np.frombuffer(data, dtype=dtype).reshape(shape) for dtype, shape, data in kraus]
     table = {}
     for (basis, bit), amplitudes in _KETS.items():
-        received = ops.apply_superoperator(Ket(amplitudes).to_density(), channel)
-        for bob_basis, measurement in _BASES.items():
-            p = ops.measurement_probabilities(received, measurement)
-            table[basis, bit, bob_basis] = Outcomes(p)
+        received = np.column_stack([e @ amplitudes for e in operators])  # rho = V V†
+        for bob_basis, site in _SITES.items():
+            table[basis, bit, bob_basis] = Outcomes(site.probabilities(received))
     return MappingProxyType(table)
 
 

@@ -17,9 +17,8 @@ import qwhile.cli
 import qwhile.engine.runtime
 import qwhile.fqasm.vm
 from qwhile.core.gates import STANDARD_LIBRARY
-from qwhile.core.linalg import ATOL_ALGEBRA, embed
-from qwhile.core.ops import measurement_probabilities, post_measurement_state
-from qwhile.core.types import DensityOperator, Ket, MeasurementSet
+from qwhile.core.linalg import embed
+from qwhile.core.types import PLUS_MINUS, DensityOperator
 from qwhile.engine import (
     DistributionResult,
     SamplerState,
@@ -245,21 +244,21 @@ class TestStep:
 
     def test_init_resets_one(self):
         p = parse("q : qubit; q := |0>;")
-        c = initial_configuration(prepare(p), state=Ket([0, 1]).to_density())
+        c = initial_configuration(prepare(p), state=DensityOperator(np.diag([0, 1])))
         [c2] = step(c)
         np.testing.assert_allclose(c2.state.matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_init_formula_on_superposition(self):
         # rho0 = |0><0| rho |0><0| + |0><1| rho |1><0| applied to |+><+|
         p = parse("q : qubit; q := |0>;")
-        c = initial_configuration(prepare(p), state=Ket([1, 1]).to_density())
+        c = initial_configuration(prepare(p), state=DensityOperator(np.full((2, 2), 0.5)))
         [c2] = step(c)
         np.testing.assert_allclose(c2.state.matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_loop_first_step_distribution(self):
         # guard on |1><1|: p1 = tr(M1'M1 rho) = 1, single successor, weight 1
         p = parse("q : qubit; measure M = computational; while M[q] = 1 do X[q]; od;")
-        c = initial_configuration(prepare(p), state=Ket([0, 1]).to_density())
+        c = initial_configuration(prepare(p), state=DensityOperator(np.diag([0, 1])))
         succ = step(c)
         assert len(succ) == 1
         s = succ[0]
@@ -293,7 +292,7 @@ class TestRunShot:
         # guard M computational, body X, input |1><1|: exactly one circle, ends |0><0|
         p = parse("q : qubit; measure M = computational; while M[q] = 1 do X[q]; od;")
         plan = prepare(p)
-        rec = run_shot(plan, seed=3, state=Ket([0, 1]).to_density())
+        rec = run_shot(plan, seed=3, state=DensityOperator(np.diag([0, 1])))
         site = plan.loop_sites()[0]
         assert rec.loop_counts[site] == 1
         np.testing.assert_allclose(rec.final_state.matrix, np.diag([1, 0]), atol=1e-9)
@@ -787,6 +786,8 @@ class TestNodeBudget:
 
 # --- kernels against dense references -------------------------------------------
 
+ATOL_ALGEBRA = 1e-12  # pure algebra: a kernel against its dense reference
+
 
 def random_factor(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     """A random 2^n x r factor V of a density operator V V† (trace 1)."""
@@ -830,16 +831,16 @@ def target_sets(rng: np.random.Generator, n: int) -> list[tuple[int, ...]]:
     return sets
 
 
+def computational(dim: int) -> list[np.ndarray]:
+    """The projectors |i><i| of the computational basis."""
+    return [np.diag(row) for row in np.eye(dim)]
+
+
 def dense_measurement(operators, positions: tuple[int, ...], n: int, rho: np.ndarray):
-    """(probabilities, post-measurement states) of the operators embedded
-    at positions: from core.ops up to 7 qubits, and above from the same
-    formulas written out, because core.ops checks the completeness of a
-    2^n x 2^n set by SVD on every call."""
+    """(probabilities, post-measurement states) of the operators M_i
+    embedded at positions as F_i: p_i = tr(F_i† F_i rho) and
+    F_i rho F_i† / p_i."""
     full = [embed(op, positions, n) for op in operators]
-    if n <= 7:
-        state, m = DensityOperator(rho, validate=False), MeasurementSet(full)
-        return (measurement_probabilities(state, m),
-                [post_measurement_state(state, m, i).matrix for i in range(len(full))])
     p = np.array([np.trace(f.conj().T @ f @ rho).real for f in full])
     return p, [f @ rho @ f.conj().T / pi for f, pi in zip(full, p)]
 
@@ -911,10 +912,8 @@ class TestKernels:
                                   f"if C[{', '.join(regs)}] = 0 -> skip; fi; "
                                   + "".join(f"if {m}[{regs[0]}] = 0 -> skip; fi; " for m in "PWB"))
         half = np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])
-        cases = [(kernels.sites["C", regs], MeasurementSet.computational(1 << k).operators,
-                  positions, _DiagonalSite),
-                 (kernels.sites["P", regs[:1]], MeasurementSet.plus_minus().operators,
-                  positions[:1], _GeneralSite),
+        cases = [(kernels.sites["C", regs], computational(1 << k), positions, _DiagonalSite),
+                 (kernels.sites["P", regs[:1]], PLUS_MINUS, positions[:1], _GeneralSite),
                  (kernels.sites["W", regs[:1]], weak, positions[:1], _DiagonalSite),
                  (kernels.sites["B", regs[:1]], split, positions[:1], _DiagonalSite)]
         if k == 2:
@@ -1028,8 +1027,8 @@ def dense_distribution(program, mass_threshold: float) -> DistributionResult:
     def operators(meas: str, k: int):
         decl = program.meas_decl(meas)
         if decl.builtin == "computational":
-            return MeasurementSet.computational(1 << k).operators
-        return MeasurementSet.plus_minus().operators if decl.builtin else decl.operators
+            return computational(1 << k)
+        return PLUS_MINUS if decl.builtin else decl.operators
 
     def run(todo: list, rho: np.ndarray, weight: float) -> None:
         while todo:

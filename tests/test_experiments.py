@@ -9,10 +9,9 @@ import pytest
 
 import qwhile.cli
 import qwhile.experiments.bb84
-from qwhile.core import ops
-from qwhile.core.types import Ket, MeasurementSet, SuperOperator
-from qwhile.engine.sampler import SamplerState, splitmix64
-from qwhile.errors import InvalidTarget
+from qwhile.core.types import PLUS_MINUS, SuperOperator
+from qwhile.engine.sampler import Outcomes, SamplerState, splitmix64
+from qwhile.errors import DimMismatch, IncompleteMeasurement, InvalidTarget
 from qwhile.experiments import (
     BB84Session, BB84Transcript, GroverSpec, bb84_channel_sweep, bb84_multi_client, bb84_run,
     degradation_probe, grover_run, grover_source, paper_channels, success_probability,
@@ -102,7 +101,17 @@ _REFERENCE_KETS = {
     (1, 0): np.array([1, 1], dtype=complex) / np.sqrt(2.0),
     (1, 1): np.array([1, -1], dtype=complex) / np.sqrt(2.0),
 }
-_REFERENCE_BASES = {0: MeasurementSet.computational(2), 1: MeasurementSet.plus_minus()}
+_REFERENCE_BASES = {0: (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 1: PLUS_MINUS}
+
+
+def reference_probabilities(amplitudes: np.ndarray, kraus, bob_basis: int) -> np.ndarray:
+    """Bob's probabilities written out densely: p_b = tr(M_b† M_b rho)
+    with rho = sum_i E_i a a† E_i†, clipped at 0 and divided by their sum."""
+    a = np.outer(amplitudes, amplitudes.conj())
+    rho = sum(e @ a @ e.conj().T for e in kraus)
+    p = np.clip([np.einsum("ij,ji->", m.conj().T @ m, rho).real
+                 for m in _REFERENCE_BASES[bob_basis]], 0.0, None)
+    return p / p.sum()
 
 
 def reference_bb84_run(session: BB84Session) -> BB84Transcript:
@@ -122,9 +131,8 @@ def reference_bb84_run(session: BB84Session) -> BB84Transcript:
 
     bob_results = []
     for i in range(n):
-        ket = Ket(_REFERENCE_KETS[(alice_bases[i], raw_key[i])])
-        received = ops.apply_superoperator(ket.to_density(), session.channel)
-        p = ops.measurement_probabilities(received, _REFERENCE_BASES[bob_bases[i]])
+        p = reference_probabilities(_REFERENCE_KETS[(alice_bases[i], raw_key[i])],
+                                    session.channel.kraus, bob_bases[i])
         bob_results.append(reference_sample_outcome(p, quantum))
 
     agreement = [1 if alice_bases[i] == bob_bases[i] else 0 for i in range(n)]
@@ -199,6 +207,31 @@ def test_a_channel_keeps_its_kraus_operators_when_the_caller_writes_to_them():
     assert all(e.flags.writeable for e in copies)
     copies[0][:] = 0.0
     np.testing.assert_array_equal(channel.kraus[0], np.sqrt(0.5) * np.eye(2))
+
+
+@pytest.mark.parametrize("name", sorted(SIFTED_ERROR_RATE))
+def test_tables_are_the_dense_formula_within_rounding(name):
+    # the kernels sum the same products in another order: every prepared
+    # table keeps the reference's certain and kept outcomes, and its bounds
+    # lie within 2**-53 (one ulp of a probability in [1/2, 1])
+    channel = paper_channels()[name]
+    table = outcome_table(channel)
+    assert len(table) == 8
+    for (basis, bit, bob_basis), got in table.items():
+        want = Outcomes(reference_probabilities(_REFERENCE_KETS[basis, bit], channel.kraus,
+                                                bob_basis))
+        assert (got.certain, got.kept) == (want.certain, want.kept)
+        assert np.abs(np.subtract(got.bounds, want.bounds)).max(initial=0.0) <= 2.0**-53
+
+
+@pytest.mark.parametrize("channel, error, message", [
+    # on |0>, E = I/2 leaves probabilities that sum to 1/4
+    (SuperOperator([0.5 * np.eye(2)]), IncompleteMeasurement, r"sum to 0\.25\b"),
+    (SuperOperator.identity(4), DimMismatch, r"^channel dim 4 != state dim 2$"),
+], ids=["loses_trace", "two_qubits"])
+def test_a_channel_that_cannot_carry_a_qubit_is_refused(channel, error, message):
+    with pytest.raises(error, match=message):
+        bb84_run(BB84Session(8, channel))
 
 
 def test_every_session_over_the_identity_channel_agrees():

@@ -1,5 +1,6 @@
 """Parser, validator, and pretty-printer round trips."""
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,20 @@ class TestValidate:
             parse("q : qubit;\ngate G = [[1e999, 0], [0, 1]];\nG[q];\n")
         assert (err.value.line, err.value.column, err.value.message) == (
             2, 6, "NotUnitary at gate G: gate 'G' is not unitary (residual inf)")
+
+    @pytest.mark.parametrize("literal, error", [
+        ("[[1e300+1e300i, 0], [0, 1]]", ERRORS["NotUnitary"]),
+        ("[[6e304+9i, 4, 0], [6, 9e302, 0.25i], [-0.3-50i, 0i, -67]]", QwhileError),
+        ("[[1e200, 0], [0, 1]]", ERRORS["NotUnitary"]),
+    ])
+    def test_finite_literal_whose_products_overflow_is_refused(self, literal, error):
+        # finite entries, but M†M overflows: a typed error at the declaration,
+        # never a pass (residual 0), a numpy LinAlgError or a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                parse(f"q : qubit;\ngate G = {literal};\nG[q];\n")
+        assert (err.value.line, err.value.column) == (2, 6)
 
     def test_incomplete_measurement(self):
         p = SourceProgram((("q", 1),), (),
