@@ -158,7 +158,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import STANDARD_LIBRARY
-from ..core.linalg import as_matrix, nonzero_lines
+from ..core.linalg import as_matrix, nonzero_lines, read_only
 from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import (DimMismatch, IncompleteMeasurement, InvalidLimit, QwhileError,
                       StepLimitExceeded)
@@ -265,7 +265,8 @@ def operator_kernel(op, positions: tuple[int, ...], n: int) -> _Diagonal | _Mono
 
 
 def _fitted(op, positions: tuple[int, ...], n: int) -> np.ndarray:
-    op = as_matrix(op)
+    """A read-only copy of `op`, so a kernel never shares a caller's array."""
+    op = read_only(as_matrix(op))
     k = len(positions)
     if op.shape != (1 << k, 1 << k):
         raise DimMismatch(f"operator shape {op.shape} does not fit {k} qubit(s)")
