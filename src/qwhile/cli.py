@@ -21,6 +21,19 @@ accepts exactly the options it reads (defaults in brackets):
 `--channel` is one of `experiments.paper_channels()`. `bb84` is one cell
 of `bb84-sweep`, so its session seeds are those of the sweep's first
 cell.
+
+Each command loads only the layers it runs: `run` loads `lang` and
+`engine`, `compile` those and `fqasm`, `synthesize` `core` and `synth`,
+and `experiment <name>` the `experiments` package with what that
+experiment imports (Qloop is loaded with the package; BB84 and Grover on
+first use). Importing this module loads `core` and no other layer. The
+functions of the other layers that the commands call (`parse`,
+`prepare`, `run_distribution`, `run_shots`, `match_distributions`,
+`compile_program`, `serialize`, `parse_fqasm`, `vm_distribution`,
+`synthesize`, `reconstruct` and `phase_dist`) are still attributes of
+this module, and the handlers look them up here at each call, so that a
+profiler can wrap them here. Until its first call each one is a stand-in
+that imports its layer (`lazy.on_first_call`).
 """
 from __future__ import annotations
 
@@ -32,14 +45,23 @@ from pathlib import Path
 
 import numpy as np
 
+from .core.linalg import DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT
 from .core.types import DensityOperator
 from .errors import QwhileError
-from .lang import parse
-from .engine import match_distributions, prepare, run_distribution, run_shots
-from .engine.runtime import DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT
-from .fqasm import compile_program, parse_fqasm, serialize, vm_distribution
-from .synth import phase_dist, reconstruct, synthesize
-from . import experiments
+from .lazy import on_first_call
+
+parse = on_first_call(globals(), "qwhile.lang", "parse")
+prepare = on_first_call(globals(), "qwhile.engine", "prepare")
+run_distribution = on_first_call(globals(), "qwhile.engine", "run_distribution")
+run_shots = on_first_call(globals(), "qwhile.engine", "run_shots")
+match_distributions = on_first_call(globals(), "qwhile.engine", "match_distributions")
+compile_program = on_first_call(globals(), "qwhile.fqasm", "compile_program")
+serialize = on_first_call(globals(), "qwhile.fqasm", "serialize")
+parse_fqasm = on_first_call(globals(), "qwhile.fqasm", "parse_fqasm")
+vm_distribution = on_first_call(globals(), "qwhile.fqasm", "vm_distribution")
+synthesize = on_first_call(globals(), "qwhile.synth", "synthesize")
+reconstruct = on_first_call(globals(), "qwhile.synth", "reconstruct")
+phase_dist = on_first_call(globals(), "qwhile.synth", "phase_dist")
 
 
 def _fail(message: str) -> int:
@@ -237,12 +259,16 @@ def cmd_synthesize(args) -> int:
 
 
 def exp_qloop(args) -> int:
+    from . import experiments
+
     result = experiments.qloop_run(args.shots, args.seed)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def exp_bb84(args) -> int:
+    from . import experiments
+
     channels = experiments.paper_channels()
     if args.channel not in channels:
         raise QwhileError(f"unknown channel {args.channel!r}; "
@@ -258,6 +284,8 @@ def exp_bb84(args) -> int:
 
 
 def exp_bb84_multi(args) -> int:
+    from . import experiments
+
     transcripts = experiments.bb84_multi_client(args.clients, args.n, args.seed)
     print(json.dumps({
         "clients": args.clients, "n": args.n, "seed": args.seed,
@@ -268,12 +296,16 @@ def exp_bb84_multi(args) -> int:
 
 
 def exp_bb84_sweep(args) -> int:
+    from . import experiments
+
     cells = experiments.bb84_channel_sweep(sessions=args.sessions, seed=args.seed)
     _write_or_print(experiments.sweep_csv(cells), args.out)
     return 0
 
 
 def exp_grover(args) -> int:
+    from . import experiments
+
     spec = experiments.GroverSpec(args.n, tuple(args.targets))
     result = experiments.grover_run(spec, args.mode, seed=args.seed)
     print(json.dumps({

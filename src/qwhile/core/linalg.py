@@ -18,6 +18,11 @@ from ..errors import CapacityExceeded, DimMismatch, NotUnitary
 MAX_QUBITS = 12
 MAX_DIM = 1 << MAX_QUBITS
 
+# Step limits of a run, here rather than in the engine so that the CLI's
+# help text reads them without loading the engine.
+DEFAULT_STEP_LIMIT = 10**6                 # per shot in sampled mode
+DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000   # per run in distribution mode
+
 ATOL_UNITARY = 1e-10   # unitarity residuals
 ATOL_PHYSICAL = 1e-9   # trace / norm / completeness residuals
 

@@ -158,7 +158,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import STANDARD_LIBRARY
-from ..core.linalg import as_matrix, nonzero_lines, read_only
+from ..core.linalg import (DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT, as_matrix,
+                           nonzero_lines, read_only)
 from ..core.types import PLUS_MINUS, DensityOperator
 from ..errors import (DimMismatch, IncompleteMeasurement, InvalidLimit, QwhileError,
                       StepLimitExceeded)
@@ -166,9 +167,7 @@ from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, Outcomes, SamplerState
 
-DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_MASS_THRESHOLD = 1e-6
-DEFAULT_DISTRIBUTION_STEP_LIMIT = 10_000
 BRANCH_BUDGET = 10
 MEMO_BYTES = 32 * 2**20     # per plan, for the sampled-mode memo
 MEMO_ENTRY_BYTES = 512      # counted per stored transition besides its arrays

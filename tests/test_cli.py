@@ -1,6 +1,7 @@
 """The command line: byte-identical output for a fixed seed, errors with a
 position, stable distribution output, input checks, and the options each
 experiment accepts."""
+import importlib.util
 import json
 import math
 import os
@@ -228,7 +229,9 @@ def files(tmp_path):
     qloop.write_text(program_source("qloop"))
     matrix = tmp_path / "u.json"
     matrix.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in _haar_1q(3)]))
-    return {"qw": str(qloop), "matrix": str(matrix), "fqasm": str(tmp_path / "qloop.fqasm")}
+    return {"qw": str(qloop), "matrix": str(matrix), "fqasm": str(tmp_path / "qloop.fqasm"),
+            "dist": str(tmp_path / "qloop.txt"), "gates": str(tmp_path / "u.txt"),
+            "csv": str(tmp_path / "sweep.csv")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,38 +403,123 @@ def test_an_unknown_channel_is_refused_with_the_channel_names(capsys):
                    "bit_flip_p05, bit_flip_p075, depolarizing_p05, amplitude_damping_g05\n")
 
 
-# --- cold start: only synthesis loads scipy ---------------------------------------
+# --- cold start: each command loads only the layers it runs ----------------------
 
 # In a fresh interpreter: import the CLI, run one command (none without
-# arguments), then print its exit code and the scipy modules loaded.
+# arguments), then print its exit code and the scipy and qwhile modules
+# loaded.
 COLD_START = ("import json, sys\n"
               "import qwhile.cli\n"
               "code = qwhile.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
               "print(json.dumps([code, sorted(m for m in sys.modules "
-              "if m.split('.')[0] == 'scipy')]))\n")
+              "if m.split('.')[0] in ('scipy', 'qwhile'))]))\n")
+
+
+def _fresh_interpreter(script: str, *argv: str):
+    """What the last line of the script's output decodes to as JSON, the
+    script run by a fresh interpreter with the given arguments."""
+    src = str(Path(qwhile.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def cold_start(*argv: str) -> tuple[int, list[str]]:
     """The exit code of one CLI command run in a fresh interpreter, and
-    the scipy modules it loaded."""
-    src = str(Path(qwhile.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, modules
+    the scipy and qwhile modules it loaded."""
+    return tuple(_fresh_interpreter(COLD_START, *argv))
 
 
-@pytest.mark.parametrize("argv", [
-    (),
-    ("run", "{qw}", "--shots", "20"),
-    ("compile", "{qw}", "--check", "--out", "{fqasm}"),
-    ("experiment", "qloop", "--shots", "200"),
-], ids=["import", "run", "compile-check", "experiment-qloop"])
-def test_commands_that_do_not_synthesize_never_load_scipy(argv, files):
-    assert cold_start(*[arg.format(**files) for arg in argv]) == (0, [])
+def _under(module: str, packages) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+# the layers a command does not run, and scipy unless it synthesizes
+@pytest.mark.parametrize("argv, unloaded", [
+    ((), ("scipy", "qwhile.lang", "qwhile.engine", "qwhile.fqasm", "qwhile.synth",
+          "qwhile.experiments")),
+    (("run", "{qw}", "--shots", "20"),
+     ("scipy", "qwhile.fqasm", "qwhile.synth", "qwhile.experiments")),
+    (("compile", "{qw}", "--check", "--out", "{fqasm}"),
+     ("scipy", "qwhile.synth", "qwhile.experiments")),
+    (("experiment", "qloop", "--shots", "200"),
+     ("scipy", "qwhile.fqasm", "qwhile.synth", "qwhile.experiments.bb84",
+      "qwhile.experiments.grover")),
+    (("experiment", "bb84-sweep", "--sessions", "1", "--out", "{csv}"),
+     ("scipy", "qwhile.fqasm", "qwhile.synth", "qwhile.experiments.grover")),
+    (("synthesize", "{matrix}", "--epsilon", "1e-1", "--out", "{gates}"),
+     ("qwhile.lang", "qwhile.engine", "qwhile.fqasm", "qwhile.experiments")),
+], ids=["import", "run", "compile-check", "experiment-qloop", "experiment-bb84-sweep",
+        "synthesize"])
+def test_each_command_loads_only_the_layers_it_runs(argv, unloaded, files):
+    code, modules = cold_start(*[arg.format(**files) for arg in argv])
+    assert code == 0
+    assert [m for m in modules if _under(m, unloaded)] == []
+
+
+# In a fresh interpreter: wrap each named attribute (module.attribute)
+# with a counter, as perfbench/tracing.py does, run one command twice,
+# then print the exit codes and how often each wrapper was called.
+COUNTED_RUNS = ("import importlib, json, sys\n"
+                "import qwhile.cli\n"
+                "names, argv = json.loads(sys.argv[1]), sys.argv[2:]\n"
+                "calls = dict.fromkeys(names, 0)\n"
+                "def counting(name, fn):\n"
+                "    def wrapper(*args, **kwargs):\n"
+                "        calls[name] += 1\n"
+                "        return fn(*args, **kwargs)\n"
+                "    return wrapper\n"
+                "for name in names:\n"
+                "    module, attr = name.rsplit('.', 1)\n"
+                "    owner = importlib.import_module(module)\n"
+                "    setattr(owner, attr, counting(name, owner.__dict__[attr]))\n"
+                "codes = [qwhile.cli.main(argv) for _ in range(2)]\n"
+                "print(json.dumps([codes, calls]))\n")
+
+# command -> the entry names it calls, once each
+ENTRY_CALLS = {
+    ("run", "{qw}", "--shots", "20"): ("qwhile.cli.parse", "qwhile.cli.prepare",
+                                       "qwhile.cli.run_shots"),
+    ("run", "{qw}", "--mode", "distribution", "--out", "{dist}"): (
+        "qwhile.cli.parse", "qwhile.cli.prepare", "qwhile.cli.run_distribution"),
+    ("compile", "{qw}", "--check", "--out", "{fqasm}"): (
+        "qwhile.cli.parse", "qwhile.cli.compile_program", "qwhile.cli.serialize",
+        "qwhile.cli.run_distribution", "qwhile.cli.parse_fqasm",
+        "qwhile.cli.vm_distribution", "qwhile.cli.match_distributions"),
+    ("synthesize", "{matrix}", "--epsilon", "1e-1", "--out", "{gates}"): (
+        "qwhile.cli.synthesize", "qwhile.cli.reconstruct", "qwhile.cli.phase_dist"),
+    ("experiment", "qloop", "--shots", "200"): ("qwhile.experiments.qloop_run",),
+    ("experiment", "bb84-sweep", "--sessions", "1", "--out", "{csv}"): (
+        "qwhile.experiments.bb84_channel_sweep",),
+    ("experiment", "bb84", "--n", "64", "--sessions", "2"): (
+        "qwhile.experiments.bb84_channel_sweep",),
+}
+
+
+@pytest.mark.parametrize("argv", list(ENTRY_CALLS), ids=" ".join)
+def test_each_entry_a_command_calls_is_looked_up_where_the_benchmark_wraps_it(argv, files):
+    # from the first call on, even while a layer is still to be loaded: a
+    # handler that imported its function itself, or a stand-in that
+    # replaced the wrapper, would zero the benchmark's metric of that call
+    names = ENTRY_CALLS[argv]
+    codes, calls = _fresh_interpreter(COUNTED_RUNS, json.dumps(names),
+                                      *[arg.format(**files) for arg in argv])
+    assert codes == [0, 0]
+    assert calls == dict.fromkeys(names, 2)
+
+
+def test_the_entry_cases_cover_every_trace_target_of_the_cli_and_experiments():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = {f"{module}.{attr}" for module, attr, _, _ in tracing.TARGETS
+               if module in ("qwhile.cli", "qwhile.experiments")
+               and tracing._lookup(module, attr) is not None}
+    assert targets == {name for names in ENTRY_CALLS.values() for name in names}
 
 
 def test_synthesize_qsd_loads_scipy_on_first_use(tmp_path):

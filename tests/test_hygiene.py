@@ -91,38 +91,170 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             if not (name.startswith("__") and name.endswith("__"))]
 
 
-def references(tree: ast.AST) -> Counter:
-    """How often each name is read, as a name or an attribute, or spelled
-    as a whole (dotted) string such as an `__all__` entry or a
-    `getattr` key."""
-    used = Counter()
+def module_name(path: str) -> str:
+    """'qwhile/core/linalg.py' -> 'qwhile.core.linalg'; a package's
+    '__init__.py' names the package."""
+    parts = Path(path).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _stand_in(node: ast.AST) -> str | None:
+    """The dotted name that an assigned `on_first_call(namespace, module,
+    name)` stands for (see qwhile.lazy), else None."""
+    if (isinstance(node, ast.Call) and len(node.args) == 3
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "on_first_call"
+            and all(isinstance(arg, ast.Constant) for arg in node.args[1:])):
+        return f"{node.args[1].value}.{node.args[2].value}"
+    return None
+
+
+def _bindings(tree: ast.AST, module: str | None, is_package: bool) -> dict[str, set[str]]:
+    """Each name that an import anywhere in tree binds -> the dotted names
+    it is bound to. A relative import counts from `module`, and a name
+    assigned a stand-in is bound to the function it stands for."""
+    bound: dict[str, set[str]] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used[node.id] += 1
-        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            used[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            parts = node.value.split(".")
+        if isinstance(node, ast.Assign) and _stand_in(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, set()).add(_stand_in(node.value))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                bound.setdefault(alias.asname or target, set()).add(target)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = node.module or ""
+            if node.level:
+                parts = (module or "").split(".")
+                parts = parts[:len(parts) - node.level + is_package]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, set()).add(f"{base}.{alias.name}")
+    return bound
+
+
+class Index:
+    """The modules of a package by dotted name, with what each defines at
+    module level and what its imports bind, so that a read resolves to
+    the definitions it reaches."""
+
+    def __init__(self, sources: dict[str, str]):
+        self.trees = {path: ast.parse(text) for path, text in sources.items()}
+        self.defined: dict[str, set[str]] = {}
+        self.bound: dict[str, dict[str, set[str]]] = {}
+        self.packages = set()
+        for path, tree in self.trees.items():
+            module, is_package = module_name(path), Path(path).name == "__init__.py"
+            if is_package:
+                self.packages.add(module)
+            self.defined[module] = {name for name, node in definitions(tree) if node in tree.body}
+            self.bound[module] = _bindings(tree, module, is_package)
+
+    def reached(self, dotted: str, seen: frozenset = frozenset()) -> set[str]:
+        """The module-level definitions, as `module.name`, that a dotted
+        name stands for: its own definition and what its binding reaches
+        or, when a package neither defines nor binds the name, that name
+        in the package's modules (which the package loads on first use).
+        A module, or a name outside the package, reaches none."""
+        module, _, name = dotted.rpartition(".")
+        if dotted in self.defined or module not in self.defined or dotted in seen:
+            return set()
+        found = {dotted} if name in self.defined[module] else set()
+        for target in self.bound[module].get(name, ()):
+            found |= self.reached(target, seen | {dotted})
+        if not found and module in self.packages:
+            found = {f"{m}.{name}" for m in self.defined
+                     if m.startswith(module + ".") and name in self.defined[m]}
+        return found
+
+    def modules_of(self, node: ast.AST, bound: dict[str, set[str]]) -> set[str]:
+        """The modules of the package that an expression names."""
+        if isinstance(node, ast.Name):
+            return {target for target in bound.get(node.id, ()) if target in self.defined}
+        if isinstance(node, ast.Attribute):
+            return {f"{m}.{node.attr}" for m in self.modules_of(node.value, bound)
+                    if f"{m}.{node.attr}" in self.defined}
+        return set()
+
+
+def references(node: ast.AST, index: Index, module: str | None = None) -> Counter:
+    """How often node reads each name, as a name or an attribute, or
+    spelled as a whole (dotted) string such as an `__all__` entry or a
+    `getattr` key. A read counts under its spelling, and once under each
+    module-level definition of the package it reaches (`module.name`):
+    a name through the imports and definitions of `module` (of node
+    itself when module is None), `m.x` when m names a module of the
+    package, and a string that is a dotted name in the package or, in a
+    module of the package, a name of that module."""
+    bound = index.bound[module] if module else _bindings(node, None, False)
+
+    def reached_name(name: str) -> set[str]:
+        if module:
+            return index.reached(f"{module}.{name}")
+        return set().union(*(index.reached(target) for target in bound.get(name, ())))
+
+    def reached_string(parts: list[str]) -> set[str]:
+        if len(parts) == 1:
+            return index.reached(f"{module}.{parts[0]}") if module else set()
+        for i in range(len(parts) - 1, 0, -1):
+            if ".".join(parts[:i]) in index.defined:
+                return index.reached(".".join(parts[:i + 1]))
+        return set()
+
+    used = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            used[child.id] += 1
+            used.update(reached_name(child.id))
+        elif isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Store):
+            used[child.attr] += 1
+            for m in index.modules_of(child.value, bound):
+                used.update(index.reached(f"{m}.{child.attr}"))
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            parts = child.value.split(".")
             if all(part.isidentifier() for part in parts):
                 used.update(parts)
+                used.update(reached_string(parts))
     return used
 
 
-def unreferenced(package_sources: dict[str, str], other_sources: list[str]) -> list[str]:
-    """`file:line: name` of every definition in package_sources that no
-    source reads outside the definition itself (so recursion does not
-    count). Names are matched by spelling only."""
-    trees = {path: ast.parse(text) for path, text in package_sources.items()}
+def unread(index: Index, defining: list[str], reading: list[str], others: list[str]) -> list[str]:
+    """`file:line: name` of every definition in the `defining` files of
+    the index that neither the `reading` files nor the `others` sources
+    read outside the definition itself (so recursion does not count). A
+    module-level definition counts the reads that reach it; a method or
+    class attribute, which any object may carry, the reads of its name."""
     total = Counter()
-    for tree in list(trees.values()) + [ast.parse(text) for text in other_sources]:
-        total += references(tree)
+    for path in reading:
+        total += references(index.trees[path], index, module_name(path))
+    for text in others:
+        total += references(ast.parse(text), index)
     found = []
-    for path, tree in trees.items():
+    for path in defining:
+        tree, module = index.trees[path], module_name(path)
         for name, node in definitions(tree):
-            own = 0 if isinstance(node, ast.Assign) else references(node)[name]
-            if total[name] <= own:
+            key = f"{module}.{name}" if node in tree.body else name
+            own = 0 if isinstance(node, ast.Assign) else references(node, index, module)[key]
+            if total[key] <= own:
                 found.append(f"{path}:{node.lineno}: {name}")
     return found
+
+
+def unreferenced(package_sources: dict[str, str], other_sources: list[str]) -> list[str]:
+    """`file:line: name` of every definition in package_sources (keyed by
+    path from the package's parent) that no source reads outside the
+    definition itself."""
+    paths = list(package_sources)
+    return unread(Index(package_sources), paths, paths, other_sources)
+
+
+def package_sources() -> dict[str, str]:
+    return {str(path.relative_to(PACKAGE.parent)): path.read_text()
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def other_sources() -> list[str]:
+    return [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
 
 
 def test_scan_finds_unreferenced_definitions():
@@ -131,26 +263,47 @@ def test_scan_finds_unreferenced_definitions():
                         "def loop(n):\n    return loop(n)\n"
                         "class C:\n    kind = 'c'\n    def used(self): pass\n"
                         "    def unused(self): pass\n    x: int = 0\n")}
-    other = ["C().used()\ngetattr(C, 'kind')\n"]
+    other = ["from m import C\nC().used()\ngetattr(C, 'kind')\n"]
     assert unreferenced(package, other) == ["m.py:2: DEAD", "m.py:6: loop", "m.py:11: unused"]
 
 
+def test_scan_resolves_each_read_through_its_binding():
+    # through an import, an attribute of a module of p, a name of the same
+    # module, a package that loads its modules on first use, or a
+    # stand-in; numpy's kron, trace and linalg.rank read nothing of p
+    package = {
+        "p/__init__.py": "",
+        "p/core/__init__.py": "from .linalg import dagger, kron\n",
+        "p/core/linalg.py": ("def kron(a, b): pass\ndef dagger(m): pass\n"
+                             "def trace(m): pass\ndef norm(m): return trace(m)\n"
+                             "def unit(m): pass\ndef rank(m): pass\n"),
+        "p/exp/__init__.py": ("def __getattr__(name):\n"
+                              "    return getattr(__import__('p.exp.grover'), name)\n"),
+        "p/exp/grover.py": "def grover_run(): pass\ndef iterate(): pass\ndef sweep(): pass\n",
+        "p/run.py": ("import numpy as np\nimport p.core.linalg\nfrom .core import linalg\n"
+                     "from .core import dagger as adjoint\nfrom . import exp\n"
+                     "from .lazy import on_first_call\n"
+                     "sweep = on_first_call(globals(), 'p.exp.grover', 'sweep')\n"
+                     "np.kron(1, 2)\nnp.trace(1)\nnp.linalg.rank(1)\nadjoint(linalg.norm(1))\n"
+                     "p.core.linalg.unit(1)\nexp.grover_run()\nsweep()\n"),
+        "p/lazy.py": "def on_first_call(namespace, module, name): pass\n",
+    }
+    assert unreferenced(package, ["import p.exp\np.exp.iterate\n"]) == [
+        "p/core/linalg.py:1: kron", "p/core/linalg.py:6: rank"]
+
+
 def test_no_unreferenced_definitions():
-    package = {str(path.relative_to(PACKAGE)): path.read_text()
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
-    assert unreferenced(package, others) == []
+    assert unreferenced(package_sources(), other_sources()) == []
 
 
 def unserved(layer: dict[str, str], package: dict[str, str]) -> list[str]:
     """`file:line: name` of every definition in the `layer` modules that
     neither the layer nor the rest of `package` reads, so that only tests
     or the benchmark could. `__init__.py` files count on neither side:
-    re-exporting a name is no use."""
-    own = {path: text for path, text in layer.items() if Path(path).name != "__init__.py"}
-    rest = [text for path, text in package.items()
-            if path not in layer and Path(path).name != "__init__.py"]
-    return unreferenced(own, rest)
+    re-exporting a name is no use (their imports still resolve reads)."""
+    own = [path for path in layer if Path(path).name != "__init__.py"]
+    rest = [path for path in package if path not in layer and Path(path).name != "__init__.py"]
+    return unread(Index(package), own, own + rest, [])
 
 
 def test_scan_finds_definitions_the_package_does_not_read():
@@ -161,13 +314,24 @@ def test_scan_finds_definitions_the_package_does_not_read():
     assert unserved(layer, package) == ["core/m.py:1: TOL", "core/m.py:4: h"]
 
 
+def _core(package: dict[str, str]) -> dict[str, str]:
+    return {path: text for path, text in package.items()
+            if Path(path).parent == Path("qwhile/core")}
+
+
 def test_core_serves_the_package():
     # core holds what the package runs on; a reference that only tests
     # read is written out in the tests
-    package = {str(path.relative_to(PACKAGE)): path.read_text()
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    layer = {path: text for path, text in package.items() if Path(path).parent == Path("core")}
-    assert unserved(layer, package) == []
+    package = package_sources()
+    assert unserved(_core(package), package) == []
+
+
+def test_scan_finds_a_core_helper_that_only_tests_read():
+    # the package calls numpy's kron, and tests may read this one: neither
+    # is a use of it
+    package = package_sources()
+    package["qwhile/core/linalg.py"] += "\n\ndef kron(a, b):\n    return np.kron(a, b)\n"
+    assert [line.split(": ")[-1] for line in unserved(_core(package), package)] == ["kron"]
 
 
 def _exports(tree: ast.Module) -> list[ast.Assign]:
@@ -178,37 +342,40 @@ def _exports(tree: ast.Module) -> list[ast.Assign]:
 def unread_exports(package_sources: dict[str, str], other_sources: list[str]) -> list[str]:
     """`file: name` of every `__all__` entry in package_sources that no
     source reads outside the `__init__.py` files, the `__all__` lists and
-    the entry's own definition: being listed or re-exported is no use."""
-    trees = {path: ast.parse(text) for path, text in package_sources.items()}
+    the entry's own definition: being listed or re-exported is no use.
+    An entry counts the reads that reach the definition it stands for."""
+    index = Index(package_sources)
     total, own = Counter(), Counter()
-    for path, tree in trees.items():
+    for path, tree in index.trees.items():
         if Path(path).name == "__init__.py":
             continue
-        total += references(tree)
+        module = module_name(path)
+        total += references(tree, index, module)
         for node in _exports(tree):
-            total -= references(node)
+            total -= references(node, index, module)
         for name, node in definitions(tree):
-            if not isinstance(node, ast.Assign):
-                own[name] += references(node)[name]
+            if node in tree.body and not isinstance(node, ast.Assign):
+                key = f"{module}.{name}"
+                own[key] += references(node, index, module)[key]
     for text in other_sources:
-        total += references(ast.parse(text))
-    return [f"{path}: {entry}" for path, tree in trees.items() for node in _exports(tree)
-            for entry in ast.literal_eval(node.value) if total[entry] <= own[entry]]
+        total += references(ast.parse(text), index)
+    return [f"{path}: {entry}" for path, tree in index.trees.items() for node in _exports(tree)
+            for entry in ast.literal_eval(node.value)
+            if not any(total[key] > own[key]
+                       for key in index.reached(f"{module_name(path)}.{entry}"))]
 
 
 def test_scan_finds_unread_exports():
     package = {"p/__init__.py": "from .m import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n",
                "p/m.py": ("__all__ = ['g']\ndef f(): return g()\ndef g(): return 1\n"
-                          "def h(n): return h(n - 1)\ndef k(): pass\n")}
+                          "def h(n): return h(n - 1)\ndef k(): pass\n"),
+               "q.py": "def k(): pass\nk()\n"}
     other = ["import p\np.f()\n"]
     assert unread_exports(package, other) == ["p/__init__.py: h", "p/__init__.py: k"]
 
 
 def test_every_export_is_read():
-    package = {str(path.relative_to(PACKAGE)): path.read_text()
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    others = [path.read_text() for root in REFERRING for path in sorted(root.rglob("*.py"))]
-    assert unread_exports(package, others) == []
+    assert unread_exports(package_sources(), other_sources()) == []
 
 
 def identity_reads(source: str) -> list[int]:
