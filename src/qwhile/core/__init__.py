@@ -13,12 +13,7 @@ from .linalg import (
     require_unitary,
     unitary_residual,
 )
-from .types import (
-    DensityOperator,
-    SuperOperator,
-    ValidationReport,
-    Violation,
-)
+from .types import DensityOperator, SuperOperator
 
 __all__ = [
     "CNOT", "H", "I2", "S", "SDG", "SWAP", "T", "TDG", "X", "Z",
@@ -28,5 +23,4 @@ __all__ = [
     "completeness_residual", "dagger", "embed",
     "num_qubits", "require_unitary", "unitary_residual",
     "DensityOperator", "SuperOperator",
-    "ValidationReport", "Violation",
 ]

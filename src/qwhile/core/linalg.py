@@ -38,9 +38,11 @@ def nonzero_lines(m: np.ndarray) -> np.ndarray:
     """The sorted indices i at which row i or column i of the square
     complex matrix m holds an entry whose bits are not zero (a -0.0
     counts)."""
+    # reduced along each axis of the 64-bit words, so no temporary is as
+    # large as m; an entry is the column pair (real, imaginary) of words
     words = np.ascontiguousarray(m).view(np.uint64)
-    bits = words[:, 0::2] | words[:, 1::2]  # each entry's real and imaginary bits
-    return np.flatnonzero(np.bitwise_or.reduce(bits, axis=0) | np.bitwise_or.reduce(bits, axis=1))
+    columns = np.bitwise_or.reduce(words, axis=0)
+    return np.flatnonzero(np.bitwise_or.reduce(words, axis=1) | columns[0::2] | columns[1::2])
 
 
 def read_only(a) -> np.ndarray:

@@ -1,15 +1,14 @@
-"""Quantum value types: density operators and channels, the reports of
-their invariants, and the plus-minus projectors.
+"""Quantum value types: density operators and channels, and the
+plus-minus projectors.
 
-Each type verifies its physical invariants on construction (trace 1,
-hermiticity and positivity of a state, the Kraus bound of a channel).
-Matrix accessors return copies and are meant for debugging and
-verification only; programs observe a state through the engine's
-measurement sites.
+A channel verifies its Kraus bound on construction. A state is not
+validated: the engine builds every state it returns as V V† from a
+factor V, or as the mean of such states, so it is positive with trace 1
+by construction; it is held by its support. Matrix accessors return
+copies and are meant for debugging and verification only; programs
+observe a state through the engine's measurement sites.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,88 +17,31 @@ from . import linalg
 from .linalg import ATOL_PHYSICAL, check_dim, dagger
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    residual: float
-
-    def __str__(self) -> str:
-        return f"{self.condition} (residual {self.residual:.3e})"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    subject: str
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"{self.subject}: ok"
-        return f"{self.subject}: " + "; ".join(str(v) for v in self.violations)
-
-
 class DensityOperator:
-    """Positive, trace-1 complex matrix; a (possibly mixed) program state.
+    """A (possibly mixed) program state on a `dim`-dimensional space, held
+    by its support: the sorted indices `rows` and the |rows| x |rows|
+    `block` on them, every other entry +0.0. Each index in `rows` must hold
+    an entry with nonzero bits in its row or column of the block, so that
+    the support is the one `support` reads. The dense matrix is built only
+    when `matrix` is read, as the zero matrix with the block on
+    rows x rows."""
 
-    A state is held either as its dense matrix or by its support (see
-    `support`): the sorted indices S and the |S| x |S| block on S, every
-    other entry +0.0. A support-held state (`from_support`) builds its
-    dense matrix on first read of `_mat`, as the zero matrix with the
-    block written on S x S."""
+    __slots__ = ("_dim", "_rows", "_block")
 
-    __slots__ = ("_dense", "_dim", "_rows", "_block")
-
-    def __init__(self, matrix, *, validate: bool = True):
-        m = linalg.as_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimMismatch(f"density operator must be square, got {m.shape}")
-        check_dim(m.shape[0])
-        if validate:
-            report = validate_density_matrix(m)
-            if not report.ok:
-                raise InvalidState(str(report))
-        self._dense, self._dim, self._rows, self._block = m, m.shape[0], None, None
-
-    @classmethod
-    def from_support(cls, dim: int, rows: np.ndarray, block: np.ndarray) -> "DensityOperator":
-        """The state that is `block` on the sorted indices `rows` of a
-        `dim`-dimensional space and zero elsewhere, unvalidated. Each index
-        in `rows` must hold an entry with nonzero bits in its row or column
-        of the block, so that the support is the one `support` reads."""
-        self = object.__new__(cls)
-        self._dense, self._dim, self._rows, self._block = None, dim, rows, block
-        return self
-
-    @property
-    def _mat(self) -> np.ndarray:
-        if self._dense is None:
-            m = np.zeros((self._dim, self._dim), dtype=complex)
-            m[self._rows[:, None], self._rows] = self._block
-            self._dense = m
-        return self._dense
+    def __init__(self, dim: int, rows: np.ndarray, block: np.ndarray):
+        self._dim, self._rows, self._block = dim, rows, block
 
     @property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, block): the sorted indices S of the rows and columns that
         hold an entry whose bits are not zero (a -0.0 counts), and the
-        matrix's block on S x S; every entry outside S x S is +0.0. Held
-        for a state built `from_support`, else read from the matrix."""
-        if self._rows is not None:
-            return self._rows, self._block
-        m = np.ascontiguousarray(self._dense)
-        rows = np.arange(self._dim) if m.all() else linalg.nonzero_lines(m)
-        return rows, m if len(rows) == self._dim else m[rows[:, None], rows]
+        matrix's block on S x S; every entry outside S x S is +0.0."""
+        return self._rows, self._block
 
     def diagonal(self) -> np.ndarray:
-        """The real diagonal, read from the support when one is held. It
-        is the real part of complex storage in both cases (a strided
-        view), so a dot product with it sums in the same order."""
-        if self._rows is None:
-            return self._dense.diagonal().real
+        """The real diagonal, read from the support. It is the real part of
+        complex storage (a strided view), so a dot product with it sums in
+        the same order as one with the dense matrix's diagonal."""
         out = np.zeros(self._dim, dtype=complex)
         out[self._rows] = self._block.diagonal()
         return out.real
@@ -110,29 +52,13 @@ class DensityOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Debug-only view of the hidden state (copy)."""
-        return self._mat.copy()
-
-    @property
-    def trace(self) -> float:
-        return float(self._mat.trace().real)
+        """Debug-only dense copy of the hidden state, built on each read."""
+        m = np.zeros((self._dim, self._dim), dtype=complex)
+        m[self._rows[:, None], self._rows] = self._block
+        return m
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
-
-
-def validate_density_matrix(m: np.ndarray) -> ValidationReport:
-    violations = []
-    tr = complex(m.trace())
-    if abs(tr - 1.0) > ATOL_PHYSICAL:
-        violations.append(Violation("UnitTrace", abs(tr - 1.0)))
-    herm = float(np.abs(m - dagger(m)).max())
-    if herm > ATOL_PHYSICAL:
-        violations.append(Violation("Hermitian", herm))
-    lo = linalg.min_eigenvalue((m + dagger(m)) / 2.0)
-    if lo < -ATOL_PHYSICAL:
-        violations.append(Violation("Positive", -lo))
-    return ValidationReport("DensityOperator", tuple(violations))
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -162,9 +88,11 @@ class SuperOperator:
         check_dim(d)
         object.__setattr__(self, "_kraus", ops)
         object.__setattr__(self, "_name", name)
-        report = self.validate()
-        if not report.ok:
-            raise InvalidState(str(report))
+        # sum E†E <= I  <=>  all eigenvalues of I - sum E†E are >= -tol.
+        gap = np.eye(d) - sum(dagger(e) @ e for e in ops)
+        lo = linalg.min_eigenvalue((gap + dagger(gap)) / 2.0)
+        if lo < -ATOL_PHYSICAL:
+            raise InvalidState(f"SuperOperator({name}): KrausBound (residual {-lo:.3e})")
 
     @property
     def dim(self) -> int:
@@ -177,15 +105,6 @@ class SuperOperator:
     @property
     def name(self) -> str:
         return self._name
-
-    def validate(self) -> ValidationReport:
-        # sum E†E <= I  <=>  all eigenvalues of I - sum E†E are >= -tol.
-        gap = np.eye(self.dim) - sum(dagger(e) @ e for e in self._kraus)
-        lo = linalg.min_eigenvalue((gap + dagger(gap)) / 2.0)
-        if lo < -ATOL_PHYSICAL:
-            return ValidationReport(f"SuperOperator({self._name})",
-                                    (Violation("KrausBound", -lo),))
-        return ValidationReport(f"SuperOperator({self._name})")
 
     @classmethod
     def identity(cls, dim: int = 2) -> "SuperOperator":

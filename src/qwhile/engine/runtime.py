@@ -58,7 +58,7 @@ measure stores its successor; a measuring step stores its probabilities
 prepared as `Outcomes(p)` and, filled on first draw, the successor of
 each outcome; a terminal stores the support of its `state_of`, and each
 run gets its own `DensityOperator` over it.
-`initial_configuration(plan)` (with no state) and the VM's
+`initial_configuration(plan)` and the VM's
 `_Config.start(plan)` return the plan's one root configuration
 (`plan.root`, built by `rooted`), so every shot of `run_shots` and
 `vm_run`, and every `step(c, rng)` walk from it, share one trie of
@@ -125,26 +125,25 @@ nonzero rows S, V_S is replaced by R†, where R is the triangular factor
 of a QR decomposition of V_S† (R† R = V_S V_S†), so r never exceeds the
 number of nonzero rows.
 
-States leave the engine in three places only: a terminal in `explore`,
-a sampled run's final state, and the `state` property of a configuration
-(`Configuration` here, the VM's `_Config`). Each is `state_of(V)`, a
-`DensityOperator` held by its support: the nonzero rows S of V and the
-|S| x |S| block V_S V_S†. Its dense matrix (zero plus the block on
-S x S) is built only when something reads it (`.matrix`, `._mat`), so
+Every run starts from e0, and states leave the engine in four places
+only: a terminal in `explore`, a sampled run's final state, the `state`
+property of a configuration (`Configuration` here, the VM's `_Config`),
+and the mean final state of `run_shots`. The first three are
+`state_of(V)`, the last is the mean of the shots' final states; each is
+a `DensityOperator` held by its support: the nonzero rows S and the
+|S| x |S| block on them (V_S V_S† for a factor). Its dense matrix (zero
+plus the block on S x S) is built each time `.matrix` is read, so
 merging and matching terminals, and the CLI's diagonal listing above
-dimension 16, never build one. `initial_configuration(state=rho)`
-factors rho by `eigh`, keeping the positive eigenvalues.
+dimension 16, never build one.
 
-The merge rule reads supports only, for support-held and dense states
-alike (a dense state's support is the rows and columns holding an entry
-with nonzero bits). The key is the block's diagonal written into a
-d-vector, the same bits as the full matrix's diagonal. Copies are equal
-(S, block bits). The distance is max|a - b| over the block on the union
-of the two supports, an entry present on one side only counting against
-0; every entry outside that block is 0 in both matrices, so it equals the
-full-matrix max|a - b|. The word order compares the blocks on the union:
-S is sorted, so they hold the full matrix's nonzero words in its order
-(flat position S[i]*d + S[j]).
+The merge rule reads supports only. The key is the block's diagonal
+written into a d-vector, the same bits as the full matrix's diagonal.
+Copies are equal (S, block bits). The distance is max|a - b| over the
+block on the union of the two supports, an entry present on one side
+only counting against 0; every entry outside that block is 0 in both
+matrices, so it equals the full-matrix max|a - b|. The word order
+compares the blocks on the union: S is sorted, so they hold the full
+matrix's nonzero words in its order (flat position S[i]*d + S[j]).
 """
 from __future__ import annotations
 
@@ -325,14 +324,7 @@ def state_of(v: np.ndarray) -> DensityOperator:
     if np.count_nonzero(block.diagonal()) < len(rows):
         keep = nonzero_lines(block)
         rows, block = rows[keep], block[keep[:, None], keep]
-    return DensityOperator.from_support(len(v), rows, block)
-
-
-def _factor(rho: np.ndarray) -> np.ndarray:
-    """A factor V with V V† = rho, from rho's positive eigenvalues."""
-    w, u = np.linalg.eigh(rho)
-    keep = w > 0
-    return u[:, keep] * np.sqrt(w[keep])
+    return DensityOperator(len(v), rows, block)
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -586,14 +578,13 @@ def _sampled(c: Node, advance: Callable, rng: SamplerState) -> tuple[Node, tuple
 
 def _final_state(c: Node) -> DensityOperator:
     """The state of the terminal c, its support kept in c's memo while the
-    memo has room. Each call returns its own `DensityOperator`, so a dense
-    matrix a caller builds is not kept by the memo."""
+    memo has room. Each call returns its own `DensityOperator` over it."""
     if c.final is None:
         state = state_of(c.factor)
         if not c.machine.fits(state.support):
             return state
         c.final = state.support
-    return DensityOperator.from_support(len(c.factor), *c.final)
+    return DensityOperator(len(c.factor), *c.final)
 
 
 def successors(advance: Callable, c, rng: SamplerState | None = None) -> list:
@@ -761,24 +752,15 @@ class Configuration(Node):
         return isinstance(self.remaining[0], (Case, While))
 
 
-def initial_configuration(program: SourceProgram | PreparedProgram,
-                          state: DensityOperator | None = None) -> Configuration:
-    """The plan's root configuration (module docstring), or with `state`
-    a fresh configuration in that state."""
+def initial_configuration(program: SourceProgram | PreparedProgram) -> Configuration:
+    """The plan's root configuration (module docstring)."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
-    if state is None:
-        return rooted(plan, lambda: _fresh(plan))
-    return _fresh(plan, state)
+    return rooted(plan, lambda: _fresh(plan))
 
 
-def _fresh(plan: PreparedProgram, state: DensityOperator | None = None) -> Configuration:
-    """A start configuration outside the plan's memo, in `state` or else
-    in |0...0><0...0|."""
-    if state is None:
-        return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan.machine)
-    if state.dim != plan.kernels.dim:
-        raise QwhileError(f"state dim {state.dim} != program dim {plan.kernels.dim}")
-    return Configuration(plan.body, _factor(state.matrix), 1.0, plan.machine)
+def _fresh(plan: PreparedProgram) -> Configuration:
+    """A start configuration outside the plan's memo, in |0...0><0...0|."""
+    return Configuration(plan.body, plan.kernels.initial_factor(), 1.0, plan.machine)
 
 
 def _advance(c: Configuration) -> Configuration | Fork:
@@ -822,16 +804,12 @@ class RunRecord:
     steps: int
     loop_counts: dict[int, int]              # loop site id -> body entries
 
-    def outcome_sequence(self) -> list[int]:
-        return [o for _, o in self.outcomes]
-
 
 def run_shot(program: SourceProgram | PreparedProgram, seed: int,
-             step_limit: int = DEFAULT_STEP_LIMIT,
-             state: DensityOperator | None = None) -> RunRecord:
+             step_limit: int = DEFAULT_STEP_LIMIT) -> RunRecord:
     """Run once with sampled measurements; deterministic for a given seed."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
-    record = run_sampled(initial_configuration(plan, state), _advance, seed, step_limit)
+    record = run_sampled(initial_configuration(plan), _advance, seed, step_limit)
     # by loop rule L1, outcome 1 at a while site is one entry into its body
     record.loop_counts = {sid: 0 for sid in plan.loop_sites()}
     for sid, outcome in record.outcomes:
@@ -901,8 +879,11 @@ def run_shots(program: SourceProgram | PreparedProgram, n: int, seed: int,
         rows, block = record.final_state.support
         mean[rows[:, None], rows] += block
     mean /= n
+    # every entry outside the block on its nonzero lines is +0.0
+    rows = nonzero_lines(mean)
+    block = mean if len(rows) == len(mean) else mean[rows[:, None], rows]
     return ShotStats(n, seed, site_outcomes, loop_histogram, list(plan.site_meta),
-                     DensityOperator(mean, validate=False))
+                     DensityOperator(len(mean), rows, block))
 
 
 # --- exhaustive distribution mode --------------------------------------------
@@ -917,9 +898,6 @@ class DistributionResult:
     residual: float
     step_limited: float = 0.0
     node_limited: float = 0.0
-
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.terminals)
 
     def merged(self, atol: float = 1e-10) -> "DistributionResult":
         """Coalesce terminals with equal states by the merge rule in the
@@ -1020,10 +998,9 @@ def match_distributions(a: DistributionResult, b: DistributionResult,
 
 def run_distribution(program: SourceProgram | PreparedProgram,
                      mass_threshold: float = DEFAULT_MASS_THRESHOLD,
-                     step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT,
-                     state: DensityOperator | None = None) -> DistributionResult:
+                     step_limit: int = DEFAULT_DISTRIBUTION_STEP_LIMIT) -> DistributionResult:
     """Explore every measurement branch breadth-first, truncated by the
     rules in the module docstring, from a start configuration outside the
     plan's memo."""
     plan = program if isinstance(program, PreparedProgram) else prepare(program)
-    return explore(_fresh(plan, state), step, mass_threshold, step_limit)
+    return explore(_fresh(plan), step, mass_threshold, step_limit)

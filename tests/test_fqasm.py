@@ -261,7 +261,7 @@ def test_node_budget_ends_a_frontier_that_keeps_growing():
     assert time.perf_counter() - start < 30.0
     assert dist.node_limited > 0
     assert dist.residual >= dist.node_limited
-    assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-9)
+    assert sum(w for w, _ in dist.terminals) + dist.residual == pytest.approx(1.0, abs=1e-9)
 
 
 def test_a_long_loop_is_cut_by_the_step_limit_it_was_given(tmp_path, capsys):
@@ -290,7 +290,7 @@ def test_node_budget_in_both_executors(step_limit):
                  vm_distribution(compile_program(program), step_limit=step_limit)):
         assert dist.node_limited > 0
         assert dist.step_limited == 0.0
-        assert dist.total_weight() + dist.residual == pytest.approx(1.0, abs=1e-12)
+        assert sum(w for w, _ in dist.terminals) + dist.residual == pytest.approx(1.0, abs=1e-12)
     unlimited = run_distribution(program)
     assert unlimited.node_limited == unlimited.residual == 0.0
     assert match_distributions(unlimited, vm_distribution(compile_program(program)))
@@ -341,7 +341,7 @@ def test_executors_agree_shot_for_shot():
                 limited.append((name, seed))
                 continue
             b = vm_run(compiled, seed, step_limit=limit)
-            assert a.outcome_sequence() == b.outcome_sequence(), (name, seed)
+            assert [o for _, o in a.outcomes] == [o for _, o in b.outcomes], (name, seed)
             assert np.array_equal(a.final_state.matrix, b.final_state.matrix), (name, seed)
     assert limited == [("genprog22", 1), ("genprog22", 2)]
 
@@ -367,7 +367,7 @@ def test_classical_names_are_their_own_namespace():
     for seed in range(4):
         a = run_shot(program, seed)
         b = vm_run(parse_fqasm(text), seed)
-        assert a.outcome_sequence() == b.outcome_sequence()
+        assert [o for _, o in a.outcomes] == [o for _, o in b.outcomes]
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
     assert match_distributions(run_distribution(program), vm_distribution(parse_fqasm(text)))
 

@@ -314,16 +314,23 @@ def test_scan_finds_definitions_the_package_does_not_read():
     assert unserved(layer, package) == ["core/m.py:1: TOL", "core/m.py:4: h"]
 
 
-def _core(package: dict[str, str]) -> dict[str, str]:
+def _layer(package: dict[str, str], name: str) -> dict[str, str]:
     return {path: text for path, text in package.items()
-            if Path(path).parent == Path("qwhile/core")}
+            if Path(path).parent == Path("qwhile", name)}
 
 
 def test_core_serves_the_package():
     # core holds what the package runs on; a reference that only tests
     # read is written out in the tests
     package = package_sources()
-    assert unserved(_core(package), package) == []
+    assert unserved(_layer(package, "core"), package) == []
+
+
+def test_engine_serves_the_package():
+    # so does the engine: a result accessor that only tests read is
+    # written out in the tests
+    package = package_sources()
+    assert unserved(_layer(package, "engine"), package) == []
 
 
 def test_scan_finds_a_core_helper_that_only_tests_read():
@@ -331,7 +338,7 @@ def test_scan_finds_a_core_helper_that_only_tests_read():
     # is a use of it
     package = package_sources()
     package["qwhile/core/linalg.py"] += "\n\ndef kron(a, b):\n    return np.kron(a, b)\n"
-    assert [line.split(": ")[-1] for line in unserved(_core(package), package)] == ["kron"]
+    assert [line.split(": ")[-1] for line in unserved(_layer(package, "core"), package)] == ["kron"]
 
 
 def _exports(tree: ast.Module) -> list[ast.Assign]:
