@@ -1,5 +1,6 @@
-"""Dense complex linear algebra, the gate library, and the density-operator
-and channel types the engine and the experiments build on."""
+"""The gate library, array helpers and limits, the density-operator and
+channel types, and the kernels that apply operators to a state's factor:
+what the engine, the experiments and synthesis build on."""
 from .gates import CNOT, H, I2, S, SDG, SWAP, T, TDG, X, Z, GateLibrary, STANDARD_LIBRARY
 from .linalg import (
     MAX_DIM,
@@ -8,7 +9,6 @@ from .linalg import (
     check_dim,
     completeness_residual,
     dagger,
-    embed,
     num_qubits,
     require_unitary,
     unitary_residual,
@@ -20,7 +20,7 @@ __all__ = [
     "GateLibrary", "STANDARD_LIBRARY",
     "MAX_DIM", "MAX_QUBITS",
     "as_matrix", "check_dim",
-    "completeness_residual", "dagger", "embed",
+    "completeness_residual", "dagger",
     "num_qubits", "require_unitary", "unitary_residual",
     "DensityOperator", "SuperOperator",
 ]

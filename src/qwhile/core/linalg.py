@@ -1,11 +1,10 @@
-"""Array-level helpers for dense complex linear algebra.
+"""Array-level helpers and limits: the dense cap on the state space,
+matrix conversion and support scans, and the unitarity and completeness
+residuals the checker and the channels read.
 
-Conventions used throughout the package:
-
-* States and operators are dense ``numpy`` arrays of ``complex128``.
-* Qubit 0 is the most significant bit of a basis index (the leftmost
-  tensor factor), so in ``np.kron(a, b)`` ``a`` acts on the high bits.
-* ``positions`` arguments are qubit indices into an ``n``-qubit space.
+Operators are ``complex128`` matrices; states are held by their support
+(`types.DensityOperator`) and run as factors (`kernels`, whose
+docstring states the qubit order).
 """
 from __future__ import annotations
 
@@ -105,29 +104,3 @@ def num_qubits(dim: int) -> int:
         raise DimMismatch(f"dimension {dim} is not a power of 2")
     return n
 
-
-def _gate_tensor(u: np.ndarray, k: int) -> np.ndarray:
-    return np.asarray(u, dtype=complex).reshape((2,) * (2 * k))
-
-
-def _apply_on_axes(tensor: np.ndarray, gate: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract a k-qubit gate into the given axes of a 2^… tensor."""
-    k = len(axes)
-    gt = _gate_tensor(gate, k)
-    out = np.tensordot(gt, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
-
-
-def embed(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """Dense 2^n matrix acting as `op` on `positions` and identity elsewhere."""
-    op = as_matrix(op)
-    k = len(positions)
-    if op.shape != (1 << k, 1 << k):
-        raise DimMismatch(f"operator shape {op.shape} does not fit {k} qubit(s)")
-    if len(set(positions)) != k or any(not 0 <= p < n for p in positions):
-        raise DimMismatch(f"bad qubit positions {positions} for n={n}")
-    dim = check_dim(1 << n)
-    # Apply the operator to the row axes of an identity matrix.
-    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    out = _apply_on_axes(eye, op, tuple(positions))
-    return out.reshape(dim, dim)

@@ -97,33 +97,9 @@ on their order:
 
 Kernels. Every state is held as a factor V, a 2^n x r complex array
 with rho = V V†, starting from the 2^n x 1 column e0. `KernelTable`
-classifies each operator once, when the table is built, by its exact zero
-pattern and never by the size of the space, and applies it to V from the
-left only, so a step costs 2^n * r rather than 4^n; no operator is ever
-embedded as a dense 2^n matrix:
-
-* diagonal    (Z, S, T, phase oracles): V * d, d the full-space diagonal.
-* monomial    (X, CNOT, permutation oracles): one gather of V's rows
-              through a precomputed permutation of the basis, times
-              phases unless all are 1.
-* general     (H, dense gates): one contraction on the target row axes
-              (reshape and matmul when the targets are adjacent, in any
-              order; tensordot over their axes otherwise).
-* reset       (q := |0>): per qubit of the register, least significant
-              first, V -> [P0 V | K V] with P0 = |0><0|, K = |0><1|,
-              keeping only the columns that are not exactly zero (so a
-              qubit in a definite state keeps the column count).
-* diagonal site (every Kraus operator diagonal, `computational`
-              included): probabilities from the row norms |V|^2; collapse
-              zeroes the rows outside an operator with one nonzero entry,
-              else applies the diagonal kernel, and rescales to norm 1.
-* general site: p_i = ||M_i V||^2 through each operator's kernel;
-              collapse applies M_i and rescales.
-
-Rank rule: only a reset adds columns. When V then has more columns than
-nonzero rows S, V_S is replaced by R†, where R is the triangular factor
-of a QR decomposition of V_S† (R† R = V_S V_S†), so r never exceeds the
-number of nonzero rows.
+builds the kernel of each operator once, when the table is built, from
+`qwhile.core.kernels`, whose docstring states each kind of kernel and
+the rank rule; every step applies one of them to V.
 
 Every run starts from e0, and states leave the engine in four places
 only: a terminal in `explore`, a sampled run's final state, the `state`
@@ -157,11 +133,11 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..core.gates import STANDARD_LIBRARY
-from ..core.linalg import (DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT, as_matrix,
-                           nonzero_lines, read_only)
+from ..core.kernels import (Diagonal, DiagonalSite, General, GeneralSite, Monomial, Reset,
+                            operator_kernel, site_kernel, state_of)
+from ..core.linalg import DEFAULT_DISTRIBUTION_STEP_LIMIT, DEFAULT_STEP_LIMIT, nonzero_lines
 from ..core.types import PLUS_MINUS, DensityOperator
-from ..errors import (DimMismatch, IncompleteMeasurement, InvalidLimit, QwhileError,
-                      StepLimitExceeded)
+from ..errors import InvalidLimit, QwhileError, StepLimitExceeded
 from ..lang.checker import require_valid
 from ..lang.syntax import Case, Init, Seq, Skip, SourceProgram, Stmt, Unitary, While
 from .sampler import PROB_FLOOR, Outcomes, SamplerState
@@ -170,233 +146,6 @@ DEFAULT_MASS_THRESHOLD = 1e-6
 BRANCH_BUDGET = 10
 MEMO_BYTES = 32 * 2**20     # per plan, for the sampled-mode memo
 MEMO_ENTRY_BYTES = 512      # counted per stored transition besides its arrays
-
-
-# --- kernels -----------------------------------------------------------------
-#
-# Basis index x of the n-qubit space holds qubit q at bit n-1-q (qubit 0 is
-# the most significant), and an operator on qubits `positions` reads
-# positions[0] as the most significant bit of its local index. A factor V
-# has one row per basis index and one column per term of rho = V V†.
-
-def _bit_maps(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(local, spread): local[x] is the local index that basis state x has
-    on `positions`; spread[l] is local index l's bits placed at their
-    positions in an n-qubit index (zero elsewhere)."""
-    k = len(positions)
-    x, lidx = np.arange(1 << n), np.arange(1 << k)
-    local = np.zeros(1 << n, dtype=np.intp)
-    spread = np.zeros(1 << k, dtype=np.intp)
-    for j, p in enumerate(positions):
-        local |= ((x >> (n - 1 - p)) & 1) << (k - 1 - j)
-        spread |= ((lidx >> (k - 1 - j)) & 1) << (n - 1 - p)
-    return local, spread
-
-
-class _Diagonal:
-    """E diagonal: E V = V * d with d the full-space diagonal."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, diagonal: np.ndarray, positions: tuple[int, ...], n: int):
-        self.d = diagonal[_bit_maps(positions, n)[0]][:, None]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return v * self.d
-
-
-class _Monomial:
-    """E with one nonzero per row and column, E[a, s(a)] = e_a:
-    (E V)[a] = e_a V[s(a)], one gather through the basis permutation s."""
-
-    __slots__ = ("src", "phases")
-
-    def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
-        local, spread = _bit_maps(positions, n)
-        cols = np.argmax(op != 0, axis=1)
-        self.src = (np.arange(1 << n) & ~spread[-1]) | spread[cols[local]]
-        phases = op[np.arange(len(op)), cols][local]
-        self.phases = None if (phases == 1).all() else phases[:, None]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = v[self.src]
-        if self.phases is not None:
-            out *= self.phases
-        return out
-
-
-class _General:
-    """Any other E, contracted with V's target row axes: one matmul on V
-    viewed as (rows above, targets, rows below and columns) when the
-    targets are adjacent (in any order), else one tensordot over them."""
-
-    __slots__ = ("op", "shape", "axes")
-
-    def __init__(self, op: np.ndarray, positions: tuple[int, ...], n: int):
-        k, lo = len(positions), min(positions)
-        if max(positions) - lo == k - 1:
-            order = list(np.argsort(positions))
-            op = op.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
-            self.op, self.shape, self.axes = op.reshape(1 << k, 1 << k), (1 << lo, 1 << k, -1), None
-        else:
-            self.op, self.shape, self.axes = op.reshape((2,) * (2 * k)), (2,) * n + (-1,), positions
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.axes is None:
-            return np.matmul(self.op, v.reshape(self.shape)).reshape(v.shape)
-        k = len(self.axes)
-        out = np.tensordot(self.op, v.reshape(self.shape), axes=(range(k, 2 * k), self.axes))
-        return np.moveaxis(out, range(k), self.axes).reshape(v.shape)
-
-
-def operator_kernel(op, positions: tuple[int, ...], n: int) -> _Diagonal | _Monomial | _General:
-    """The kernel applying V -> E V, where E acts as `op` on the qubits
-    `positions` of an n-qubit space, chosen by op's exact zero pattern
-    (never by size)."""
-    op = _fitted(op, positions, n)
-    if _is_diagonal(op):
-        return _Diagonal(np.diagonal(op), positions, n)
-    nonzero = op != 0
-    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-        return _Monomial(op, positions, n)
-    return _General(op, positions, n)
-
-
-def _fitted(op, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """A read-only copy of `op`, so a kernel never shares a caller's array."""
-    op = read_only(as_matrix(op))
-    k = len(positions)
-    if op.shape != (1 << k, 1 << k):
-        raise DimMismatch(f"operator shape {op.shape} does not fit {k} qubit(s)")
-    if len(set(positions)) != k or any(not 0 <= p < n for p in positions):
-        raise DimMismatch(f"bad qubit positions {positions} for n={n}")
-    return op
-
-
-def _is_diagonal(op: np.ndarray) -> bool:
-    return not op[~np.eye(len(op), dtype=bool)].any()
-
-
-class _Reset:
-    """q := |0> on a register: for each of its qubits, least significant
-    first, V -> [P0 V | K V] without the columns that are exactly zero,
-    then the rank rule (module docstring)."""
-
-    __slots__ = ("shapes",)
-
-    def __init__(self, positions: tuple[int, ...], n: int):
-        # V viewed as (rows above, the qubit's bit, rows below, columns)
-        self.shapes = [(1 << q, 2, 1 << (n - 1 - q), -1) for q in reversed(positions)]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        for shape in self.shapes:
-            t = v.reshape(shape)
-            ones = t[:, 1].any(axis=(0, 1))  # columns K V keeps
-            if not ones.any():
-                continue  # P0 V = V and K V = 0
-            zeros = t[:, 0].any(axis=(0, 1))  # columns P0 V keeps
-            out = np.zeros(t.shape[:3] + (int(zeros.sum() + ones.sum()),), dtype=complex)
-            out[:, 0] = np.concatenate((t[:, 0][..., zeros], t[:, 1][..., ones]), axis=-1)
-            v = out.reshape(len(v), -1)
-        return _within_rank(v)
-
-
-def _within_rank(v: np.ndarray) -> np.ndarray:
-    """V, or when it has more columns than nonzero rows S, the factor whose
-    block on S is R† for the triangular factor R of a QR of V_S†."""
-    if v.shape[1] == 1:
-        return v
-    rows = np.flatnonzero(v.any(axis=1))
-    if v.shape[1] <= len(rows):
-        return v
-    out = np.zeros((len(v), len(rows)), dtype=complex)
-    out[rows] = np.linalg.qr(v[rows].conj().T, mode="r").conj().T
-    return out
-
-
-def state_of(v: np.ndarray) -> DensityOperator:
-    """The density operator V V† of the factor v, held by its support:
-    the block V_S V_S† on v's nonzero rows S (less any row whose block
-    entries all underflowed to zero bits), zero elsewhere."""
-    rows = np.flatnonzero(v.any(axis=1))
-    block = v[rows]
-    block = block @ block.conj().T
-    if np.count_nonzero(block.diagonal()) < len(rows):
-        keep = nonzero_lines(block)
-        rows, block = rows[keep], block[keep[:, None], keep]
-    return DensityOperator(len(v), rows, block)
-
-
-def _norm2(v: np.ndarray) -> float:
-    """tr(V V†), the squared Frobenius norm of V."""
-    return float(np.vdot(v, v).real)
-
-
-def _normalized(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise IncompleteMeasurement(f"measurement probabilities sum to {total}")
-    return p / total
-
-
-class _DiagonalSite:
-    """A measurement whose Kraus operators are all diagonal. Probabilities
-    come from the row norms of V. An outcome whose operator has one
-    nonzero entry, at local index l, keeps V's rows on l; any other goes
-    through the diagonal kernel; either is rescaled to norm 1. `diags`
-    holds one local diagonal per outcome."""
-
-    __slots__ = ("positions", "local", "weights", "outcomes")
-
-    def __init__(self, diags: np.ndarray, positions: tuple[int, ...], n: int):
-        self.positions = positions
-        self.local = _bit_maps(positions, n)[0]
-        self.weights = np.abs(diags) ** 2
-        # per outcome: its one nonzero local index, or the diagonal kernel
-        self.outcomes: list[int | _Diagonal] = []
-        for d in diags:
-            nz = np.flatnonzero(d)
-            self.outcomes.append(int(nz[0]) if len(nz) == 1 else _Diagonal(d, positions, n))
-
-    def probabilities(self, v: np.ndarray) -> np.ndarray:
-        rows = (v * v.conj()).real.sum(axis=1)
-        p = np.bincount(self.local, weights=rows, minlength=1 << len(self.positions))
-        return _normalized(self.weights @ p)
-
-    def collapse(self, v: np.ndarray, outcome: int) -> np.ndarray:
-        basis = self.outcomes[outcome]
-        if isinstance(basis, _Diagonal):
-            post = basis.apply(v)
-        else:
-            post = np.where((self.local == basis)[:, None], v, 0.0)
-        return post / np.sqrt(_norm2(post))
-
-
-class _GeneralSite:
-    """Any other measurement: p_i = ||M_i V||^2 and collapse through each
-    operator's kernel."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, operators, positions: tuple[int, ...], n: int):
-        self.ops = [operator_kernel(m, positions, n) for m in operators]
-
-    def probabilities(self, v: np.ndarray) -> np.ndarray:
-        return _normalized(np.array([_norm2(op.apply(v)) for op in self.ops]))
-
-    def collapse(self, v: np.ndarray, outcome: int) -> np.ndarray:
-        post = self.ops[outcome].apply(v)
-        return post / np.sqrt(_norm2(post))
-
-
-def site_kernel(operators, positions: tuple[int, ...], n: int) -> _DiagonalSite | _GeneralSite:
-    """The kernel of a measurement with the given Kraus operators on
-    `positions`: diagonal when every operator is, general otherwise."""
-    ops = [_fitted(m, positions, n) for m in operators]
-    if all(_is_diagonal(m) for m in ops):
-        return _DiagonalSite(np.array([np.diagonal(m) for m in ops]), positions, n)
-    return _GeneralSite(ops, positions, n)
 
 
 class KernelTable:
@@ -422,12 +171,12 @@ class KernelTable:
             self.positions[name] = tuple(range(at, at + width))
             at += width
         self.n = at
-        self.unitaries: dict[tuple[str, tuple[str, ...]], _Diagonal | _Monomial | _General] = {}
-        self.inits: dict[str, _Reset] = {}
-        self.sites: dict[tuple[str, tuple[str, ...]], _DiagonalSite | _GeneralSite] = {}
+        self.unitaries: dict[tuple[str, tuple[str, ...]], Diagonal | Monomial | General] = {}
+        self.inits: dict[str, Reset] = {}
+        self.sites: dict[tuple[str, tuple[str, ...]], DiagonalSite | GeneralSite] = {}
         for s in program.statements():
             if isinstance(s, Init) and s.target not in self.inits:
-                self.inits[s.target] = _Reset(self.positions[s.target], self.n)
+                self.inits[s.target] = Reset(self.positions[s.target], self.n)
             elif isinstance(s, Unitary) and (s.gate, s.regs) not in self.unitaries:
                 decl = program.gate_decl(s.gate)
                 matrix = STANDARD_LIBRARY[s.gate] if decl is None else decl.matrix
@@ -435,7 +184,7 @@ class KernelTable:
             elif isinstance(s, (Case, While)) and (s.meas, s.regs) not in self.sites:
                 decl, pos = program.meas_decl(s.meas), self._span(s.regs)
                 if decl.builtin == "computational":
-                    self.sites[s.meas, s.regs] = _DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
+                    self.sites[s.meas, s.regs] = DiagonalSite(np.eye(1 << len(pos)), pos, self.n)
                 else:
                     ops = PLUS_MINUS if decl.builtin == "plusminus" else decl.operators
                     self.sites[s.meas, s.regs] = site_kernel(ops, pos, self.n)
@@ -465,7 +214,7 @@ class Fork(NamedTuple):
     executor's successor for each."""
 
     site: int                  # site id logged with the outcome
-    kernel: _DiagonalSite | _GeneralSite
+    kernel: DiagonalSite | GeneralSite
     factor: np.ndarray
     resume: Callable[[int, np.ndarray, float], Any]
 
@@ -482,7 +231,7 @@ class Fork(NamedTuple):
 
 class Node:
     """What both executors' configurations share: the factor V (rho = V
-    V†, module docstring), the branch weight (distribution mode), the
+    V†, Kernels in the module docstring), the branch weight (distribution mode), the
     plan's `Machine`, and the sampled-mode memo: `memo` holds the next
     transition (a successor, or a `_Measured`), `final` a terminal's
     state as its support (rows, block)."""
@@ -733,7 +482,7 @@ def _lower(s: Stmt, site_meta: list[tuple[int, str, str]], ids) -> tuple[Stmt, .
 
 class Configuration(Node):
     """<remaining program, state>, the state held as its factor V (rho =
-    V V†, module docstring); weight carries branch mass in distribution
+    V V†, Kernels in the module docstring); weight carries branch mass in distribution
     mode."""
 
     __slots__ = ("remaining",)

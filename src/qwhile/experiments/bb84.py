@@ -40,8 +40,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ..core.kernels import site_kernel
 from ..core.types import PLUS_MINUS, SuperOperator
-from ..engine.runtime import site_kernel
 from ..engine.sampler import Outcomes, SamplerState, splitmix64
 from ..errors import DimMismatch, QwhileError
 

@@ -22,21 +22,21 @@ METHODS = ("qr", "qsd")
 
 # Factor expansions re-emit the same few 2x2 matrices (square roots,
 # basis-change blocks) hundreds of times; approximate each distinct
-# matrix once per (net, epsilon, depth), remembering at most this many
+# matrix once per (net, epsilon), remembering at most this many
 # per net in net.approximations.
 _SK_CACHE_MAX = 4096
 
 
 def _approximate_single_qubit(op: GateOp, basic: GateSet, epsilon: float,
-                              net: SKNet, depth: int) -> tuple[list[GateOp], float]:
+                              net: SKNet) -> tuple[list[GateOp], float]:
     name = basic.match_single_qubit(op.matrix)
     if name is not None:
         return [GateOp(name, op.qubits, basic[name])], 0.0
     cache = net.approximations
-    key = (epsilon, depth, _canonical_key(strip_phase(op.matrix)))
+    key = (epsilon, _canonical_key(strip_phase(op.matrix)))
     hit = cache.get(key)
     if hit is None:
-        approx = solovay_kitaev(op.matrix, epsilon, net, depth)
+        approx = solovay_kitaev(op.matrix, epsilon, net)
         hit = (tuple(o.name for o in approx.ops), approx.eps_total)
         if len(cache) < _SK_CACHE_MAX:
             cache[key] = hit
@@ -46,12 +46,13 @@ def _approximate_single_qubit(op: GateOp, basic: GateSet, epsilon: float,
     return ops, err
 
 
-def synthesize(u: np.ndarray, method: str = "qsd", basic: GateSet | None = None,
-               epsilon: float = 1e-3, net: SKNet | None = None,
-               sk_depth: int = 5) -> GateSequence:
+def synthesize(u: np.ndarray, method: str = "qsd", epsilon: float = 1e-3,
+               net: SKNet | None = None) -> GateSequence:
     """Decompose a unitary into basic gates; 'qr' uses two-level factors
     with Gray-code circuits, 'qsd' the cosine-sine recursion. Every
-    emitted gate is drawn from the basic set."""
+    emitted gate is drawn from `GateSet.default()`: a one-qubit gate
+    outside it becomes a word of `net`, the default net over that set's
+    one-qubit gates unless given."""
     if method not in METHODS:
         raise QwhileError(f"unknown method {method!r}; expected one of {METHODS}")
     if not (np.isfinite(epsilon) and epsilon > 0):
@@ -59,7 +60,7 @@ def synthesize(u: np.ndarray, method: str = "qsd", basic: GateSet | None = None,
     u = require_unitary(u, what="synthesis input")
     if u.shape[0] < 2:
         raise QwhileError(f"synthesis input is {len(u)}x{len(u)}; it needs at least one qubit")
-    basic = basic or GateSet.default()
+    basic = GateSet.default()
     net = net or default_net()
     n = num_qubits(u.shape[0])
 
@@ -82,7 +83,7 @@ def synthesize(u: np.ndarray, method: str = "qsd", basic: GateSet | None = None,
                 raise QwhileError(f"multi-qubit gate {op.name!r} outside the basic set")
             final.append(op)
             continue
-        replaced, err = _approximate_single_qubit(op, basic, epsilon, net, sk_depth)
+        replaced, err = _approximate_single_qubit(op, basic, epsilon, net)
         final.extend(replaced)
         eps_total += err
     return GateSequence(tuple(final), eps_total=eps_total)

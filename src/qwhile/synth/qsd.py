@@ -23,7 +23,7 @@ import numpy as np
 from ..core import gates
 from ..core.linalg import num_qubits, require_unitary
 from ..errors import DimMismatch
-from .sequences import GateOp, GateSequence, phase_dist, ry, rz
+from .sequences import GateOp, GateSequence, phase_dist, ry, rz, strip_phase
 
 # Magic basis: E maps SO(4) conjugation to SU(2) x SU(2).
 _E = np.array(
@@ -132,16 +132,11 @@ def _coset_prefactors(u4: np.ndarray, v4: np.ndarray):
     return *_su2su2_split(ab), *_su2su2_split(cd)
 
 
-def _su4(u: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(u)
-    return u * det ** (-0.25)
-
-
 def two_qubit_ops(u: np.ndarray, q0: int, q1: int) -> list[GateOp]:
     """Canonical two-qubit circuit: 1-qubit gates and at most 3 CNOTs,
     equal to u up to global phase."""
     u = require_unitary(u, what="two-qubit block")
-    su = _su4(u)
+    su = strip_phase(u)
     # Fully degenerate Gram spectrum (trace modulus 4) marks the two
     # 0-CNOT-like classes: real trace +-4 is a plain tensor product,
     # imaginary trace +-4i is SWAP times a tensor product.
@@ -151,7 +146,7 @@ def two_qubit_ops(u: np.ndarray, q0: int, q1: int) -> list[GateOp]:
         if abs(trace.imag) < 1e-9:
             a, b = _su2su2_split(su * np.exp(-0.5j * np.angle(trace)))
             return [GateOp("u2", (q0,), a), GateOp("u2", (q1,), b)]
-        swapped = _su4(_SWAP @ su)
+        swapped = strip_phase(_SWAP @ su)
         m2 = _EDAG @ swapped @ _E
         tr2 = complex((m2 @ m2.T).trace())
         a, b = _su2su2_split(swapped * np.exp(-0.5j * np.angle(tr2)))

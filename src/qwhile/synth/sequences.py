@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import gates
-from ..core.linalg import embed
+from ..core.kernels import embed
 from ..errors import IndexOutOfRange
 
 
@@ -85,35 +85,48 @@ def reconstruct(seq: GateSequence, n_qubits: int) -> np.ndarray:
 
 
 def phase_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """min_phi ||a - e^{i phi} b||_2 for (near-)unitary a and b.
-
-    Uses the eigenphases of b†a: the optimum centers the minimal
-    enclosing arc of the spectrum, which is exact for unitary inputs.
-    """
+    """min_phi ||a - e^{i phi} b||_2 for (near-)unitary a and b: the
+    one-pair case of `phase_dists`."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise IndexOutOfRange(f"shape mismatch {a.shape} vs {b.shape}")
-    evals = np.linalg.eigvals(b.conj().T @ a)
-    phases = np.sort(np.angle(evals))
-    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
-    widest = int(np.argmax(gaps))
+    return float(phase_dists(a[None], b[None])[0])
+
+
+def phase_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min_phi ||a[k] - e^{i phi} b[k]||_2 for each k of two (N, d, d)
+    stacks of (near-)unitary matrices.
+
+    Uses the eigenphases of b[k]†a[k]: the optimum centers the minimal
+    enclosing arc of the spectrum, which is exact for unitary inputs.
+    """
+    evals = np.linalg.eigvals(b.conj().transpose(0, 2, 1) @ a)
+    phases = np.sort(np.angle(evals), axis=1)
+    gaps = np.diff(phases, append=phases[:, :1] + 2 * np.pi, axis=1)
+    widest = gaps.argmax(axis=1)
+    rows = np.arange(len(phases))
     # The spectrum lies on the arc complementary to the widest gap; the
     # optimal phase sits at that arc's center.
-    start = phases[(widest + 1) % len(phases)]
-    center = start + (2 * np.pi - gaps[widest]) / 2.0
-    best = np.exp(1j * center)
-    return float(np.abs(evals - best).max())
+    start = phases[rows, (widest + 1) % phases.shape[1]]
+    center = start + (2 * np.pi - gaps[rows, widest]) / 2.0
+    return np.abs(evals - np.exp(1j * center)[:, None]).max(axis=1)
 
 
 def strip_phase(u: np.ndarray) -> np.ndarray:
-    """Special-unitary representative of u with nonnegative real trace."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    det = np.linalg.det(u)
-    v = u * det ** (-1.0 / d)
-    if d == 2 and v.trace().real < 0:
-        v = -v
+    """Special-unitary representative of u, with nonnegative real trace
+    when u is 2x2: the one-matrix case of `strip_phases`."""
+    return strip_phases(np.asarray(u, dtype=complex)[None])[0]
+
+
+def strip_phases(stack: np.ndarray) -> np.ndarray:
+    """The special-unitary representative of each matrix in an (N, d, d)
+    stack, each 2x2 one signed to a nonnegative real trace."""
+    d = stack.shape[-1]
+    v = stack * (np.linalg.det(stack) ** (-1.0 / d))[:, None, None]
+    if d == 2:
+        flip = (v[:, 0, 0].real + v[:, 1, 1].real) < 0
+        v[flip] = -v[flip]
     return v
 
 

@@ -24,16 +24,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ..core import gates
 from ..core.linalg import read_only
 from ..errors import NetTooCoarse, QwhileError
-from .sequences import GateOp, GateSequence, GateSet, phase_dist, rx, ry, strip_phase
+from .sequences import (GateOp, GateSequence, GateSet, phase_dist, phase_dists, rx, ry,
+                        strip_phase, strip_phases)
 
 DEFAULT_WORD_LENGTH = 10
+MAX_DEPTH = 5  # of the recursion: depths 0..MAX_DEPTH are tried in turn
 _DEDUP_DECIMALS = 7
 _COVER_BLOCK = 100  # targets per overlap table while measuring eps0
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _canonical_keys(su2: np.ndarray) -> list[bytes]:
@@ -67,7 +68,7 @@ class SKNet:
     words: list[tuple[str, ...]]
     matrices: np.ndarray        # (N, 2, 2), SU(2) representatives
     eps0: float                 # empirical covering radius
-    # Letter names and achieved distance per (epsilon, depth, canonical
+    # Letter names and achieved distance per (epsilon, canonical
     # target), filled by the synthesis pipeline; lives as long as the net.
     approximations: dict[tuple, tuple[tuple[str, ...], float]] = field(
         default_factory=dict, repr=False, compare=False)
@@ -106,7 +107,7 @@ def build_net(alphabet: dict[str, np.ndarray], max_word_length: int = DEFAULT_WO
     first word of each rotation on the 1e-7 rounding grid of the
     canonical key; eps0 is the largest distance from `samples` seeded
     random targets to their nearest word."""
-    canon = {name: strip_phase(np.asarray(m, dtype=complex)) for name, m in alphabet.items()}
+    canon = {name: strip_phase(m) for name, m in alphabet.items()}
     letters = list(canon)
     letter_stack = np.stack(list(canon.values()))
     words: list[tuple[str, ...]] = [()]
@@ -115,7 +116,7 @@ def build_net(alphabet: dict[str, np.ndarray], max_word_length: int = DEFAULT_WO
     frontier_words, frontier = words[:], levels[0]
     for _ in range(max_word_length):
         # row f * len(letters) + l is letter l applied after frontier word f
-        products = _strip_phases((letter_stack[None] @ frontier[:, None]).reshape(-1, 2, 2))
+        products = strip_phases((letter_stack[None] @ frontier[:, None]).reshape(-1, 2, 2))
         kept = []
         for i, key in enumerate(_canonical_keys(products)):
             if key not in seen:
@@ -133,14 +134,6 @@ def build_net(alphabet: dict[str, np.ndarray], max_word_length: int = DEFAULT_WO
     return net
 
 
-def _strip_phases(stack: np.ndarray) -> np.ndarray:
-    """strip_phase of every 2x2 matrix in an (N, 2, 2) stack."""
-    v = stack * (np.linalg.det(stack) ** -0.5)[:, None, None]
-    flip = (v[:, 0, 0].real + v[:, 1, 1].real) < 0
-    v[flip] = -v[flip]
-    return v
-
-
 def _covering_radius(net: SKNet, samples: int, seed: int) -> float:
     """Largest phase distance from a seeded Haar-random SU(2) target to
     its nearest word (as SKNet.nearest picks it), over `samples` targets."""
@@ -149,26 +142,13 @@ def _covering_radius(net: SKNet, samples: int, seed: int) -> float:
     d = np.diagonal(r, axis1=1, axis2=2)
     fix = np.zeros_like(q)  # diag(d / |d|): makes the QR factor Haar-distributed
     fix[:, [0, 1], [0, 1]] = d / np.abs(d)
-    targets = _strip_phases(q @ fix)
+    targets = strip_phases(q @ fix)
     conj = net.matrices.conj()
     # a block of targets at a time bounds the overlap table's memory
     nearest = [np.abs(np.einsum("nij,sij->sn", conj, block)).argmax(axis=1)
                for block in np.split(targets, range(_COVER_BLOCK, samples, _COVER_BLOCK))]
-    dists = _phase_dists(net.matrices[np.concatenate(nearest)], targets)
+    dists = phase_dists(net.matrices[np.concatenate(nearest)], targets)
     return float(dists.max(initial=0.0))
-
-
-def _phase_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """phase_dist(a[k], b[k]) for each k of two (N, 2, 2) stacks, by the
-    same steps."""
-    evals = np.linalg.eigvals(b.conj().transpose(0, 2, 1) @ a)
-    phases = np.sort(np.angle(evals), axis=1)
-    gaps = np.diff(phases, append=phases[:, :1] + 2 * np.pi, axis=1)
-    widest = gaps.argmax(axis=1)
-    rows = np.arange(len(phases))
-    start = phases[rows, (widest + 1) % 2]
-    center = start + (2 * np.pi - gaps[rows, widest]) / 2.0
-    return np.abs(evals - np.exp(1j * center)[:, None]).max(axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -199,7 +179,7 @@ def _rotation_axis_angle(u: np.ndarray) -> tuple[np.ndarray, float]:
 def _su2_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    sigma = axis[0] * _X + axis[1] * _Y + axis[2] * _Z
+    sigma = axis[0] * gates.X + axis[1] * _Y + axis[2] * gates.Z
     return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * sigma
 
 
@@ -254,11 +234,10 @@ def _sk_recurse(u: np.ndarray, depth: int, net: SKNet) -> tuple[tuple[str, ...],
     return word, approx
 
 
-def solovay_kitaev(u: np.ndarray, epsilon: float, net: SKNet | None = None,
-                   depth: int = 5) -> GateSequence:
-    """Approximate a 2x2 unitary by an alphabet word within epsilon if the
-    recursion depth suffices; otherwise the best word found is returned
-    with its actual distance in eps_total.
+def solovay_kitaev(u: np.ndarray, epsilon: float, net: SKNet | None = None) -> GateSequence:
+    """Approximate a 2x2 unitary by an alphabet word within epsilon if a
+    recursion depth up to MAX_DEPTH suffices; otherwise the best word
+    found is returned with its actual distance in eps_total.
     """
     if not epsilon > 0:
         raise QwhileError("epsilon must be positive")
@@ -266,10 +245,10 @@ def solovay_kitaev(u: np.ndarray, epsilon: float, net: SKNet | None = None,
     if net.eps0 > 0.2:
         raise NetTooCoarse(
             f"net covering radius {net.eps0:.3f} is too coarse to start the recursion")
-    target = strip_phase(np.asarray(u, dtype=complex))
+    target = strip_phase(u)
     best_word: tuple[str, ...] | None = None
     best_dist = float("inf")
-    for k in range(depth + 1):
+    for k in range(MAX_DEPTH + 1):
         word, approx = _sk_recurse(target, k, net)
         dist = phase_dist(approx, target)
         if dist < best_dist:

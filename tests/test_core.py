@@ -1,17 +1,17 @@
-"""Quantum core and the engine's postulate kernels: types, residuals,
+"""Quantum core and its postulate kernels: types, residuals,
 embedding, unitaries, channels and measurements on the factor form
 rho = V V†, each against a hand or dense oracle."""
 import numpy as np
 import pytest
 
-from qwhile.core import (
-    CNOT, H, I2, X, Z, DensityOperator, SuperOperator, STANDARD_LIBRARY, embed,
-)
+from qwhile.core import CNOT, H, I2, X, Z, DensityOperator, SuperOperator, STANDARD_LIBRARY
 from qwhile.core import linalg
+from qwhile.core.kernels import embed, operator_kernel, site_kernel, state_of
 from qwhile.core.types import PLUS_MINUS
-from qwhile.engine.runtime import operator_kernel, site_kernel, state_of
 from qwhile.errors import CapacityExceeded, IncompleteMeasurement, InvalidState, NotUnitary
 from qwhile.lang import parse
+
+from dense_oracle import kron_embed
 
 S2 = np.sqrt(2.0)
 COMPUTATIONAL = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -110,8 +110,14 @@ class TestTensor:
             np.testing.assert_allclose(out, np.kron(np.kron(a, b), c) @ v, atol=1e-12)
 
     def test_capacity_cap(self):
+        # every kernel refuses the space before it builds anything of its size
+        n = linalg.MAX_QUBITS + 1
         with pytest.raises(CapacityExceeded):
-            embed(I2, (0,), linalg.MAX_QUBITS + 1)
+            embed(I2, (0,), n)
+        with pytest.raises(CapacityExceeded):
+            operator_kernel(H, (0,), n)
+        with pytest.raises(CapacityExceeded):
+            site_kernel(COMPUTATIONAL, (0,), n)
         with pytest.raises(CapacityExceeded):
             linalg.check_dim(linalg.MAX_DIM * 2)
 
@@ -334,6 +340,22 @@ class TestEmbedding:
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         np.testing.assert_allclose(embed(u, (0,), 2), np.kron(u, I2), atol=1e-12)
         np.testing.assert_allclose(embed(u, (1,), 2), np.kron(I2, u), atol=1e-12)
+        # 1-3 qubit operators (dense, diagonal, permutation with phases) on
+        # adjacent targets, the same targets reversed, and a random choice
+        for n in range(1, 5):
+            for k in range(1, min(n, 3) + 1):
+                lo = int(rng.integers(n - k + 1))
+                run = tuple(range(lo, lo + k))
+                chosen = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+                dim = 1 << k
+                phases = np.exp(2j * np.pi * rng.random(dim))
+                ops = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+                       np.diag(phases), np.eye(dim)[rng.permutation(dim)] * phases)
+                for op in ops:
+                    for positions in (run, run[::-1], chosen):
+                        np.testing.assert_allclose(embed(op, positions, n),
+                                                   kron_embed(op, positions, n),
+                                                   rtol=0, atol=1e-12)
 
     def test_embed_cnot_reversed(self):
         m = embed(CNOT, (1, 0), 2)

@@ -17,7 +17,9 @@ import qwhile.cli
 import qwhile.engine.runtime
 import qwhile.fqasm.vm
 from qwhile.core.gates import STANDARD_LIBRARY
-from qwhile.core.linalg import embed, nonzero_lines
+from qwhile.core.kernels import (Diagonal, DiagonalSite, General, GeneralSite, Monomial, Reset,
+                                 operator_kernel, site_kernel, state_of)
+from qwhile.core.linalg import nonzero_lines
 from qwhile.core.types import PLUS_MINUS, DensityOperator
 from qwhile.engine import (
     DistributionResult,
@@ -41,17 +43,8 @@ from qwhile.engine.runtime import (
     KernelTable,
     PreparedProgram,
     RunRecord,
-    _Diagonal,
-    _DiagonalSite,
-    _General,
-    _GeneralSite,
-    _Monomial,
     _Measured,
-    _Reset,
     explore,
-    operator_kernel,
-    site_kernel,
-    state_of,
 )
 from qwhile.engine.sampler import PROB_CEIL, PROB_FLOOR, Outcomes
 from qwhile.errors import InvalidLimit, MalformedDistribution, StepLimitExceeded
@@ -67,6 +60,7 @@ from qwhile.fqasm import compile_program, prepare_vm, vm_distribution, vm_run
 from qwhile.lang import Case, Init, Seq, Unitary, While, parse, pretty_print
 from qwhile.lang.syntax import format_matrix
 
+from dense_oracle import kron_embed
 from genprog import random_program, wide_program
 
 
@@ -820,7 +814,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def dense_sandwich(op: np.ndarray, positions: tuple[int, ...], n: int, rho: np.ndarray):
-    full = embed(op, positions, n)
+    full = kron_embed(op, positions, n)
     return full @ rho @ full.conj().T
 
 
@@ -854,7 +848,7 @@ def dense_measurement(operators, positions: tuple[int, ...], n: int, rho: np.nda
     """(probabilities, post-measurement states) of the operators M_i
     embedded at positions as F_i: p_i = tr(F_i† F_i rho) and
     F_i rho F_i† / p_i."""
-    full = [embed(op, positions, n) for op in operators]
+    full = [kron_embed(op, positions, n) for op in operators]
     p = np.array([np.trace(f.conj().T @ f @ rho).real for f in full])
     return p, [f @ rho @ f.conj().T / pi for f, pi in zip(full, p)]
 
@@ -893,7 +887,7 @@ class TestKernels:
                 assert w.shape == v.shape
                 np.testing.assert_allclose(outer(w), dense_sandwich(op, positions, n, outer(v)),
                                            rtol=0, atol=ATOL_ALGEBRA)
-        assert kinds == {_Diagonal, _Monomial, _General}
+        assert kinds == {Diagonal, Monomial, General}
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reset_matches_kraus_pairs(self, n):
@@ -903,7 +897,7 @@ class TestKernels:
         layout = (("a", lo), ("r", width), ("b", n - lo - width))
         kernels = KernelTable(parse("".join(f"{name} : qubit[{w}]; " for name, w in layout if w)
                                     + "r := |0>;"))
-        assert isinstance(kernels.inits["r"], _Reset)
+        assert isinstance(kernels.inits["r"], Reset)
         for r in (1, 2, 3):
             v = random_factor(rng, n, r)
             w = kernels.inits["r"].apply(v)
@@ -926,12 +920,12 @@ class TestKernels:
                                   f"if C[{', '.join(regs)}] = 0 -> skip; fi; "
                                   + "".join(f"if {m}[{regs[0]}] = 0 -> skip; fi; " for m in "PWB"))
         half = np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])
-        cases = [(kernels.sites["C", regs], computational(1 << k), positions, _DiagonalSite),
-                 (kernels.sites["P", regs[:1]], PLUS_MINUS, positions[:1], _GeneralSite),
-                 (kernels.sites["W", regs[:1]], weak, positions[:1], _DiagonalSite),
-                 (kernels.sites["B", regs[:1]], split, positions[:1], _DiagonalSite)]
+        cases = [(kernels.sites["C", regs], computational(1 << k), positions, DiagonalSite),
+                 (kernels.sites["P", regs[:1]], PLUS_MINUS, positions[:1], GeneralSite),
+                 (kernels.sites["W", regs[:1]], weak, positions[:1], DiagonalSite),
+                 (kernels.sites["B", regs[:1]], split, positions[:1], DiagonalSite)]
         if k == 2:
-            cases.append((site_kernel(half, positions, n), half, positions, _DiagonalSite))
+            cases.append((site_kernel(half, positions, n), half, positions, DiagonalSite))
         for c, (site, operators, where, kind) in enumerate(cases):
             assert type(site) is kind
             v = random_factor(rng, n, 1 + c % 3)
@@ -1001,11 +995,11 @@ class TestKernels:
                + "".join(f"{gate}[{', '.join(regs)}]; " for gate, regs in gates.items())
                + "if C[q2, q0, q1] = 0 -> skip; fi; while P[q1] = 1 do skip; od;")
         assert {gate: type(kernels.unitaries[gate, regs]) for gate, regs in gates.items()} == {
-            "Z": _Diagonal, "S": _Diagonal, "T": _Diagonal, "ORACLE": _Diagonal,
-            "X": _Monomial, "CNOT": _Monomial,
-            "H": _General, "G": _General, "DILATE": _General}
-        assert type(kernels.sites["C", ("q2", "q0", "q1")]) is _DiagonalSite
-        assert type(kernels.sites["P", ("q1",)]) is _GeneralSite
+            "Z": Diagonal, "S": Diagonal, "T": Diagonal, "ORACLE": Diagonal,
+            "X": Monomial, "CNOT": Monomial,
+            "H": General, "G": General, "DILATE": General}
+        assert type(kernels.sites["C", ("q2", "q0", "q1")]) is DiagonalSite
+        assert type(kernels.sites["P", ("q1",)]) is GeneralSite
 
     def test_both_executors_build_the_same_kernels(self):
         rng = np.random.default_rng(1900)

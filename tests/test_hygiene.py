@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
 module-level and class-level definition is referenced somewhere, nothing
 is keyed on object identity, scipy is imported only where it is used,
+core, synthesis and the experiments never import the engine's runtime,
 and the benchmark's trace targets still name functions of the package."""
 import ast
 import importlib.util
@@ -331,6 +332,49 @@ def test_engine_serves_the_package():
     # written out in the tests
     package = package_sources()
     assert unserved(_layer(package, "engine"), package) == []
+
+
+def test_synth_serves_the_package():
+    # synthesis too: a formula that only tests read is written out in the tests
+    package = package_sources()
+    assert unserved(_layer(package, "synth"), package) == []
+
+
+def runtime_imports(source: str, package: str) -> list[int]:
+    """Lines of a module of the dotted `package` that import from the
+    engine's runtime, absolutely or relatively."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            target = ".".join(base + (node.module.split(".") if node.module else []))
+            names = [target] + [f"{target}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if "qwhile.engine.runtime" in names:
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_finds_runtime_imports():
+    source = ("from ..engine.runtime import site_kernel\nfrom ..engine import runtime\n"
+              "import qwhile.engine.runtime\nfrom ..core.kernels import state_of\n"
+              "from ..engine.sampler import Outcomes\nfrom .runtime import step\n")
+    assert runtime_imports(source, "qwhile.experiments") == [1, 2, 3]
+    assert runtime_imports(source, "qwhile.engine") == [1, 2, 3, 6]
+
+
+def test_kernels_are_taken_from_core():
+    # core, synthesis and the experiments sit below the engine: they apply
+    # operators through core.kernels, never through the engine's runtime
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for layer in ("core", "synth", "experiments")
+             for path in sorted((PACKAGE / layer).rglob("*.py"))
+             for line in runtime_imports(path.read_text(), f"qwhile.{layer}")]
+    assert found == []
 
 
 def test_scan_finds_a_core_helper_that_only_tests_read():
