@@ -18,7 +18,12 @@ identical outputs. Multi-shot runs derive per-shot seeds with the
 splitmix64 mix, so shot k of seed s is the same everywhere. A seed is a
 64-bit word: `SamplerState` and `splitmix64` refuse one outside
 [0, 2**64) with InvalidSeed rather than run the stream of the seed it
-aliases.
+aliases. `draws(m)` returns the next m draws of the stream as one array,
+computed from the counter in uint64 arithmetic: the same bits, and the
+same counter and `draw_count` afterwards, as m calls of `draw()`. When
+a block meets the excluded point 0 (probability 2**-53 per draw), it is
+taken by m calls of `draw()` instead, which skip it as the scalar stream
+does.
 """
 from __future__ import annotations
 
@@ -30,6 +35,12 @@ from ..errors import InvalidSeed, MalformedDistribution
 
 PROB_FLOOR = 1e-12   # below this a probability counts as zero
 PROB_CEIL = 1.0 - 1e-12  # above this a probability counts as one
+
+# splitmix64's increment and multipliers as 0-d uint64 arrays for `draws`:
+# uint64 arrays wrap silently, as the masks of `draw` do, where numpy
+# scalars would warn on overflow
+_GAMMA, _MIX1, _MIX2 = (np.array(c, dtype=np.uint64)
+                        for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
 def _checked(seed: int) -> int:
@@ -72,6 +83,24 @@ class SamplerState:
             x = (z >> 11) * 2.0**-53
             if x > 0.0:  # exclude the single point 0 of [0,1)
                 return x
+
+    def draws(self, m: int) -> np.ndarray:
+        """The next m draws as a float64 array, bit for bit those of m
+        `draw()` calls, leaving the counter and `draw_count` as they would."""
+        z = np.arange(1, m + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.array(self._state, dtype=np.uint64)
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        z >>= 11
+        if not z.all():  # the excluded point: let draw() skip it
+            return np.array([self.draw() for _ in range(m)], dtype=float)
+        self._state = (self._state + m * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        self.draw_count += m
+        return z.astype(float) * 2.0**-53
 
     def child(self, k: int) -> "SamplerState":
         return SamplerState(splitmix64(self.seed, k))

@@ -18,12 +18,25 @@ probabilities are `probabilities(V)` of the measurement site the engine
 builds for his basis on one qubit. Each probability is within 2^-53 of
 the dense formula tr(M_b rho) with rho = sum_i E_i a a† E_i† (the same
 sums, rounded in another order). The 8 vectors are prepared as
-`Outcomes`; each qubit then costs one lookup and at most one draw, and
-transcripts are those of simulating every qubit on its own. Tables are
-cached by the bytes of the channel's Kraus operators, never by object
-identity. A channel that loses trace on any of the 4 kets is refused
-with IncompleteMeasurement when its table is built, whichever kets a
-session sends.
+`Outcomes`, and from them per-entry arrays indexed by 4a + 2b + c (Alice's
+basis a, her bit b, Bob's basis c): the certain outcome or -1, the first
+and last kept index, and the first cumulative bound. Tables and arrays
+are cached by the bytes of the channel's Kraus operators, never by
+object identity.
+
+A session draws in blocks (`SamplerState.draws`): Alice's raw key and
+then her bases as one block of 2n draws, Bob's bases as one block of n,
+a bit being 1 when its draw is >= 1/2. The quantum stream gives one draw
+to each qubit whose entry is not certain, in qubit order, so the i-th
+such qubit takes the stream's i-th draw x; with 2 outcomes, x <= the
+first bound gives the first kept index and any other x the last. The
+sampling check then continues Alice's stream after her 2n draws. These
+are the draws and outcomes of sampling every qubit's `Outcomes` in turn,
+so transcripts are those of simulating every qubit on its own.
+
+A channel that loses trace on any of the 4 kets is refused with
+IncompleteMeasurement when its table is built, whichever kets a session
+sends.
 
 Channels ship with the exact Kraus families used in the sweep:
 bit flip for p in {0.25, 0.5, 0.75} ({sqrt(p) I, sqrt(1-p) X}; larger p
@@ -37,6 +50,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,34 +129,54 @@ class BB84Transcript:
         return len(self.alice_key)
 
 
-def _random_bits(rng: SamplerState, n: int) -> list[int]:
-    return [1 if rng.draw() >= 0.5 else 0 for _ in range(n)]
-
-
 # Bob's measurement in each basis, as the engine's site on one qubit
 _SITES = {0: site_kernel([np.diag(row) for row in np.eye(2)], (0,), 1),
           1: site_kernel(PLUS_MINUS, (0,), 1)}
+
+
+class _Table(NamedTuple):
+    """A channel's prepared outcomes, and read-only arrays over the
+    entries 4a + 2b + c of its (a, b, c) keys."""
+    outcomes: Mapping[tuple[int, int, int], Outcomes]
+    certain: np.ndarray  # the certain outcome, or -1
+    first: np.ndarray    # the first kept index (0 where certain, and unread)
+    last: np.ndarray     # the last kept index (likewise)
+    bound: np.ndarray    # the first kept index's cumulative bound (likewise)
 
 
 def outcome_table(channel: SuperOperator) -> Mapping[tuple[int, int, int], Outcomes]:
     """Bob's outcome distribution for each (Alice's basis, bit, Bob's
     basis) after `channel`, cached by the channel's Kraus operators and
     shared read-only."""
+    return _table(channel).outcomes
+
+
+def _table(channel: SuperOperator) -> _Table:
     if channel.dim != 2:
         raise DimMismatch(f"channel dim {channel.dim} != state dim 2")
     return _outcome_table(tuple((e.dtype.str, e.shape, e.tobytes()) for e in channel.kraus))
 
 
+def _frozen(values: list) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=32)
-def _outcome_table(kraus: tuple[tuple[str, tuple[int, ...], bytes], ...]
-                   ) -> Mapping[tuple[int, int, int], Outcomes]:
+def _outcome_table(kraus: tuple[tuple[str, tuple[int, ...], bytes], ...]) -> _Table:
     operators = [np.frombuffer(data, dtype=dtype).reshape(shape) for dtype, shape, data in kraus]
     table = {}
     for (basis, bit), amplitudes in _KETS.items():
         received = np.column_stack([e @ amplitudes for e in operators])  # rho = V V†
         for bob_basis, site in _SITES.items():
             table[basis, bit, bob_basis] = Outcomes(site.probabilities(received))
-    return MappingProxyType(table)
+    entries = [table[key] for key in sorted(table)]  # (a, b, c) in the order of 4a + 2b + c
+    return _Table(MappingProxyType(table),
+                  _frozen([-1 if o.certain is None else o.certain for o in entries]),
+                  _frozen([o.kept[0] if o.kept else 0 for o in entries]),
+                  _frozen([o.kept[-1] if o.kept else 0 for o in entries]),
+                  _frozen([o.bounds[0] if o.bounds else 0.0 for o in entries]))
 
 
 def bb84_run(session: BB84Session) -> BB84Transcript:
@@ -152,13 +186,22 @@ def bb84_run(session: BB84Session) -> BB84Transcript:
     bob = SamplerState(splitmix64(session.seed, 2))
     quantum = SamplerState(splitmix64(session.seed, 3))
 
-    raw_key = _random_bits(alice, n)
-    alice_bases = _random_bits(alice, n)
-    bob_bases = _random_bits(bob, n)
+    alice_bits = alice.draws(2 * n) >= 0.5
+    key_bits, basis_bits = alice_bits[:n], alice_bits[n:]
+    bob_bits = bob.draws(n) >= 0.5
 
-    table = outcome_table(session.channel)
-    bob_results = [table[a, b, c].sample(quantum)
-                   for a, b, c in zip(alice_bases, raw_key, bob_bases)]
+    table = _table(session.channel)
+    entry = 4 * basis_bits + 2 * key_bits + bob_bits
+    results = table.certain[entry]
+    drawn = np.flatnonzero(results < 0)  # one quantum draw each, in qubit order
+    drawn_entry = entry[drawn]
+    results[drawn] = np.where(quantum.draws(drawn.size) <= table.bound[drawn_entry],
+                              table.first[drawn_entry], table.last[drawn_entry])
+
+    raw_key = key_bits.astype(int).tolist()
+    alice_bases = basis_bits.astype(int).tolist()
+    bob_bases = bob_bits.astype(int).tolist()
+    bob_results = results.tolist()
 
     agreement = [1 if alice_bases[i] == bob_bases[i] else 0 for i in range(n)]
     alice_key = [raw_key[i] for i in range(n) if agreement[i]]

@@ -63,6 +63,8 @@ from qwhile.lang.syntax import format_matrix
 from dense_oracle import kron_embed
 from genprog import random_program, wide_program
 
+PHI = 0x9E3779B97F4A7C15  # splitmix64's counter increment
+
 
 def held(m) -> DensityOperator:
     """The state of the dense matrix m, held by its support: the lines of
@@ -172,6 +174,30 @@ class TestSampler:
     def test_splitmix_spreads(self):
         kids = {splitmix64(3, k) for k in range(1000)}
         assert len(kids) == 1000
+
+    def test_the_excluded_point_is_skipped(self):
+        # from seed -k*PHI the counter reaches 0 at draw k, and the finalizer
+        # maps 0 to 0: draw k takes the next counter value instead
+        k = 3
+        rng = SamplerState((-k * PHI) % 2**64)
+        xs = [rng.draw() for _ in range(k + 1)]
+        unskipped = [(splitmix64(rng.seed, j) >> 11) * 2.0**-53 for j in range(k + 2)]
+        assert unskipped[k - 1] == 0.0
+        assert xs == unskipped[:k - 1] + unskipped[k:]
+        assert rng.draw_count == k + 1
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300), st.integers(0, 5))
+    @example(2**64 - 1, 300, 0)  # the counter wraps past 2**64 at the block's first draw
+    @example((-5 * PHI) % 2**64, 10, 2)  # the excluded point at draw 5, inside the block
+    def test_a_block_of_draws_is_the_scalar_stream(self, seed, m, before):
+        ours, theirs = SamplerState(seed), SamplerState(seed)
+        for _ in range(before):
+            assert ours.draw() == theirs.draw()
+        block = ours.draws(m)
+        assert block.dtype == np.float64 and block.shape == (m,)
+        assert block.tolist() == [theirs.draw() for _ in range(m)]
+        assert ours.draw_count == theirs.draw_count
+        assert ours.draw() == theirs.draw()
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6), st.integers(0, 2**32))
     def test_sampled_index_valid(self, weights, seed):

@@ -18,10 +18,10 @@ from qwhile.experiments import (
     degradation_probe, grover_run, grover_source, paper_channels, success_probability,
     sweep_csv,
 )
-from qwhile.experiments.bb84 import outcome_table
+from qwhile.experiments.bb84 import _table, outcome_table
 from qwhile.experiments.grover import _iterate
 
-from test_engine import reference_sample_outcome
+from test_engine import PHI, reference_sample_outcome
 
 # Error rate of a sifted bit, worked out by hand from each channel's Kraus
 # operators; Alice's and Bob's common basis is Z or X with probability 1/2.
@@ -158,14 +158,43 @@ def reference_bb84_run(session: BB84Session) -> BB84Transcript:
                           alice_key, bob_key, sample_positions, keys_match, verdict)
 
 
+def splitmix64_preimage(child: int, k: int) -> int:
+    """The seed s with splitmix64(s, k) == child: the finalizer undone
+    step by step, each xorshift by its own series and each multiplier by
+    its inverse mod 2**64."""
+    z = child
+    z ^= (z >> 31) ^ (z >> 62)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - (k + 1) * PHI) % 2**64
+
+
+def test_the_preimage_inverts_splitmix64():
+    for seed in (0, 1, 2**64 - 1, 12345678901234567):
+        for k in (0, 1, 7):
+            assert splitmix64_preimage(splitmix64(seed, k), k) == seed
+    assert (splitmix64(EXCLUDED_POINT_SEED, 1) + 10 * PHI) % 2**64 == 0
+
+
+# a session whose Alice stream reaches counter 0, the excluded point, at
+# her 10th draw: inside the 2n block of her raw key and bases
+EXCLUDED_POINT_SEED = splitmix64_preimage((-10 * PHI) % 2**64, 1)
+
+
 @pytest.mark.parametrize("name", sorted(SIFTED_ERROR_RATE))
 def test_transcripts_equal_the_per_qubit_simulation(name):
     channel = paper_channels()[name]
     for fraction in (None, 0.2, 0.5):
-        for length in range(1, 71):  # one seed per length
-            session = BB84Session(length, channel, fraction, seed=splitmix64(29, length))
+        sessions = [BB84Session(length, channel, fraction, seed=splitmix64(29, length))
+                    for length in range(1, 71)]  # one seed per length
+        sessions += [BB84Session(length, channel, fraction, seed=splitmix64(37, 5 * length + k))
+                     for length in (1, 7, 64, 1024) for k in range(5)]
+        sessions.append(BB84Session(64, channel, fraction, seed=EXCLUDED_POINT_SEED))
+        for session in sessions:
             got = bb84_run(session)
-            assert got == reference_bb84_run(session), (fraction, length)
+            assert got == reference_bb84_run(session), (fraction, session.raw_key_length)
             assert all(type(b) is int for b in got.bob_results)
 
 
@@ -194,6 +223,11 @@ def test_outcome_tables_follow_the_kraus_values_not_the_object():
             outcomes.bounds[0] = 0.0
         with pytest.raises(TypeError):
             outcomes.kept[0] = 0
+    for name in ("certain", "first", "last", "bound"):
+        array = getattr(_table(custom), name)
+        assert array is getattr(_table(first["bit_flip_p05"]), name)
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_a_channel_keeps_its_kraus_operators_when_the_caller_writes_to_them():
